@@ -25,6 +25,7 @@ from .sampling import bilinear_sample_batch
 from .tensor import (
     Tensor,
     _as_tensor,
+    batched,
     broadcast_to,
     clip,
     concat,
@@ -70,6 +71,15 @@ class WindowLayout:
         return self.ws * self.ws
 
 
+def _uniform(stream: Stream, shape, fan_in: int) -> Tensor:
+    b = 1.0 / math.sqrt(fan_in)
+    return Tensor(stream.uniform(shape, -b, b), requires_grad=True)
+
+
+def _zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
 def effective_window(ws: int, h: int, w: int) -> int:
     """Window size actually used at a stage: capped by the map itself."""
     return min(ws, h, w)
@@ -96,38 +106,25 @@ def _stitch(wins: Tensor, layout: WindowLayout) -> Tensor:
     return reshape(t, (b, c, layout.h, layout.w))
 
 
-def _with_batch(x) -> tuple[Tensor, bool]:
-    x = _as_tensor(x)
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected (C,H,W) or (B,C,H,W), got {x.shape}")
-
-
 def window_partition(x, layout: WindowLayout) -> Tensor:
     """Cyclic shift (when layout.shift > 0) then split into windows."""
-    xb, squeeze = _with_batch(x)
+    xb, unbatch = batched(x)
     if xb.shape[2] != layout.h or xb.shape[3] != layout.w:
         raise ValueError(f"map {xb.shape[2:]} does not match layout {layout}")
     if layout.shift:
         xb = roll(xb, (-layout.shift, -layout.shift), (2, 3))
-    wins = _split(xb, layout)
-    return reshape(wins, wins.shape[1:]) if squeeze else wins
+    return unbatch(_split(xb, layout))
 
 
 def window_merge(wins, layout: WindowLayout) -> Tensor:
     """Exact inverse of window_partition, including the un-shift."""
-    wins = _as_tensor(wins)
-    squeeze = wins.ndim == 3
-    if squeeze:
-        wins = reshape(wins, (1,) + wins.shape)
+    wins, unbatch = batched(wins)
     if wins.shape[1] != layout.n_windows or wins.shape[2] != layout.patches:
         raise ValueError(f"windows {wins.shape} do not match layout {layout}")
     x = _stitch(wins, layout)
     if layout.shift:
         x = roll(x, (layout.shift, layout.shift), (2, 3))
-    return reshape(x, x.shape[1:]) if squeeze else x
+    return unbatch(x)
 
 
 def window_origins(layout: WindowLayout) -> np.ndarray:
@@ -178,10 +175,6 @@ class SdmsaParams:
         return self.wo.shape[0]
 
     @property
-    def head_dim(self) -> int:
-        return self.channels // self.n_heads
-
-    @property
     def deformable(self) -> bool:
         return self.off_dw_w is not None
 
@@ -194,29 +187,22 @@ class SdmsaParams:
         d = channels // n_heads
         t = 2 * ws - 1
 
-        def u(shape, fan_in):
-            b = 1.0 / math.sqrt(fan_in)
-            return Tensor(stream.uniform(shape, -b, b), requires_grad=True)
-
-        def z(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
         off_dw_w = off_dw_b = off_pw_w = off_pw_b = None
         if deform:
             k = OFFSET_KERNEL
-            off_dw_w = u((channels, 1, k, k), k * k)
-            off_dw_b = z((channels,))
-            off_pw_w = u((2 * n_heads, d, 1, 1), d)
-            off_pw_b = z((2 * n_heads,))
+            off_dw_w = _uniform(stream, (channels, 1, k, k), k * k)
+            off_dw_b = _zeros((channels,))
+            off_pw_w = _uniform(stream, (2 * n_heads, d, 1, 1), d)
+            off_pw_b = _zeros((2 * n_heads,))
         return cls(
             n_heads=n_heads,
             ws=ws,
             gamma_off=gamma_off,
-            wq=u((n_heads, d, d), d),
-            wk=u((n_heads, d, d), d),
-            wv=u((n_heads, d, d), d),
-            wo=u((channels, channels), channels),
-            bias_table=z((n_heads, t, t)),
+            wq=_uniform(stream, (n_heads, d, d), d),
+            wk=_uniform(stream, (n_heads, d, d), d),
+            wv=_uniform(stream, (n_heads, d, d), d),
+            wo=_uniform(stream, (channels, channels), channels),
+            bias_table=_zeros((n_heads, t, t)),
             off_dw_w=off_dw_w,
             off_dw_b=off_dw_b,
             off_pw_w=off_pw_w,
@@ -292,11 +278,6 @@ def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
     )
 
 
-def _bias_points(table: Tensor, points: Tensor) -> Tensor:
-    """Sample (N, 1, t, t) tables at (N, M, 2) displacement grid points."""
-    return bilinear_sample_batch(table, points)
-
-
 def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     """Continuous-relative-position bias matrix for one window and head.
 
@@ -312,7 +293,8 @@ def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     pk = _as_tensor(p_key_deformed, like=table)
     p = pq.shape[0]
     delta = reshape(pk, (1, p, 2)) - reshape(pq, (p, 1, 2)) + float(ws - 1)
-    out = _bias_points(reshape(table, (1, 1, t, t)), reshape(delta, (1, p * p, 2)))
+    out = bilinear_sample_batch(reshape(table, (1, 1, t, t)),
+                                reshape(delta, (1, p * p, 2)))
     return reshape(out, (p, p))
 
 
@@ -326,7 +308,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     """
     if deform and not params.deformable:
         raise ValueError("deform=True but layer built without an offset net")
-    xb, squeeze = _with_batch(x)
+    xb, unbatch = batched(x)
     b, c, h, w = xb.shape
     if (h, w) != (layout.h, layout.w):
         raise ValueError(f"map {h}x{w} does not match layout {layout}")
@@ -344,6 +326,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
     ref = reference_points(layout)                 # (n_w, P, 2) float64
+    t = 2 * params.ws - 1                          # bias table side
     if deform:
         off = _offset_forward(
             q, params.off_dw_w, params.off_dw_b,
@@ -368,13 +351,12 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
         samp = bilinear_sample_batch(fs, ptsr)     # (B*n_h, n_w*P, d)
         kv_in = transpose(reshape(samp, (b, nh, nw, p, d)), (0, 2, 1, 3, 4))
 
-        t = 2 * params.ws - 1
         refq = Tensor(ref.reshape(1, nw, 1, p, 1, 2).astype(xb.dtype))
         delta = reshape(pts, (b, nw, nh, 1, p, 2)) - refq + float(params.ws - 1)
         tables = broadcast_to(
             reshape(params.bias_table, (1, 1, nh, 1, t, t)), (b, nw, nh, 1, t, t)
         )
-        bias = _bias_points(
+        bias = bilinear_sample_batch(
             reshape(tables, (b * nw * nh, 1, t, t)),
             reshape(delta, (b * nw * nh, p * p, 2)),
         )
@@ -382,11 +364,10 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
         trace_off, trace_def = off, pts
     else:
         kv_in = xh
-        t = 2 * params.ws - 1
         lg = _local_grid(ws)
         delta = (lg[None, :, :] - lg[:, None, :] + (params.ws - 1)).reshape(1, p * p, 2)
         dpts = Tensor(np.broadcast_to(delta, (nh, p * p, 2)).astype(xb.dtype))
-        bias = _bias_points(reshape(params.bias_table, (nh, 1, t, t)), dpts)
+        bias = bilinear_sample_batch(reshape(params.bias_table, (nh, 1, t, t)), dpts)
         bias = reshape(bias, (1, 1, nh, p, p))
         trace_off, trace_def = None, None
 
@@ -396,9 +377,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     attn = softmax(scores + bias, axis=-1)         # (B, n_w, n_h, P, P)
     z = matmul(attn, v)
     z = reshape(transpose(z, (0, 1, 3, 2, 4)), (b, nw, p, c))
-    out = _stitch(matmul(z, params.wo), layout)
-    if layout.shift:
-        out = roll(out, (layout.shift, layout.shift), (2, 3))
+    out = window_merge(matmul(z, params.wo), layout)
 
     if trace_off is None:
         offs = np.zeros((b, nw, nh, p, 2), dtype=xb.dtype)
@@ -415,4 +394,4 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
         deformed=defp,
         attention=attn.data,
     )
-    return (reshape(out, out.shape[1:]) if squeeze else out), trace
+    return unbatch(out), trace

@@ -13,12 +13,11 @@ plain matmuls over the channel axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import SdmsaParams, SdmsaTrace, WindowLayout, sdmsa
+from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _uniform, _zeros, sdmsa
 from .convops import conv2d, deconv2d
 from .rng import Stream
 from .tensor import Tensor, concat, gelu, layer_norm, matmul, transpose
@@ -27,15 +26,6 @@ DW_KERNEL = 7
 
 BRANCH_MODES = ("dual", "sdmsa_only", "conv_only")
 FUSION_MODES = ("concat", "sum")
-
-
-def _uniform(stream: Stream, shape, fan_in: int) -> Tensor:
-    b = 1.0 / math.sqrt(fan_in)
-    return Tensor(stream.uniform(shape, -b, b), requires_grad=True)
-
-
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def _ones(shape) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gradcheck import GradCheckError
 from .io import FormatError, load_sdt1, save_sdt1, to_u8, write_pgm
-from .inference import SlidingConfig, predict_mask, sliding_predict
+from .inference import SlidingConfig, predict_mask
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
 from .tensor import GradError, NumericsError
 from .training import (
@@ -51,6 +51,8 @@ def _load_configs(path) -> tuple[ModelConfig, TrainConfig]:
         if not p.exists():
             raise FileNotFoundError(f"config file not found: {p}")
         raw = json.loads(p.read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {raw!r}")
     unknown = set(raw) - {"model", "train"}
     if unknown:
         raise ValueError(f"unknown top-level config keys: {sorted(unknown)}")
@@ -58,6 +60,13 @@ def _load_configs(path) -> tuple[ModelConfig, TrainConfig]:
         ModelConfig.from_dict(raw.get("model", {})),
         TrainConfig.from_dict(raw.get("train", {})),
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _sliding(args) -> SlidingConfig:
@@ -285,8 +294,8 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--size", type=int, required=True)
+    s.add_argument("--n", type=_positive_int, required=True)
+    s.add_argument("--size", type=_positive_int, required=True)
     s.add_argument("--classes", type=int, default=3)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -324,14 +333,14 @@ def build_parser() -> _Parser:
     s.add_argument("--image", required=True)
     s.add_argument("--block", required=True)
     s.add_argument("--class", dest="cls", type=int, default=1)
-    s.add_argument("--stride", type=int, default=1,
+    s.add_argument("--stride", type=_positive_int, default=1,
                    help="keep every stride-th deformation point row")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_explain)
 
     s = sub.add_parser("count", help="parameter and FLOP counts")
     s.add_argument("--config")
-    s.add_argument("--size", type=int, required=True)
+    s.add_argument("--size", type=_positive_int, required=True)
     s.set_defaults(func=_cmd_count)
 
     s = sub.add_parser("selfcheck", help="run built-in consistency checks")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _as_tensor, _make
+from .tensor import Tensor, _as_tensor, _make, batched
 
 
 def _out_size(n: int, k: int, s: int, p: int, allow_floor: bool, op: str) -> int:
@@ -91,17 +91,6 @@ def _conv_backward_w(x, dy, k, s, p, g):
     return dw.reshape(cout, cg, k, k)
 
 
-def _with_batch(t: Tensor):
-    """Accept (C,H,W) or (N,C,H,W); report whether a batch axis was added."""
-    if t.ndim == 3:
-        from .tensor import reshape
-
-        return reshape(t, (1,) + t.shape), True
-    if t.ndim == 4:
-        return t, False
-    raise ValueError(f"expected 3- or 4-D input, got shape {t.shape}")
-
-
 def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
            allow_floor: bool = False) -> Tensor:
     """Grouped 2-D cross-correlation with zero padding.
@@ -111,7 +100,7 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
-    xb, squeezed = _with_batch(x)
+    xb, unbatch = batched(x)
     n, cin, h, wd = xb.shape
     cout, cg, k, k2 = w.shape
     if k != k2:
@@ -138,12 +127,7 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
 
-    out = _make("conv2d", y, tuple(parents), bwd)
-    if squeezed:
-        from .tensor import reshape
-
-        out = reshape(out, out.shape[1:])
-    return out
+    return unbatch(_make("conv2d", y, tuple(parents), bwd))
 
 
 def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -154,7 +138,7 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
-    xb, squeezed = _with_batch(x)
+    xb, unbatch = batched(x)
     n, cin, h, wd = xb.shape
     cin_w, cout, k, k2 = w.shape
     if k != k2:
@@ -182,9 +166,4 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
 
-    out = _make("deconv2d", y, tuple(parents), bwd)
-    if squeezed:
-        from .tensor import reshape
-
-        out = reshape(out, out.shape[1:])
-    return out
+    return unbatch(_make("deconv2d", y, tuple(parents), bwd))

@@ -18,29 +18,8 @@ import numpy as np
 from .attention import SdmsaTrace
 from .io import save_sdt1, to_u8, write_pgm, write_ppm
 from .network import BLOCK_IDS, Model, forward
-from .sampling import bilinear_resize
+from .sampling import bilinear_corners, bilinear_resize, bilinear_scatter
 from .tensor import Tensor, narrow, tsum
-
-
-def _splat(acc: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-           vals: np.ndarray) -> None:
-    """Bilinear scatter-add of vals at continuous (ys, xs) into acc."""
-    h, w = acc.shape
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy, fx = ys - y0, xs - x0
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    flat = acc.reshape(-1)
-    for yi, xi, ww in (
-        (y0, x0, (1 - fy) * (1 - fx)),
-        (y0, x1, (1 - fy) * fx),
-        (y1, x0, fy * (1 - fx)),
-        (y1, x1, fy * fx),
-    ):
-        np.add.at(flat, yi * w + xi, vals * ww)
 
 
 def attention_heatmap(trace: SdmsaTrace, agg: str = "sum",
@@ -62,8 +41,11 @@ def attention_heatmap(trace: SdmsaTrace, agg: str = "sum",
     received = attn.sum(axis=-2)  # (n_w, n_h, P): weight landing on key j
     if agg == "mean":
         received = received / attn.shape[-2]
-    acc = np.zeros((layout.h, layout.w), dtype=np.float64)
-    _splat(acc, pts[..., 0].ravel(), pts[..., 1].ravel(), received.ravel())
+    idx, wts, _, _ = bilinear_corners(pts[..., 0].reshape(1, -1),
+                                      pts[..., 1].reshape(1, -1), layout.h, layout.w)
+    acc = np.zeros((1, 1, layout.h * layout.w), dtype=np.float64)
+    bilinear_scatter(acc, idx, wts, received.reshape(1, 1, -1))
+    acc = acc.reshape(layout.h, layout.w)
     if layout.shift:
         acc = np.roll(acc, (layout.shift, layout.shift), axis=(0, 1))
     if not normalize:
@@ -135,6 +117,42 @@ def deformation_field(trace: SdmsaTrace, max_offset: float | None = None,
     return img
 
 
+def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
+    """The one forward (with `block` tapped) and one backward behind every
+    Grad-CAM output.
+
+    A None `roi_mask` becomes the pixels this forward argmax-predicts as the
+    target class (image 0 of a batch).  Returns (info, weights, cam): the
+    forward's ForwardInfo, the (B, C, 1, 1) channel weights, and the (H, W)
+    map as seg_grad_cam describes it.
+    """
+    if block not in BLOCK_IDS:
+        raise ValueError(f"unknown block {block!r}")
+    logits, info = forward(model, image, taps=(block,))
+    k = logits.shape[-3]
+    if not 0 <= target_class < k:
+        raise ValueError(f"class {target_class} outside [0, {k})")
+    if roi_mask is None:
+        pred = np.argmax(logits.data, axis=-3)
+        roi_mask = (pred[0] if pred.ndim == 3 else pred) == target_class
+    roi = np.asarray(roi_mask).astype(bool)
+    if not roi.any():
+        raise ValueError("empty roi")
+    if roi.shape != logits.shape[-2:]:
+        raise ValueError("roi shape does not match the image")
+    cls = narrow(logits, -3, target_class, 1)
+    score = tsum(cls * Tensor(roi, dtype=cls.dtype))
+    score.backward()
+    feat = info.taps[block]           # (B, C, h, w)
+    if feat.grad is None:
+        raise RuntimeError("no gradient reached the tapped block")
+    weights = feat.grad.mean(axis=(2, 3), keepdims=True)
+    cam = np.maximum((weights * feat.data).sum(axis=1), 0.0)  # (B, h, w)
+    cam = bilinear_resize(cam.astype(np.float64), *roi.shape)[0]
+    peak = cam.max()
+    return info, weights, (cam / peak if peak > 0 else cam)
+
+
 def seg_grad_cam(model: Model, image, target_class: int, target_block: str,
                  roi_mask) -> np.ndarray:
     """(H, W) non-negative attribution map, max-normalized.
@@ -143,43 +161,14 @@ def seg_grad_cam(model: Model, image, target_class: int, target_block: str,
     are taken at the target block's output, channel-averaged into weights,
     and the weighted feature sum is rectified and upsampled.
     """
-    roi = np.asarray(roi_mask).astype(bool)
-    if not roi.any():
-        raise ValueError("empty roi")
-    if target_block not in BLOCK_IDS:
-        raise ValueError(f"unknown block {target_block!r}")
-    logits, info = forward(model, image, taps=(target_block,))
-    k = logits.shape[-3]
-    if not 0 <= target_class < k:
-        raise ValueError(f"class {target_class} outside [0, {k})")
-    if roi.shape != logits.shape[-2:]:
-        raise ValueError("roi shape does not match the image")
-    cls = narrow(logits, -3, target_class, 1)
-    score = tsum(cls * Tensor(roi, dtype=cls.dtype))
-    score.backward()
-    feat = info.taps[target_block]           # (1, C, h, w)
-    grad = feat.grad
-    if grad is None:
-        raise RuntimeError("no gradient reached the tapped block")
-    weights = grad.mean(axis=(2, 3), keepdims=True)          # (1, C, 1, 1)
-    cam = np.maximum((weights * feat.data).sum(axis=1), 0.0)  # (1, h, w)
-    h, w = roi.shape
-    cam = bilinear_resize(cam.astype(np.float64), h, w)[0]
-    peak = cam.max()
-    return cam / peak if peak > 0 else cam
+    return _cam_pass(model, image, target_class, target_block, roi_mask)[2]
 
 
 def cam_channel_weights(model: Model, image, target_class: int,
                         target_block: str, roi_mask) -> np.ndarray:
     """The (C,) Grad-CAM channel weights alone (for sensitivity checks)."""
-    roi = np.asarray(roi_mask).astype(bool)
-    if not roi.any():
-        raise ValueError("empty roi")
-    logits, info = forward(model, image, taps=(target_block,))
-    cls = narrow(logits, -3, target_class, 1)
-    score = tsum(cls * Tensor(roi, dtype=cls.dtype))
-    score.backward()
-    return info.taps[target_block].grad.mean(axis=(2, 3))[0]
+    weights = _cam_pass(model, image, target_class, target_block, roi_mask)[1]
+    return weights[0, :, 0, 0]
 
 
 def export_bundle(model: Model, image, block: str, target_class: int,
@@ -188,16 +177,10 @@ def export_bundle(model: Model, image, block: str, target_class: int,
     block under out_dir/<block>/; returns the artifact paths.
 
     The ROI defaults to the pixels argmax-predicted as the target class.
+    The traces and the Grad-CAM come from the same single forward pass.
     """
-    if block not in BLOCK_IDS:
-        raise ValueError(f"unknown block {block!r}")
-    logits, info = forward(model, image)
+    info, _, cam = _cam_pass(model, image, target_class, block, roi_mask)
     trace = info.traces[block]
-    if roi_mask is None:
-        pred = np.argmax(logits.data, axis=-3)
-        if pred.ndim == 3:       # batched input: artifacts describe image 0
-            pred = pred[0]
-        roi_mask = pred == target_class
     d = Path(out_dir) / block
     d.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -212,7 +195,6 @@ def export_bundle(model: Model, image, block: str, target_class: int,
             attn_sdt=d / "attn.sdt", attn_pgm=d / "attn.pgm",
             points=d / "points.csv", field=d / "field.ppm",
         )
-    cam = seg_grad_cam(model, image, target_class, block, roi_mask)
     write_pgm(d / "gradcam.pgm", to_u8(cam))
     paths["gradcam"] = d / "gradcam.pgm"
     return paths

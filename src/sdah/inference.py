@@ -28,7 +28,7 @@ class SlidingConfig:
             raise ValueError("need 0 < step <= crop")
         if self.crop % 32:
             raise ValueError("crop must be divisible by 32")
-        if self.sigma_ratio <= 0:
+        if not self.sigma_ratio > 0:  # also rejects NaN
             raise ValueError("sigma_ratio must be positive")
 
 

@@ -27,6 +27,13 @@ class FormatError(ValueError):
     """Malformed or unsupported file contents."""
 
 
+def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple:
+    """struct.unpack_from that reports a short buffer as a FormatError."""
+    if pos + struct.calcsize(fmt) > len(buf):
+        raise FormatError(f"{what} truncated")
+    return struct.unpack_from(fmt, buf, pos)
+
+
 def sdt1_bytes(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr)
     dt = arr.dtype.newbyteorder("<")
@@ -44,11 +51,11 @@ def sdt1_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one tensor; returns (array, offset past the blob)."""
     if buf[offset:offset + 4] != SDT1_MAGIC:
         raise FormatError("bad SDT1 magic")
-    code, ndim = struct.unpack_from("<BBxx", buf, offset + 4)
+    code, ndim = _unpack("<BBxx", buf, offset + 4, "SDT1 header")
     if code not in _DTYPE_OF_CODE:
         raise FormatError(f"unknown SDT1 dtype code {code}")
     pos = offset + 8
-    dims = struct.unpack_from(f"<{ndim}I", buf, pos)
+    dims = _unpack(f"<{ndim}I", buf, pos, "SDT1 dims")
     pos += 4 * ndim
     dtype = _DTYPE_OF_CODE[code]
     count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
@@ -91,13 +98,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     buf = Path(path).read_bytes()
     if buf[:4] != SDCK_MAGIC:
         raise FormatError("bad SDCK magic")
-    (count,) = struct.unpack_from("<I", buf, 4)
+    (count,) = _unpack("<I", buf, 4, "SDCK tensor count")
     pos = 8
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, pos)
+        (nlen,) = _unpack("<H", buf, pos, "SDCK name length")
         pos += 2
-        name = buf[pos:pos + nlen].decode("utf-8")
+        name = _unpack(f"<{nlen}s", buf, pos, "SDCK tensor name")[0].decode("utf-8")
         pos += nlen
         arr, pos = sdt1_from_bytes(buf, pos)
         if name in out:

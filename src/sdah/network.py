@@ -16,6 +16,7 @@ counted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import blocks as B
 from .attention import OFFSET_KERNEL, SdmsaTrace, WindowLayout, effective_window
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import Tensor, _as_tensor, add, reshape
+from .tensor import Tensor, add, batched
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -44,6 +45,37 @@ def _parse_flags(v) -> tuple[bool, bool, bool, bool]:
     if len(t) != 4:
         raise ValueError("deform_flags needs exactly 4 entries")
     return t
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a parsed JSON value may stand where the config default does."""
+    if type(default) is list:
+        return type(value) is list and all(_same_kind(v, default[0]) for v in value)
+    if type(default) is float and type(value) is int:
+        return True
+    return type(value) is type(default) and (type(value) is not float
+                                             or math.isfinite(value))
+
+
+def config_from_dict(cls, d, section: str):
+    """Build the config dataclass `cls` from one parsed JSON section.
+
+    The section must be an object whose keys are fields of `cls` and whose
+    values have the JSON kind of that field's default (bool, integer,
+    finite number, list of integers, string); anything else raises
+    ValueError before the constructor sees it.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} config must be a JSON object, got {d!r}")
+    defaults = cls().to_dict()
+    unknown = set(d) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if not _same_kind(value, defaults[key]):
+            raise ValueError(f"{section} config {key}={value!r} does not match "
+                             f"the type of its default {defaults[key]!r}")
+    return cls(**d)
 
 
 @dataclass
@@ -108,11 +140,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, d, "model")
 
 
 @dataclass
@@ -227,11 +255,8 @@ def forward(model: Model, image, taps=(), inject=None,
     the hook used to validate attribution maps by finite differences.
     """
     cfg = model.config
-    x = _as_tensor(image)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
-    if x.ndim != 4 or x.shape[1] != cfg.in_channels:
+    x, unbatch = batched(image)
+    if x.shape[1] != cfg.in_channels:
         raise ValueError(f"expected (B,{cfg.in_channels},H,W), got {x.shape}")
     h, w = x.shape[2], x.shape[3]
     if h % 32 or w % 32:
@@ -265,9 +290,7 @@ def forward(model: Model, image, taps=(), inject=None,
 
     if inject:
         raise ValueError(f"inject refers to blocks that never ran: {sorted(inject)}")
-    if squeeze:
-        logits = reshape(logits, logits.shape[1:])
-    return logits, info
+    return unbatch(logits), info
 
 
 # -- accounting ---------------------------------------------------------------

@@ -14,6 +14,37 @@ import numpy as np
 from .tensor import Tensor, _as_tensor, _make, no_grad, reshape
 
 
+def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
+    """Clamped 4-neighbor blend at continuous (ys, xs) on an (h, w) map.
+
+    Returns (idx, wts, fy, fx): the flat indices y * w + x and the blend
+    weights of the four neighbors, both in the fixed order y0x0, y0x1, y1x0,
+    y1x1, plus the fractional parts of the clamped coordinates.
+    """
+    y = np.clip(ys, 0.0, h - 1.0)
+    x = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(y)
+    x0 = np.floor(x)
+    fy = y - y0
+    fx = x - x0
+    y0i = y0.astype(np.int64)
+    x0i = x0.astype(np.int64)
+    y1i = np.minimum(y0i + 1, h - 1)
+    x1i = np.minimum(x0i + 1, w - 1)
+    idx = (y0i * w + x0i, y0i * w + x1i, y1i * w + x0i, y1i * w + x1i)
+    wts = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    return idx, wts, fy, fx
+
+
+def bilinear_scatter(acc: np.ndarray, idx, wts, vals: np.ndarray) -> None:
+    """Adjoint of the gather: add vals (B, C, P) into acc (B, C, H*W) at the
+    (B, P) corners from `bilinear_corners`, corner by corner in their order."""
+    bi = np.arange(acc.shape[0])[:, None, None]
+    ci = np.arange(acc.shape[1])[None, :, None]
+    for i, ww in zip(idx, wts):
+        np.add.at(acc, (bi, ci, i[:, None, :]), vals * ww[:, None, :])
+
+
 def bilinear_sample_batch(f, points) -> Tensor:
     """Sample f: (B, C, H, W) at points: (B, P, 2) -> (B, P, C)."""
     f = _as_tensor(f)
@@ -27,33 +58,14 @@ def bilinear_sample_batch(f, points) -> Tensor:
         raise ValueError("batch dims of features and points differ")
     b, c, h, w = f.shape
     p = points.shape[1]
-
-    y = np.clip(points.data[..., 0], 0.0, h - 1.0)
-    x = np.clip(points.data[..., 1], 0.0, w - 1.0)
-    y0 = np.floor(y)
-    x0 = np.floor(x)
-    fy = y - y0
-    fx = x - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
-    y1i = np.minimum(y0i + 1, h - 1)
-    x1i = np.minimum(x0i + 1, w - 1)
+    idx, wts, fy, fx = bilinear_corners(points.data[..., 0], points.data[..., 1], h, w)
 
     flat = f.data.reshape(b, c, h * w)
-
-    def gather(yi, xi):
-        idx = (yi * w + xi)[:, None, :]  # (B,1,P)
-        return np.take_along_axis(flat, np.broadcast_to(idx, (b, c, p)), axis=2)
-
-    v00 = gather(y0i, x0i)  # (B,C,P)
-    v01 = gather(y0i, x1i)
-    v10 = gather(y1i, x0i)
-    v11 = gather(y1i, x1i)
-
-    w00 = ((1 - fy) * (1 - fx))[:, None, :]
-    w01 = ((1 - fy) * fx)[:, None, :]
-    w10 = (fy * (1 - fx))[:, None, :]
-    w11 = (fy * fx)[:, None, :]
+    v00, v01, v10, v11 = (  # (B,C,P)
+        np.take_along_axis(flat, np.broadcast_to(i[:, None, :], (b, c, p)), axis=2)
+        for i in idx
+    )
+    w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = (w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1)
 
     def bwd(g):
@@ -61,16 +73,7 @@ def bilinear_sample_batch(f, points) -> Tensor:
         df = None
         if f.requires_grad:
             df = np.zeros_like(f.data).reshape(b, c, h * w)
-            bi = np.arange(b)[:, None, None]
-            ci = np.arange(c)[None, :, None]
-            for yi, xi, ww in (
-                (y0i, x0i, w00),
-                (y0i, x1i, w01),
-                (y1i, x0i, w10),
-                (y1i, x1i, w11),
-            ):
-                idx = (yi * w + xi)[:, None, :]
-                np.add.at(df, (bi, ci, idx), gt * ww)
+            bilinear_scatter(df, idx, wts, gt)
             df = df.reshape(f.data.shape)
         dp = None
         if points.requires_grad:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import load_sdt1, save_sdt1
-from .network import Model, forward, save_model
+from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
 from .tensor import (
     NumericsError,
@@ -67,11 +67,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, d, "train")
 
 
 @dataclass
@@ -234,6 +230,8 @@ def synth_sample(h: int, w: int, k: int, stream: Stream) -> SegSample:
 def synth_dataset(n: int, h: int, w: int, k: int, seed: int) -> list[SegSample]:
     if k not in (2, 3, 4):
         raise ValueError(f"classes must be 2, 3 or 4, got {k}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     return [synth_sample(h, w, k, Stream(derive_seed(seed, i))) for i in range(n)]
 
 
@@ -337,8 +335,14 @@ def load_dataset(dirpath) -> list[SegSample]:
     mf = d / "manifest.json"
     if not mf.exists():
         raise FileNotFoundError(f"no manifest.json under {d}")
+    entries = json.loads(mf.read_text())
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("image"), str)
+            and isinstance(e.get("label"), str) and isinstance(e.get("classes"), int)
+            for e in entries):
+        raise ValueError(f"{mf} must be a list of {{image, label, classes}} objects")
     samples = []
-    for entry in json.loads(mf.read_text()):
+    for entry in entries:
         img = load_sdt1(d / entry["image"])
         lab = load_sdt1(d / entry["label"])
         samples.append(SegSample(Tensor(img), Tensor(lab), int(entry["classes"])))

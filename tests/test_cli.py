@@ -1,11 +1,16 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdah.cli import main
 from sdah.io import load_sdt1, save_sdt1
-from sdah.network import ModelConfig, build_model, count_params
+from sdah.network import ModelConfig, build_model, count_params, save_model
 from sdah.training import load_dataset
 
 MICRO = {
@@ -160,3 +165,111 @@ def test_nonfinite_data_exits_3(workdir, capsys):
     assert main(["train", "--data", str(workdir / "data"),
                  "--out", str(workdir / "run")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _micro_files(d: Path) -> Path:
+    """An untrained micro checkpoint plus one 32x32 image under d."""
+    cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in MICRO.items()})
+    save_model(d / "model.sdck", build_model(cfg))
+    assert main(["synth", "--n", "1", "--size", "32", "--classes", "2",
+                 "--out", str(d / "data")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("which", ["ckpt", "image"])
+@pytest.mark.parametrize("keep", [6, 9])
+def test_truncated_headers_exit_2(which, keep, tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    files = {"ckpt": d / "model.sdck", "image": d / "data" / "img_00000.sdt"}
+    cut = d / f"cut_{which}"
+    cut.write_bytes(files[which].read_bytes()[:keep])
+    files[which] = cut
+    assert main(["infer", "--ckpt", str(files["ckpt"]), "--image", str(files["image"]),
+                 "--crop", "32", "--step", "32", "--out", str(d / "mask.sdt")]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,text", [
+    ("config", "[]"),
+    ("config", '{"model": null}'),
+    ("config", '{"model": {"stage_widths": 5}}'),
+    ("config", '{"model": {"seed": "a"}}'),
+    ("config", '{"model": {"deform_flags": 3}}'),
+    ("config", '{"model": {"gamma_off": NaN}}'),
+    ("config", '{"train": {"batch_size": "8"}}'),
+    ("config", '{"train": {"max_steps": 1e0}}'),
+    ("manifest", '{"a": 1}'),
+    ("manifest", "[1, 2]"),
+])
+def test_malformed_json_exits_2(target, text, workdir, capsys):
+    if target == "config":
+        (workdir / "cfg.json").write_text(text)
+        argv = ["train", "--config", str(workdir / "cfg.json"), "--print-config"]
+    else:
+        (workdir / "data" / "manifest.json").write_text(text)
+        argv = ["train", "--data", str(workdir / "data"), "--out", str(workdir / "run")]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,word", [
+    (["count", "--size", "0"], 1, "--size"),
+    (["synth", "--n", "-3", "--size", "32", "--out", "OUT"], 1, "--n"),
+    (["synth", "--n", "3", "--size", "0", "--out", "OUT"], 1, "--size"),
+    (["synth", "--n", "3", "--size", "32", "--seed", "-1", "--out", "OUT"], 2, "seed"),
+    (["explain", "--ckpt", "CKPT", "--image", "IMG", "--block", "enc1",
+      "--stride", "-1", "--out", "OUT"], 1, "--stride"),
+    (["explain", "--ckpt", "CKPT", "--image", "IMG", "--block", "enc1",
+      "--stride", "0", "--out", "OUT"], 1, "--stride"),
+    (["infer", "--ckpt", "CKPT", "--image", "IMG", "--crop", "32", "--step", "32",
+      "--sigma-ratio", "nan", "--out", "OUT"], 2, "sigma_ratio"),
+])
+def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    paths = {"CKPT": d / "model.sdck", "IMG": d / "data" / "img_00000.sdt",
+             "OUT": d / "out"}
+    assert main([str(paths.get(a, a)) for a in argv]) == code
+    assert word in capsys.readouterr().err
+    assert not (d / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = _micro_files(tmp_path_factory.mktemp("valid"))
+    (d / "cfg.json").write_text(json.dumps(
+        {"model": MICRO, "train": {"batch_size": 2, "max_steps": 100, "seed": 0}}))
+    return d
+
+
+_INFER = ["infer", "--ckpt", "{d}/model.sdck", "--image", "{d}/data/img_00000.sdt",
+          "--crop", "32", "--step", "32", "--out", "{d}/mask.sdt"]
+_DAMAGE_TARGETS = {  # target -> (the damaged file, the command that reads it)
+    "image": ("data/img_00000.sdt", _INFER),
+    "ckpt": ("model.sdck", _INFER),
+    "manifest": ("data/manifest.json",
+                 ["eval", "--ckpt", "{d}/model.sdck", "--data", "{d}/data",
+                  "--crop", "32", "--step", "32", "--out", "{d}/eval.csv"]),
+    "config": ("cfg.json", ["count", "--config", "{d}/cfg.json", "--size", "32"]),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_DAMAGE_TARGETS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_damaged_files_exit_with_a_documented_code(valid_files, target, data):
+    """Truncated or byte-mutated inputs end in exit 0-3, never a traceback."""
+    rel, argv = _DAMAGE_TARGETS[target]
+    blob = (valid_files / rel).read_bytes()
+    n = len(blob)
+    pos = data.draw(st.integers(0, min(n, 96) - 1) | st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        blob = blob[:pos]
+    else:
+        # number characters keep a mutated JSON file parseable more often
+        byte = data.draw(st.sampled_from(b"0123456789.-e") | st.integers(0, 255))
+        blob = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(valid_files, tmp, dirs_exist_ok=True)
+        (Path(tmp) / rel).write_bytes(blob)
+        assert main([a.format(d=tmp) for a in argv]) in (0, 1, 2, 3)

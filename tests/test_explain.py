@@ -11,8 +11,10 @@ from sdah.explain import (
     points_csv_bytes,
     seg_grad_cam,
 )
+import sdah.explain
 from sdah.network import ModelConfig, build_model, forward
 from sdah.rng import Stream
+from sdah.tensor import Tensor
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -256,6 +258,34 @@ def test_export_bundle_is_byte_stable(tmp_path):
     b = export_bundle(m, _image(), "dec2", 1, tmp_path / "b", stride=2)
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes(), key
+
+
+def test_export_bundle_runs_one_forward_and_one_backward(tmp_path, monkeypatch):
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sdah.explain, "forward", counted("forward", forward))
+    monkeypatch.setattr(Tensor, "backward", counted("backward", Tensor.backward))
+    paths = export_bundle(_micro_model(), _image(), "enc1", 1, tmp_path)
+    assert len(paths) == 5
+    assert calls == {"forward": 1, "backward": 1}
+
+
+def test_export_bundle_default_roi_is_the_class_argmax(tmp_path):
+    """Every class, not only the last of two, gets its own argmax pixels."""
+    m = _micro_model(num_classes=3)
+    pred = np.argmax(forward(m, _image())[0].data, axis=1)[0]
+    for cls in range(3):
+        assert (pred == cls).any()
+        a = export_bundle(m, _image(), "dec1", cls, tmp_path / f"a{cls}")
+        b = export_bundle(m, _image(), "dec1", cls, tmp_path / f"b{cls}",
+                          roi_mask=pred == cls)
+        assert a["gradcam"].read_bytes() == b["gradcam"].read_bytes()
 
 
 def test_export_bundle_conv_only_has_gradcam_only(tmp_path):

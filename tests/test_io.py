@@ -65,6 +65,18 @@ def test_sdt1_truncated_payload():
         sdt1_from_bytes(good[:-8])
 
 
+def test_checkpoint_every_truncation_raises_format_error(tmp_path):
+    """Cuts inside the count, a name length, a name, an SDT1 header or its
+    dims all report FormatError, never struct.error."""
+    blob = checkpoint_bytes({"a": np.arange(3, dtype=np.float32),
+                             "bb": np.zeros((2, 2), dtype=np.uint8)})
+    p = tmp_path / "c.sdck"
+    for n in range(len(blob)):
+        p.write_bytes(blob[:n])
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+
 def test_sdt1_trailing_bytes(tmp_path):
     p = tmp_path / "t.sdt"
     p.write_bytes(sdt1_bytes(np.ones(2, dtype=np.float32)) + b"junk")
