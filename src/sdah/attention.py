@@ -26,9 +26,7 @@ from .tensor import (
     Tensor,
     _as_tensor,
     batched,
-    broadcast_to,
     clip,
-    concat,
     gelu,
     matmul,
     narrow,
@@ -298,6 +296,28 @@ def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     return reshape(out, (p, p))
 
 
+def _relative_bias(table: Tensor, keys, queries: np.ndarray) -> Tensor:
+    """Bias of every window and head, read once per head from its table.
+
+    table (n_h, t, t); keys (B*n_h, n_w*P, 2), the points each head's
+    keys sit at; queries (n_w, P, 2), each window's query points.  Entry
+    [b, w, h, i, j] reads table[h] at keys[j] - queries[w, i] + (ws - 1),
+    like `interpolated_bias`, so the result is (B, n_w, n_h, P, P).
+    """
+    keys = _as_tensor(keys, like=table)
+    nh, t = table.shape[0], table.shape[-1]
+    nw, p = queries.shape[:2]
+    b = keys.shape[0] // nh
+    # heads first; merging (B, n_w) copies the small key array, not delta
+    k = reshape(transpose(reshape(keys, (b, nh, nw * p * 2)), (1, 0, 2)),
+                (nh, b * nw, 1, p, 2))
+    qs = np.tile(queries, (b, 1, 1)).reshape(1, b * nw, p, 1, 2)
+    delta = k - Tensor(qs.astype(table.dtype)) + float((t - 1) // 2)
+    out = bilinear_sample_batch(reshape(table, (nh, 1, t, t)),
+                                reshape(delta, (nh, b * nw * p * p, 2)))
+    return transpose(reshape(out, (nh, b, nw, p, p)), (1, 2, 0, 3, 4))
+
+
 def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
           deform: bool = True) -> tuple[Tensor, SdmsaTrace]:
     """Windowed multi-head attention; returns (output, trace).
@@ -326,7 +346,6 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
     ref = reference_points(layout)                 # (n_w, P, 2) float64
-    t = 2 * params.ws - 1                          # bias table side
     if deform:
         off = _offset_forward(
             q, params.off_dw_w, params.off_dw_b,
@@ -335,41 +354,24 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
         if params.clamp_to_window:
             # keep samples inside their own window
             local = Tensor(_local_grid(ws).reshape(1, 1, 1, p, 2).astype(xb.dtype))
-            raw = local + off
-            ly = clip(narrow(raw, -1, 0, 1), 0.0, float(ws - 1))
-            lx = clip(narrow(raw, -1, 1, 1), 0.0, float(ws - 1))
             org = window_origins(layout).reshape(1, nw, 1, 1, 2)
-            pts = concat([ly, lx], -1) + Tensor(org.astype(xb.dtype))
+            pts = clip(local + off, 0.0, float(ws - 1)) + Tensor(org.astype(xb.dtype))
         else:
-            refs = Tensor(ref[:, None, :, :].reshape(1, nw, 1, p, 2).astype(xb.dtype))
-            raw = refs + off
-            py = clip(narrow(raw, -1, 0, 1), 0.0, float(h - 1))
-            px = clip(narrow(raw, -1, 1, 1), 0.0, float(w - 1))
-            pts = concat([py, px], -1)             # (B, n_w, n_h, P, 2)
+            refs = Tensor(ref.reshape(1, nw, 1, p, 2).astype(xb.dtype))
+            pts = clip(refs + off, 0.0, np.array([h - 1, w - 1], dtype=xb.dtype))
+        # pts: (B, n_w, n_h, P, 2)
         fs = reshape(xs, (b * nh, d, h, w))
         ptsr = reshape(transpose(pts, (0, 2, 1, 3, 4)), (b * nh, nw * p, 2))
         samp = bilinear_sample_batch(fs, ptsr)     # (B*n_h, n_w*P, d)
         kv_in = transpose(reshape(samp, (b, nh, nw, p, d)), (0, 2, 1, 3, 4))
-
-        refq = Tensor(ref.reshape(1, nw, 1, p, 1, 2).astype(xb.dtype))
-        delta = reshape(pts, (b, nw, nh, 1, p, 2)) - refq + float(params.ws - 1)
-        tables = broadcast_to(
-            reshape(params.bias_table, (1, 1, nh, 1, t, t)), (b, nw, nh, 1, t, t)
-        )
-        bias = bilinear_sample_batch(
-            reshape(tables, (b * nw * nh, 1, t, t)),
-            reshape(delta, (b * nw * nh, p * p, 2)),
-        )
-        bias = reshape(bias, (b, nw, nh, p, p))
-        trace_off, trace_def = off, pts
+        bias = _relative_bias(params.bias_table, ptsr, ref)
+        offs, defp = off.data, pts.data
     else:
         kv_in = xh
         lg = _local_grid(ws)
-        delta = (lg[None, :, :] - lg[:, None, :] + (params.ws - 1)).reshape(1, p * p, 2)
-        dpts = Tensor(np.broadcast_to(delta, (nh, p * p, 2)).astype(xb.dtype))
-        bias = bilinear_sample_batch(reshape(params.bias_table, (nh, 1, t, t)), dpts)
-        bias = reshape(bias, (1, 1, nh, p, p))
-        trace_off, trace_def = None, None
+        bias = _relative_bias(params.bias_table, np.tile(lg, (nh, 1, 1)), lg[None])
+        offs = np.zeros((b, nw, nh, p, 2), dtype=xb.dtype)
+        defp = np.broadcast_to(ref[None, :, None], offs.shape).astype(xb.dtype)
 
     k = matmul(kv_in, params.wk)
     v = matmul(kv_in, params.wv)
@@ -379,13 +381,6 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     z = reshape(transpose(z, (0, 1, 3, 2, 4)), (b, nw, p, c))
     out = window_merge(matmul(z, params.wo), layout)
 
-    if trace_off is None:
-        offs = np.zeros((b, nw, nh, p, 2), dtype=xb.dtype)
-        defp = np.broadcast_to(
-            ref.reshape(1, nw, 1, p, 2), (b, nw, nh, p, 2)
-        ).astype(xb.dtype)
-    else:
-        offs, defp = trace_off.data, trace_def.data
     trace = SdmsaTrace(
         layout=layout,
         n_heads=nh,

@@ -7,8 +7,8 @@ branches (channel concat then FC by default, elementwise sum behind a
 flag), and adds the residual.  With every learnable tensor zeroed each
 division is the identity, which keeps layer-wise debugging trivial.
 
-Channel-last transposes bracket the LN/FC segments so the linear layers are
-plain matmuls over the channel axis.
+Layer norms run over the channel axis in place; channel-last transposes
+bracket the FC segments so the linear layers are plain matmuls over it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class SdapcBlockParams:
     channels: int
     branch_mode: str
     fusion: str
-    deform_enabled: bool
     # division 1
     dw1_w: Tensor
     dw1_b: Tensor
@@ -63,6 +62,10 @@ class SdapcBlockParams:
     dw2_b: Tensor | None
     fc_out_w: Tensor
     fc_out_b: Tensor
+
+    @property
+    def deform_enabled(self) -> bool:
+        return self.attn is not None and self.attn.deformable
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {
@@ -130,7 +133,6 @@ def init_sdapc(channels: int, n_heads: int, ws: int, stream: Stream,
         channels=c,
         branch_mode=branch_mode,
         fusion=fusion,
-        deform_enabled=deform and branch_mode != "conv_only",
         dw1_w=_uniform(stream, (c, 1, k, k), k * k),
         dw1_b=_zeros((c,)),
         ln1_g=_ones((c,)),
@@ -165,7 +167,7 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
                     ) -> tuple[Tensor, SdmsaTrace | None]:
     """Attention and depthwise branches over one shared LN, fused, residual."""
     c = p.channels
-    n = _to_first(layer_norm(_to_last(xbar), p.ln2_g, p.ln2_b))
+    n = layer_norm(xbar, p.ln2_g, p.ln2_b, axis=1)
     branches = []
     trace = None
     if p.branch_mode != "conv_only":
@@ -231,7 +233,7 @@ def conv_embed(x: Tensor, p: ConvEmbedParams) -> Tensor:
     for w, b, g, beta, stride in zip(p.ws, p.bs, p.gs, p.betas, _STEM_STRIDES):
         x = conv2d(x, w, b, stride=stride, padding=1, allow_floor=(stride == 2))
         x = gelu(x)
-        x = _to_first(layer_norm(_to_last(x), g, beta))
+        x = layer_norm(x, g, beta, axis=1)
     return x
 
 

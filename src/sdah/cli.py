@@ -124,6 +124,8 @@ def _cmd_eval(args) -> int:
     model, _ = load_model(args.ckpt)
     data = load_dataset(args.data)
     cfg = _sliding(args)
+    if not data:
+        raise ValueError(f"dataset {args.data} has no samples")
     preds, gts = [], []
     classes = max(s.classes for s in data)
     for s in data:

@@ -6,9 +6,8 @@ as boundary), exact Euclidean distances, and the max of the two directed
 is empty the distance is undefined: such cases return None and aggregation
 reports how many were excluded rather than folding in a fake number.
 
-The t-test p-value comes from the regularized incomplete beta function,
-evaluated with a Lentz continued fraction, so the package needs no stats
-dependency at runtime.
+The t-test p-value comes from scipy's regularized incomplete beta
+function.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import betainc
 
 
 def _as_bool(mask) -> np.ndarray:
@@ -67,64 +67,12 @@ def hd95(pred, gt, spacing=(1.0, 1.0)) -> float | None:
 
 # -- paired t-test --------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_sf_two_sided(t: float, dof: int) -> float:
     """P(|T| >= |t|) for Student's t with `dof` degrees of freedom."""
     if dof < 1:
         raise ValueError("dof must be >= 1")
     x = dof / (dof + t * t)
-    return _betainc(dof / 2.0, 0.5, x)
+    return float(betainc(dof / 2.0, 0.5, x))
 
 
 def paired_t_test(a, b) -> tuple[float, float]:
@@ -133,6 +81,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("need two equal-length 1-D sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired t-test needs finite values")
     n = a.size
     if n < 2:
         raise ValueError("need at least 2 pairs")

@@ -103,8 +103,8 @@ class ModelConfig:
             raise ValueError("config counts must be positive")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name, t in (("stage_widths", self.stage_widths),
                         ("window_sizes", self.window_sizes),
                         ("num_heads", self.num_heads)):

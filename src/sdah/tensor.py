@@ -324,8 +324,9 @@ def neg(a) -> Tensor:
     return _make("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Elementwise clamp; gradient passes through strictly inside [lo, hi]."""
+def clip(a, lo, hi) -> Tensor:
+    """Elementwise clamp to bounds that broadcast against `a`; gradient
+    passes through strictly inside [lo, hi]."""
     a = _as_tensor(a)
     out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)

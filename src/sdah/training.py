@@ -59,8 +59,8 @@ class TrainConfig:
             raise ValueError("decay_factor must lie in (0, 1)")
         if self.lambda_dice < 0 or self.lambda_ce < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -230,8 +230,8 @@ def synth_sample(h: int, w: int, k: int, stream: Stream) -> SegSample:
 def synth_dataset(n: int, h: int, w: int, k: int, seed: int) -> list[SegSample]:
     if k not in (2, 3, 4):
         raise ValueError(f"classes must be 2, 3 or 4, got {k}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return [synth_sample(h, w, k, Stream(derive_seed(seed, i))) for i in range(n)]
 
 

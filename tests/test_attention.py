@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sdah.attention import (
     SdmsaParams,
+    _relative_bias,
     WindowLayout,
     compute_offsets,
     effective_window,
@@ -299,6 +300,55 @@ def test_per_head_offsets_match_batched_offset_net():
                 np.testing.assert_allclose(
                     got.data, trace.offsets[0, wi, hi], atol=1e-6
                 )
+
+
+def test_relative_bias_matches_per_window_oracle():
+    """The per-head batched bias read equals interpolated_bias for every
+    (image, window, head) at fractional, clamped deformed points."""
+    with default_dtype(np.float64):
+        c, nh, ws = 8, 2, 4
+        p = _params(c, nh, ws, seed=26, gamma_off=2.0)
+        p.off_pw_w.data[...] *= 20.0
+        lay = WindowLayout(8, 8, ws, shift=2)
+        _, trace = sdmsa(_x(2, c, 8, 8, seed=27), p, lay)
+        assert np.any(trace.offsets != np.round(trace.offsets))
+        b, nw, _, pp, _ = trace.deformed.shape
+        keys = trace.deformed.transpose(0, 2, 1, 3, 4).reshape(b * nh, nw * pp, 2)
+        ref = reference_points(lay)
+        got = _relative_bias(p.bias_table, keys, ref).data
+        assert got.shape == (b, nw, nh, pp, pp)
+        for bi in range(b):
+            for wi in range(nw):
+                for hi in range(nh):
+                    want = interpolated_bias(ref[wi], trace.deformed[bi, wi, hi],
+                                             p.bias_table.data[hi])
+                    np.testing.assert_allclose(got[bi, wi, hi], want.data,
+                                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("deform", [True, False])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_batch_matches_single_images(deform, clamp):
+    """A batch of two is the two single-image runs side by side: same
+    outputs bit for bit, bias-table gradient the sum of theirs."""
+    c, nh, ws = 8, 2, 4
+    lay = WindowLayout(8, 8, ws, shift=2)
+    with default_dtype(np.float64):
+        x = _x(2, c, 8, 8, seed=28)
+        g = Stream(29).normal(x.shape)
+
+        def run(lo, hi):
+            p = _params(c, nh, ws, seed=30, gamma_off=2.0, clamp_to_window=clamp)
+            p.off_pw_w.data[...] *= 20.0
+            out, _ = sdmsa(Tensor(x.data[lo:hi]), p, lay, deform=deform)
+            out.backward(g[lo:hi])
+            return out.data, p.bias_table.grad
+
+        both, g_both = run(0, 2)
+        first, g_first = run(0, 1)
+        second, g_second = run(1, 2)
+    np.testing.assert_array_equal(both, np.concatenate([first, second]))
+    np.testing.assert_allclose(g_both, g_first + g_second, rtol=0, atol=1e-12)
 
 
 # -- gradients ------------------------------------------------------------------

@@ -139,6 +139,19 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_largest_seed_is_accepted(tmp_path, capsys):
+    top = 2**64 - 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": dict(MICRO, seed=top), "train": {"seed": top}}))
+    assert main(["synth", "--n", "1", "--size", "32", "--seed", str(top),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["count", "--config", str(cfg), "--size", "32"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--print-config"]) == 0
+    merged = json.loads(capsys.readouterr().out)
+    assert merged["model"]["seed"] == merged["train"]["seed"] == top
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     assert main(["infer", "--ckpt", str(tmp_path / "no.sdck"),
                  "--image", str(tmp_path / "no.sdt"),
@@ -195,6 +208,8 @@ def test_truncated_headers_exit_2(which, keep, tmp_path, capsys):
     ("config", '{"model": null}'),
     ("config", '{"model": {"stage_widths": 5}}'),
     ("config", '{"model": {"seed": "a"}}'),
+    ("config", '{"model": {"seed": 18446744073709551616}}'),
+    ("config", '{"train": {"seed": 18446744073709551616}}'),
     ("config", '{"model": {"deform_flags": 3}}'),
     ("config", '{"model": {"gamma_off": NaN}}'),
     ("config", '{"train": {"batch_size": "8"}}'),
@@ -224,11 +239,18 @@ def test_malformed_json_exits_2(target, text, workdir, capsys):
       "--stride", "0", "--out", "OUT"], 1, "--stride"),
     (["infer", "--ckpt", "CKPT", "--image", "IMG", "--crop", "32", "--step", "32",
       "--sigma-ratio", "nan", "--out", "OUT"], 2, "sigma_ratio"),
+    (["synth", "--n", "3", "--size", "32", "--seed", str(2**64), "--out", "OUT"],
+     2, "seed"),
+    (["count", "--config", "BIGSEED", "--size", "32"], 2, "seed"),
+    (["eval", "--ckpt", "CKPT", "--data", "EMPTY", "--out", "OUT"], 2, "no samples"),
 ])
 def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     d = _micro_files(tmp_path)
+    (d / "big.json").write_text(json.dumps({"model": {"seed": 2**64}}))
+    (d / "empty").mkdir()
+    (d / "empty" / "manifest.json").write_text("[]")
     paths = {"CKPT": d / "model.sdck", "IMG": d / "data" / "img_00000.sdt",
-             "OUT": d / "out"}
+             "OUT": d / "out", "BIGSEED": d / "big.json", "EMPTY": d / "empty"}
     assert main([str(paths.get(a, a)) for a in argv]) == code
     assert word in capsys.readouterr().err
     assert not (d / "out").exists()

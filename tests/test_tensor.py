@@ -204,10 +204,11 @@ def test_grad_check_concat():
 
 
 def test_grad_check_layer_norm():
-    x = Tensor(_rand((3, 6), 32))
     g = Tensor(_rand(6, 33))
     b = Tensor(_rand(6, 34))
-    grad_check(layer_norm, [x, g, b], tol=1e-5)
+    for shape, axis in (((3, 6), -1), ((2, 6, 3, 2), 1)):   # 4-D: channel axis
+        x = Tensor(_rand(shape, 32))
+        grad_check(lambda *t: layer_norm(*t, axis=axis), [x, g, b], tol=1e-5)
 
 
 def test_broadcast_grads_sum_over_expanded_axes():
