@@ -253,10 +253,25 @@ def _selfcheck_adjoint():
 
 
 def _selfcheck_tiles():
-    from .inference import tile_positions
+    from .inference import sliding_predict, tile_positions
 
     if tile_positions(64, 32, 16) != [0, 16, 32]:
         raise AssertionError("tile enumeration changed")
+    logits = np.array([0.2, -0.7])
+    calls = []
+
+    def model(tiles):
+        calls.append(tiles.shape[0])
+        return np.broadcast_to(logits[:, None, None], (tiles.shape[0], 2, 32, 32))
+
+    probs = sliding_predict(model, np.zeros((1, 64, 64), dtype=np.float32),
+                            SlidingConfig(crop=32, step=16))
+    if calls != [9]:
+        raise AssertionError(f"expected 9 tiles in one forward, got {calls}")
+    want = np.exp(logits) / np.exp(logits).sum()
+    gap = np.abs(probs.data - want[:, None, None]).max()
+    if gap > 1e-6:
+        raise AssertionError(f"constant logits blended off by {gap:.2e}")
 
 
 def _selfcheck_lr():

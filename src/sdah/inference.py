@@ -1,11 +1,14 @@
 """Sliding-window prediction with Gaussian importance weighting.
 
 Tiles start at multiples of `step`; one extra tile per axis is flushed to
-the far border so coverage is exact.  Per-tile class probabilities are
-accumulated with a center-peaked separable Gaussian weight and the sum is
-normalized by the accumulated weight, so overlapping predictions blend
-smoothly and constant predictions pass through unchanged.  Images smaller
-than the crop are zero-padded bottom-right for the forward pass only.
+the far border so coverage is exact.  The model sees the tiles in raster
+order (y outer, x inner), stacked up to 224² pixels per forward:
+(N, C, crop, crop) -> (N, K, crop, crop).  Per-tile class probabilities are
+accumulated in the same order with a center-peaked separable Gaussian
+weight and the sum is normalized by the accumulated weight, so overlapping
+predictions blend smoothly and constant predictions pass through unchanged.
+Images smaller than the crop are zero-padded bottom-right for the forward
+pass only.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor, _as_tensor, no_grad
+
+# Tile pixels per forward: crop 224 keeps one tile per forward (so the
+# default config's memory is that of one tile), crop 32 stacks 49 tiles.
+_TILE_PIXELS = 224 * 224
 
 
 @dataclass
@@ -55,8 +62,9 @@ def tile_positions(length: int, crop: int, step: int) -> list[int]:
 def sliding_predict(model, image, cfg: SlidingConfig) -> Tensor:
     """(C, H, W) image -> (K, H, W) class probabilities.
 
-    `model` is any callable mapping a (C, crop, crop) Tensor to logits
-    (K, crop, crop); tile forwards run without graph recording.
+    `model` is any callable mapping an (N, C, crop, crop) Tensor of tiles to
+    logits (N, K, crop, crop), as a Tensor or an array.  It is called once
+    per max(1, 224² // crop²) tiles, without graph recording.
     """
     img = _as_tensor(image)
     if img.ndim != 3:
@@ -70,24 +78,29 @@ def sliding_predict(model, image, cfg: SlidingConfig) -> Tensor:
         padded[:, :h, :w] = data
         data = padded
 
+    origins = [(y, x) for y in tile_positions(ph, crop, cfg.step)
+               for x in tile_positions(pw, crop, cfg.step)]
+    per_call = max(1, _TILE_PIXELS // crop ** 2)
     gmap = gaussian_map(crop, cfg.sigma_ratio)
     accum = None
     wsum = np.zeros((ph, pw), dtype=np.float64)
     with no_grad():
-        for y in tile_positions(ph, crop, cfg.step):
-            for x in tile_positions(pw, crop, cfg.step):
-                tile = Tensor(np.ascontiguousarray(data[:, y:y + crop, x:x + crop]))
-                logits = model(tile)
-                lo = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-                if lo.ndim != 3 or lo.shape[1:] != (crop, crop):
-                    raise ValueError(f"model returned shape {lo.shape}")
-                lo = lo.astype(np.float64)
-                lo -= lo.max(axis=0, keepdims=True)
-                e = np.exp(lo)
-                probs = e / e.sum(axis=0, keepdims=True)
-                if accum is None:
-                    accum = np.zeros((lo.shape[0], ph, pw), dtype=np.float64)
-                accum[:, y:y + crop, x:x + crop] += probs * gmap
+        for start in range(0, len(origins), per_call):
+            chunk = origins[start:start + per_call]
+            tiles = Tensor(np.stack([data[:, y:y + crop, x:x + crop] for y, x in chunk]))
+            logits = model(tiles)
+            lo = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+            if lo.ndim != 4 or lo.shape[0] != len(chunk) or lo.shape[2:] != (crop, crop):
+                raise ValueError(f"model returned shape {lo.shape}, "
+                                 f"expected ({len(chunk)}, K, {crop}, {crop})")
+            lo = lo.astype(np.float64)
+            lo -= lo.max(axis=1, keepdims=True)
+            e = np.exp(lo)
+            probs = e / e.sum(axis=1, keepdims=True)
+            if accum is None:
+                accum = np.zeros((lo.shape[1], ph, pw), dtype=np.float64)
+            for (y, x), p in zip(chunk, probs):
+                accum[:, y:y + crop, x:x + crop] += p * gmap
                 wsum[y:y + crop, x:x + crop] += gmap
     out = accum / wsum
     # keep the f64 accumulation; the default dtype would round it to f32

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _as_tensor, _make, no_grad, reshape
+from .tensor import Tensor, _as_tensor, _make, batched, no_grad, reshape
 
 
 def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
@@ -100,10 +100,8 @@ def bilinear_sample(f, points) -> Tensor:
         raise ValueError(
             f"bilinear_sample expects (C,H,W) and (P,2), got {f.shape} and {points.shape}"
         )
-    fb = reshape(f, (1,) + f.shape)
-    pb = reshape(points, (1,) + points.shape)
-    out = bilinear_sample_batch(fb, pb)
-    return reshape(out, out.shape[1:])
+    fb, unbatch = batched(f)
+    return unbatch(bilinear_sample_batch(fb, reshape(points, (1,) + points.shape)))
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from .tensor import (
     Tensor,
     _as_tensor,
     _make,
+    batched,
     narrow,
-    reshape,
     softmax,
     tsum,
 )
@@ -89,9 +89,9 @@ def _as_batched_pair(logits, label):
     lg = _as_tensor(logits)
     lab = np.asarray(label.data if isinstance(label, Tensor) else label)
     if lg.ndim == 3:
-        lg = reshape(lg, (1,) + lg.shape)
         lab = lab[None]
-    if lg.ndim != 4 or lab.shape != (lg.shape[0],) + lg.shape[2:]:
+    lg, _ = batched(lg)
+    if lab.shape != (lg.shape[0],) + lg.shape[2:]:
         raise ValueError(f"logits {lg.shape} do not match labels {lab.shape}")
     k = lg.shape[1]
     if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:

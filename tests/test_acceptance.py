@@ -287,20 +287,22 @@ def test_c05_metric_oracles(capsys):
 
 def test_c06_sliding_window(capsys):
     """Constant logits blend to a constant within 1e-6, a 64x64 image at
-    crop 32 / step 16 runs exactly 9 tiles, and sigma is crop/8."""
+    crop 32 / step 16 runs exactly 9 tiles in one forward, and sigma is
+    crop/8."""
     with criterion(capsys, 6, "sliding-window blending") as detail:
         logits = np.array([0.2, -0.7], dtype=np.float64)
         calls = []
 
-        def model(tile):
-            calls.append(1)
-            out = np.broadcast_to(logits[:, None, None], (2, 32, 32))
+        def model(tiles):
+            calls.append(tiles.shape[0])
+            out = np.broadcast_to(logits[:, None, None], (tiles.shape[0], 2, 32, 32))
             return Tensor(out.astype(np.float32).copy())
 
         cfg = SlidingConfig(crop=32, step=16, sigma_ratio=1 / 8)
         img = Stream(6).uniform((1, 64, 64)).astype(np.float32)
         probs = sliding_predict(model, img, cfg).data
-        assert len(calls) == 9
+        assert sum(calls) == 9
+        assert len(calls) == 1
         assert tile_positions(64, 32, 16) == [0, 16, 32]
         e = np.exp(logits - logits.max())
         want = (e / e.sum())[:, None, None]
@@ -313,7 +315,7 @@ def test_c06_sliding_window(capsys):
         np.testing.assert_allclose(gaussian_map(32, cfg.sigma_ratio),
                                    want_map / want_map.max(), rtol=0, atol=0)
         assert SlidingConfig().sigma_ratio == 1 / 8
-        detail["note"] = "9 tiles, constant within 1e-6, sigma=crop/8"
+        detail["note"] = "9 tiles in 1 forward, constant within 1e-6, sigma=crop/8"
 
 
 # -- 07 -----------------------------------------------------------------------

@@ -126,6 +126,15 @@ def test_selfcheck_passes(capsys):
     assert out.count(": ok") == 8
 
 
+def test_selfcheck_sees_per_tile_forwards(monkeypatch, capsys):
+    # a one-pixel budget forces one forward per tile: the tile check must fail
+    monkeypatch.setattr("sdah.inference._TILE_PIXELS", 1)
+    assert main(["selfcheck"]) == 4
+    out = capsys.readouterr().out
+    assert "selfcheck sliding_tiles: FAIL (expected 9 tiles in one forward" in out
+    assert out.count(": ok") == 7
+
+
 # -- failure modes ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

@@ -93,10 +93,9 @@ def test_tile_positions_cover_exactly(length, crop, step):
 def _const_model(logits):
     arr = np.asarray(logits, dtype=np.float32)
 
-    def model(tile):
-        k = arr.shape[0]
-        c = tile.shape[-1]
-        return Tensor(np.broadcast_to(arr[:, None, None], (k, c, c)).copy())
+    def model(tiles):
+        n, k, c = tiles.shape[0], arr.shape[0], tiles.shape[-1]
+        return Tensor(np.broadcast_to(arr[:, None, None], (n, k, c, c)).copy())
 
     return model
 
@@ -117,19 +116,18 @@ def test_tile_count_64x64_crop32_step16():
     calls = []
     base = _const_model([0.0, 1.0])
 
-    def counting(tile):
-        calls.append(tile.shape)
-        return base(tile)
+    def counting(tiles):
+        calls.append(tiles.shape)
+        return base(tiles)
 
     sliding_predict(counting, np.zeros((1, 64, 64), dtype=np.float32), _cfg())
-    assert len(calls) == 9
-    assert set(calls) == {(1, 32, 32)}
+    assert calls == [(9, 1, 32, 32)]
 
 
 def test_probabilities_sum_to_one():
-    def model(tile):
-        d = tile.data[0]
-        return Tensor(np.stack([d, -d, d * 0.5]).astype(np.float32))
+    def model(tiles):
+        d = tiles.data[:, 0]
+        return Tensor(np.stack([d, -d, d * 0.5], axis=1).astype(np.float32))
 
     image = np.random.default_rng(1).normal(size=(1, 64, 64)).astype(np.float32)
     probs = sliding_predict(model, image, _cfg()).data
@@ -143,9 +141,9 @@ def test_matches_independent_blend():
     image = rng.normal(size=(2, 64, 48)).astype(np.float32)
     cfg = _cfg(crop=32, step=16)
 
-    def model(tile):
-        d = tile.data if isinstance(tile, Tensor) else tile
-        return Tensor(np.stack([d[0], d[1] * 0.7 + 0.1]).astype(np.float32))
+    def model(tiles):
+        d = tiles.data if isinstance(tiles, Tensor) else tiles
+        return Tensor(np.stack([d[:, 0], d[:, 1] * 0.7 + 0.1], axis=1).astype(np.float32))
 
     g = gaussian_map(32, cfg.sigma_ratio)
     accum = np.zeros((2, 64, 48))
@@ -167,12 +165,12 @@ def test_small_images_are_padded_then_cropped():
     shapes = []
     base = _const_model([0.0, 2.0])
 
-    def model(tile):
-        shapes.append(tile.shape)
-        return base(tile)
+    def model(tiles):
+        shapes.append(tiles.shape)
+        return base(tiles)
 
     probs = sliding_predict(model, np.ones((1, 20, 26), dtype=np.float32), _cfg())
-    assert shapes == [(1, 32, 32)]
+    assert shapes == [(1, 1, 32, 32)]
     assert probs.shape == (2, 20, 26)
 
 
@@ -180,15 +178,17 @@ def test_input_validation():
     m = _const_model([0.0, 1.0])
     with pytest.raises(ValueError):
         sliding_predict(m, np.zeros((20, 26), dtype=np.float32), _cfg())
-    bad = lambda tile: Tensor(np.zeros((2, 8, 8), dtype=np.float32))
-    with pytest.raises(ValueError):
-        sliding_predict(bad, np.zeros((1, 40, 40), dtype=np.float32), _cfg())
+    # 40x40 at crop 32 / step 16 is 4 tiles in one forward
+    for shape in [(4, 2, 8, 8), (3, 2, 32, 32), (2, 32, 32)]:
+        bad = lambda tiles, shape=shape: Tensor(np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ValueError, match=r"expected \(4, K, 32, 32\)"):
+            sliding_predict(bad, np.zeros((1, 40, 40), dtype=np.float32), _cfg())
 
 
 def test_predict_mask_argmax_u8():
-    def model(tile):
-        d = tile.data[0]
-        return Tensor(np.stack([1.0 - d, d]).astype(np.float32))
+    def model(tiles):
+        d = tiles.data[:, 0]
+        return Tensor(np.stack([1.0 - d, d], axis=1).astype(np.float32))
 
     image = np.zeros((1, 64, 64), dtype=np.float32)
     image[0, 10:30, 5:25] = 1.0
@@ -198,8 +198,8 @@ def test_predict_mask_argmax_u8():
 
 
 def test_model_output_can_be_plain_array():
-    def model(tile):
-        return np.zeros((2, 32, 32), dtype=np.float32)
+    def model(tiles):
+        return np.zeros((tiles.shape[0], 2, 32, 32), dtype=np.float32)
 
     probs = sliding_predict(model, np.zeros((1, 32, 32), dtype=np.float32), _cfg())
     np.testing.assert_allclose(probs.data, 0.5, rtol=0, atol=0)
@@ -217,3 +217,59 @@ def test_network_tiles_run_without_grad_history():
     assert probs.shape == (2, 32, 32)
     with pytest.raises(GradError):
         probs.backward()
+
+
+# -- batched forwards -----------------------------------------------------------
+
+@pytest.mark.parametrize("h,w,crop,step,ys,xs", [
+    (64, 80, 32, 16, [0, 16, 32], [0, 16, 32, 48]),   # 12 tiles, one forward
+    (160, 160, 64, 32, [0, 32, 64, 96], [0, 32, 64, 96]),  # 16 tiles: 12 + 4
+])
+def test_batched_network_matches_per_tile_oracle(h, w, crop, step, ys, xs):
+    """A real network: batched forwards give the probabilities of one
+    forward per tile blended in raster order, bit for bit."""
+    from sdah.network import ModelConfig, build_model
+
+    m = build_model(ModelConfig(in_channels=1, num_classes=2, stem_width=8,
+                                stage_widths=(8, 16, 32, 64),
+                                window_sizes=(4, 4, 2, 2),
+                                num_heads=(2, 2, 4, 4), seed=3))
+    image = np.random.default_rng(4).uniform(size=(1, h, w)).astype(np.float32)
+    cfg = _cfg(crop=crop, step=step)
+
+    g = gaussian_map(crop, cfg.sigma_ratio)
+    accum = np.zeros((2, h, w))
+    wsum = np.zeros((h, w))
+    for y in ys:
+        for x in xs:
+            lo = m(Tensor(image[:, y:y + crop, x:x + crop])).data.astype(np.float64)
+            assert lo.shape == (2, crop, crop)
+            lo -= lo.max(axis=0, keepdims=True)
+            e = np.exp(lo)
+            accum[:, y:y + crop, x:x + crop] += (e / e.sum(axis=0, keepdims=True)) * g
+            wsum[y:y + crop, x:x + crop] += g
+    got = sliding_predict(m, image, cfg)
+    assert got.data.dtype == np.float64
+    np.testing.assert_allclose(got.data, accum / wsum, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("side,crop,step,sizes", [
+    (256, 64, 32, [12, 12, 12, 12, 1]),   # 49 tiles, 224² // 64² = 12 per forward
+    (336, 224, 112, [1, 1, 1, 1]),        # the paper crop: one tile per forward
+])
+def test_forwards_are_chunked_in_raster_order(side, crop, step, sizes):
+    # each pixel holds its own (y, x), so a tile's corner names its origin
+    yy, xx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    image = np.stack([yy, xx]).astype(np.float32)
+    origins = []
+    base = _const_model([0.0, 1.0])
+
+    def recording(tiles):
+        assert tiles.shape[1:] == (2, crop, crop)
+        origins.append([(int(t[0, 0, 0]), int(t[1, 0, 0])) for t in tiles.data])
+        return base(tiles)
+
+    sliding_predict(recording, image, _cfg(crop=crop, step=step))
+    assert [len(o) for o in origins] == sizes
+    pos = tile_positions(side, crop, step)
+    assert [o for chunk in origins for o in chunk] == [(y, x) for y in pos for x in pos]

@@ -67,6 +67,10 @@ def test_shape_validation():
         bilinear_sample_batch(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
     with pytest.raises(ValueError):
         bilinear_sample(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError):
+        bilinear_sample(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError):
+        bilinear_sample(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
 
 
 def test_unbatched_wrapper_matches_batched():

@@ -162,6 +162,12 @@ def test_loss_input_validation():
         ce_loss(Tensor(logits), label + 5)             # ids out of range
     with pytest.raises(ValueError):
         dice_loss(Tensor(logits[:, :1]), np.zeros((1, 4, 4), dtype=np.uint8))
+    for bad in (logits[0, 0], logits[None]):                # rank 2 and rank 5
+        for loss in (dice_loss, ce_loss):
+            with pytest.raises(ValueError):
+                loss(Tensor(bad), label)
+    with pytest.raises(ValueError):
+        ce_loss(Tensor(logits), label[0])                   # 4-D logits, 2-D labels
 
 
 # -- optimizer ------------------------------------------------------------------
