@@ -1,8 +1,11 @@
 """2-D convolution and transposed convolution primitives.
 
-Cross-correlation semantics with zero padding.  Forward/backward are built
-on an im2col view plus batched matmuls; the col2im scatter runs as k*k
-ordered slice additions so the reduction order is fixed.
+Cross-correlation semantics with zero padding.  The forward is an im2col
+view plus batched matmuls.  The input gradient of a stride-1 conv is the
+same forward run on the output gradient with the flipped kernel, its input
+and output channels swapped within each group, at padding k-1-p (a crop of
+the output gradient when p > k-1).  Only strided convs use the col2im
+scatter, k*k ordered slice additions, so every reduction order is fixed.
 
 Geometry is strict by default: (H + 2p - k) must be divisible by the stride
 or the op raises.  `allow_floor=True` opts into floor semantics (trailing
@@ -70,8 +73,17 @@ def _conv_forward(x, w, s, p, g, allow_floor):
 
 
 def _conv_backward_x(dy, w, s, p, g, in_hw):
-    n = dy.shape[0]
     cout, cg, k, _ = w.shape
+    if s == 1:
+        # full correlation of dy with the flipped, per-group transposed
+        # kernel, cut to the input: padding k-1-p, or a crop when negative
+        wt = w.reshape(g, cout // g, cg, k, k).swapaxes(1, 2)[..., ::-1, ::-1]
+        wt = wt.reshape(g * cg, cout // g, k, k)
+        q = k - 1 - p
+        if q < 0:
+            dy = dy[:, :, -q : dy.shape[2] + q, -q : dy.shape[3] + q]
+        return _conv_forward(dy, wt, 1, max(q, 0), g, False)[0]
+    n = dy.shape[0]
     ho, wo = dy.shape[2], dy.shape[3]
     wm = w.reshape(g, cout // g, cg * k * k)
     dyr = dy.reshape(n, g, cout // g, ho * wo)
@@ -121,7 +133,9 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
         parents.append(bias)
 
     def bwd(g):
-        dx = _conv_backward_x(g, w.data, stride, padding, groups, (h, wd))
+        dx = None
+        if xb.requires_grad:
+            dx = _conv_backward_x(g, w.data, stride, padding, groups, (h, wd))
         dw = _conv_backward_w(xb.data, g, k, stride, padding, groups)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
@@ -160,7 +174,9 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         parents.append(bias)
 
     def bwd(g):
-        dx, _ = _conv_forward(g, w.data, stride, padding, 1, False)
+        dx = None
+        if xb.requires_grad:
+            dx, _ = _conv_forward(g, w.data, stride, padding, 1, False)
         dw = _conv_backward_w(g, xb.data, k, stride, padding, 1)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))

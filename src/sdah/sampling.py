@@ -38,11 +38,18 @@ def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
 
 def bilinear_scatter(acc: np.ndarray, idx, wts, vals: np.ndarray) -> None:
     """Adjoint of the gather: add vals (B, C, P) into acc (B, C, H*W) at the
-    (B, P) corners from `bilinear_corners`, corner by corner in their order."""
-    bi = np.arange(acc.shape[0])[:, None, None]
-    ci = np.arange(acc.shape[1])[None, :, None]
+    (B, P) corners from `bilinear_corners`, corner by corner in their order.
+
+    Each corner is one `np.bincount` over the flat (b, c, hw) index: it sums
+    that corner's weighted values in float64 in (b, c, p) order, and the
+    result is added into acc, so the reduction order is fixed.
+    """
+    b, c, hw = acc.shape
+    base = np.arange(b * c).reshape(b, c, 1) * hw
     for i, ww in zip(idx, wts):
-        np.add.at(acc, (bi, ci, i[:, None, :]), vals * ww[:, None, :])
+        flat = (base + i[:, None, :]).ravel()
+        acc += np.bincount(flat, (vals * ww[:, None, :]).ravel(),
+                           minlength=b * c * hw).reshape(acc.shape)
 
 
 def bilinear_sample_batch(f, points) -> Tensor:

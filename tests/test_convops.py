@@ -122,6 +122,54 @@ def test_conv_deconv_adjoint_identity(cin, cout, k, stride, padding, seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+@given(st.sampled_from([1, 2, 4]), st.integers(1, 2), st.sampled_from([1, 3, 5, 7]),
+       st.data(), st.integers(1, 2), st.integers(0, 200))
+def test_conv_input_grad_adjoint_identity(groups, mult, k, data, stride, seed):
+    """<conv(x, w), g> == <x, x.grad> after backward(g), for dense, grouped
+    and depthwise kernels and every padding up to k (p > k-1 included);
+    with groups=1 also == <x, deconv(g, w)>."""
+    cin = 4
+    cout = groups * mult
+    padding = data.draw(st.integers(0, k), label="padding")
+    h = max(1, k - 2 * padding) + data.draw(st.integers(0, 3), label="extra")
+    h += (h + 2 * padding - k) % stride  # integral output size
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(2, cin, h, h)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.normal(size=(cout, cin // groups, k, k)), dtype=np.float64)
+    y = conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    g = rng.normal(size=y.shape)
+    y.backward(g)
+    lhs = (y.data * g).sum()
+    np.testing.assert_allclose(lhs, (x.data * x.grad).sum(), rtol=1e-10, atol=1e-10)
+    if groups == 1:
+        dx = deconv2d(Tensor(g, dtype=np.float64), w, stride=stride, padding=padding)
+        np.testing.assert_allclose(lhs, (x.data * dx.data).sum(), rtol=1e-10, atol=1e-10)
+
+
+def test_conv_skips_input_grad_when_not_required(monkeypatch):
+    """Backward computes no input VJP for an input that needs no gradient."""
+    import sdah.convops as convops
+
+    calls = []
+    for name in ("_conv_backward_x", "_conv_forward"):
+        real = getattr(convops, name)
+        monkeypatch.setattr(convops, name,
+                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    w = Tensor(_rand((3, 2, 3, 3), 20), requires_grad=True)
+    wt = Tensor(_rand((2, 3, 2, 2), 21), requires_grad=True)
+    for needs_x in (False, True):
+        x = Tensor(_rand((1, 2, 6, 6), 19), requires_grad=needs_x)
+        y = conv2d(x, w, padding=1)
+        calls.clear()
+        tsum(y).backward()
+        assert calls[:1] == ["_conv_backward_x"] * needs_x
+        y = deconv2d(x, wt, stride=2)
+        calls.clear()
+        tsum(y).backward()
+        assert calls[:1] == ["_conv_forward"] * needs_x
+        assert (x.grad is not None) == needs_x and w.grad is not None
+
+
 def test_conv_grad_check():
     x = Tensor(_rand((2, 3, 6, 6), 7))
     w = Tensor(_rand((4, 3, 3, 3), 8))
@@ -133,6 +181,19 @@ def test_depthwise_conv_grad_check():
     x = Tensor(_rand((1, 4, 6, 6), 10))
     w = Tensor(_rand((4, 1, 3, 3), 11))
     grad_check(lambda a, c: conv2d(a, c, padding=1, groups=4), [x, w], tol=1e-6)
+
+
+def test_grouped_conv_grad_check():
+    x = Tensor(_rand((2, 4, 6, 6), 22))
+    w = Tensor(_rand((6, 2, 3, 3), 23))  # 2 groups, 3 outputs per group
+    b = Tensor(_rand(6, 24))
+    grad_check(lambda *t: conv2d(*t, padding=1, groups=2), [x, w, b], tol=1e-6)
+
+
+def test_depthwise_7x7_conv_grad_check():
+    x = Tensor(_rand((1, 3, 8, 8), 25))
+    w = Tensor(_rand((3, 1, 7, 7), 26))
+    grad_check(lambda a, c: conv2d(a, c, padding=3, groups=3), [x, w], tol=1e-6)
 
 
 def test_strided_conv_grad_check():

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from scipy.ndimage import map_coordinates
 
 from sdah.gradcheck import grad_check
-from sdah.sampling import bilinear_resize, bilinear_sample, bilinear_sample_batch
+from sdah.sampling import (
+    bilinear_corners,
+    bilinear_resize,
+    bilinear_sample,
+    bilinear_sample_batch,
+    bilinear_scatter,
+)
 from sdah.tensor import Tensor, tsum
 
 
@@ -120,6 +126,31 @@ def test_feature_grad_scatter_accumulates():
     two = bilinear_sample_batch(f2, Tensor(np.array([[[1.2, 1.7], [1.2, 1.7]]])))
     tsum(two).backward()
     np.testing.assert_allclose(f2.grad, 2.0 * f1.grad, rtol=1e-6)
+
+
+def _add_at_scatter(shape, idx, wts, vals):
+    """Hand-written oracle: one np.add.at per corner."""
+    acc = np.zeros(shape)
+    bi = np.arange(shape[0])[:, None, None]
+    ci = np.arange(shape[1])[None, :, None]
+    for i, ww in zip(idx, wts):
+        np.add.at(acc, (bi, ci, i[:, None, :]), vals * ww[:, None, :])
+    return acc
+
+
+@pytest.mark.parametrize("b,c,h,w", [(3, 4, 5, 6), (2, 1, 13, 13)])  # 2nd: bias table
+def test_scatter_matches_add_at_oracle(b, c, h, w):
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(-2.0, [h + 1.0, w + 1.0], size=(b, 40, 2))  # some clamped
+    pts[:, 10:20] = pts[:, :10]          # repeated points
+    pts[:, 20:25] = [1.5, w - 1.0]       # x on the border: x1 == x0
+    pts[:, 25:30, 0] = np.floor(pts[:, 25:30, 0])  # integer rows
+    idx, wts, _, _ = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
+    vals = rng.normal(size=(b, c, pts.shape[1]))
+    acc = np.zeros((b, c, h * w))
+    bilinear_scatter(acc, idx, wts, vals)
+    np.testing.assert_allclose(acc, _add_at_scatter(acc.shape, idx, wts, vals),
+                               rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
