@@ -4,9 +4,16 @@ Each head projects its window patches to queries, predicts a bounded 2-D
 offset per patch from those queries (depthwise 5x5 -> GELU -> grouped 1x1),
 and gathers keys/values by bilinear sampling of the full (cyclically
 shifted) feature map at reference + offset.  A continuous relative-position
-bias is read from a learned (2*ws-1)^2 table by bilinear interpolation, so
-at zero offset the mechanism reduces exactly to plain shifted-window
-attention with the integer-indexed bias.
+bias is read from a learned (2*ws-1)^2 table per head at each key - query
+displacement, clamped to the table and bilinearly interpolated, so at zero
+offset the mechanism reduces exactly to plain shifted-window attention with
+the integer-indexed bias.
+
+The queries sit on each window's integer grid and the clamp acts on each
+axis alone, so the read is separable: per-axis interpolation weights (two
+nonzeros per query row or column and key), one matmul with the table and
+small per-key products, in one primitive with its own backward that both
+attention paths use.
 
 All public entry points accept (C, H, W) tensors; internally everything is
 batched as (B, ...) with heads folded into the batch axis where convenient.
@@ -21,10 +28,11 @@ import numpy as np
 
 from .convops import conv2d
 from .rng import Stream
-from .sampling import bilinear_sample_batch
+from .sampling import axis_corners, bilinear_sample_batch
 from .tensor import (
     Tensor,
     _as_tensor,
+    _make,
     batched,
     clip,
     gelu,
@@ -296,26 +304,93 @@ def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     return reshape(out, (p, p))
 
 
-def _relative_bias(table: Tensor, keys, queries: np.ndarray) -> Tensor:
-    """Bias of every window and head, read once per head from its table.
+def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
+    """Dense per-axis interpolation weights from `axis_corners` output.
 
-    table (n_h, t, t); keys (B*n_h, n_w*P, 2), the points each head's
-    keys sit at; queries (n_w, P, 2), each window's query points.  Entry
-    [b, w, h, i, j] reads table[h] at keys[j] - queries[w, i] + (ws - 1),
-    like `interpolated_bias`, so the result is (B, n_w, n_h, P, P).
+    i0, i1, f are (..., ws); the result is (..., ws, t), or (..., t, ws)
+    when transposed, holding 1 - f at i0 and f at i1 on each row.  f goes
+    in first so that where i1 == i0 (f == 0) the row keeps its weight 1.
+    """
+    ws = f.shape[-1]
+    q = np.arange(f.size).reshape(f.shape)
+    if transposed:
+        pos, step, shape = (q - q % ws) * t + q % ws, ws, f.shape[:-1] + (t, ws)
+    else:
+        pos, step, shape = q * t, 1, f.shape + (t,)
+    h = np.zeros(shape, f.dtype)
+    flat = h.reshape(-1)
+    flat[pos + i1 * step] = f
+    flat[pos + i0 * step] = 1 - f
+    return h
+
+
+def _slope(e: np.ndarray, i0, i1, inside) -> np.ndarray:
+    """Sum over the last (query) axis of e at i1 minus e at i0, where the
+    displacement is strictly inside the table: the per-axis derivative."""
+    pos = np.arange(i0.size).reshape(i0.shape) * e.shape[-1]
+    e = e.reshape(-1)
+    return ((np.take(e, pos + i1) - np.take(e, pos + i0)) * inside).sum(axis=-1)
+
+
+def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
+    """Bias of every image, window and head, read separably from its table.
+
+    table (n_h, t, t); keys (B, n_w, n_h, P, 2), the points each head's keys
+    sit at; origins (n_w, 2), each window's top-left.  The queries are the
+    window's integer grid, so entry [b, w, h, ry*ws + rx, j] reads table[h]
+    at keys[j] - (origin + (ry, rx)) + (t - 1)/2, clamped and interpolated
+    like `interpolated_bias`; the result is (B, n_w, n_h, P, P).
+
+    Each axis is clamped on its own, so the y weights depend only on (query
+    row, key) and the x weights only on (query column, key).  With Hy and
+    Hx the (P, ws, t) per-axis weights of a window and head (two nonzeros
+    per row), the bias is bias[(ry, rx), j] = sum_c (Hy T)[j, ry, c]
+    Hx[j, rx, c]: one matmul with the table, then P small (ws, t) x (t, ws)
+    products.  Backward keeps only the per-axis (floor, upper, fraction,
+    inside) arrays; the table gradient is Hy^T (G Hx) and each key
+    coordinate's gradient is its axis' table slope summed over the ws query
+    rows (or columns): zero where the displacement is not strictly inside
+    (0, t-1), the right derivative at integer displacements.
     """
     keys = _as_tensor(keys, like=table)
-    nh, t = table.shape[0], table.shape[-1]
-    nw, p = queries.shape[:2]
-    b = keys.shape[0] // nh
-    # heads first; merging (B, n_w) copies the small key array, not delta
-    k = reshape(transpose(reshape(keys, (b, nh, nw * p * 2)), (1, 0, 2)),
-                (nh, b * nw, 1, p, 2))
-    qs = np.tile(queries, (b, 1, 1)).reshape(1, b * nw, p, 1, 2)
-    delta = k - Tensor(qs.astype(table.dtype)) + float((t - 1) // 2)
-    out = bilinear_sample_batch(reshape(table, (nh, 1, t, t)),
-                                reshape(delta, (nh, b * nw * p * p, 2)))
-    return transpose(reshape(out, (nh, b, nw, p, p)), (1, 2, 0, 3, 4))
+    tab = table.data
+    t = tab.shape[-1]
+    b, nw, nh, p, _ = keys.shape
+    ws = math.isqrt(p)
+    k = keys.data.astype(tab.dtype, copy=False)
+    q = (origins[:, :, None] + np.arange(ws)).astype(tab.dtype)  # (n_w, 2, ws)
+    axes = []
+    for a in (0, 1):
+        d = k[..., a, None] - q[None, :, None, None, a] + float((t - 1) // 2)
+        axes.append(axis_corners(d, t) + ((d > 0.0) & (d < t - 1.0),))
+    (y0, y1, fy, my), (x0, x1, fx, mx) = axes
+    shape = (b, nw, nh, p, ws, t)
+
+    def rows(a, m):  # (B, n_w, n_h, P, ws, t) times each head's table m
+        return (a.reshape(b, nw, nh, p * ws, t) @ m).reshape(shape)
+
+    out = rows(_hat(y0, y1, fy, t), tab) @ _hat(x0, x1, fx, t, transposed=True)
+    out = out.reshape(b, nw, nh, p, p).swapaxes(-1, -2)
+
+    def bwd(g):
+        # (.., (ry, rx), j) -> (.., j, ry, rx)
+        g = np.ascontiguousarray(
+            g.reshape(b, nw, nh, ws, ws, p).transpose(0, 1, 2, 5, 3, 4))
+        hy, hx = _hat(y0, y1, fy, t), _hat(x0, x1, fx, t)
+        g_rows = g @ hx                            # (.., j, ry, t)
+        dt = dk = None
+        if table.requires_grad:
+            dt = (np.swapaxes(hy.reshape(b * nw, nh, p * ws, t), -1, -2)
+                  @ g_rows.reshape(b * nw, nh, p * ws, t)).sum(axis=0)
+        if keys.requires_grad:
+            g_cols = np.swapaxes(g, -1, -2) @ hy     # (.., j, rx, t)
+            dk = np.stack([
+                _slope(rows(g_rows, np.swapaxes(tab, -1, -2)), y0, y1, my),
+                _slope(rows(g_cols, tab), x0, x1, mx),
+            ], axis=-1)
+        return dt, dk
+
+    return _make("relative_bias", out, (table, keys), bwd)
 
 
 def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
@@ -364,12 +439,12 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
         ptsr = reshape(transpose(pts, (0, 2, 1, 3, 4)), (b * nh, nw * p, 2))
         samp = bilinear_sample_batch(fs, ptsr)     # (B*n_h, n_w*P, d)
         kv_in = transpose(reshape(samp, (b, nh, nw, p, d)), (0, 2, 1, 3, 4))
-        bias = _relative_bias(params.bias_table, ptsr, ref)
+        bias = _relative_bias(params.bias_table, pts, window_origins(layout))
         offs, defp = off.data, pts.data
     else:
         kv_in = xh
-        lg = _local_grid(ws)
-        bias = _relative_bias(params.bias_table, np.tile(lg, (nh, 1, 1)), lg[None])
+        keys = np.broadcast_to(_local_grid(ws), (1, 1, nh, p, 2))
+        bias = _relative_bias(params.bias_table, keys, np.zeros((1, 2)))
         offs = np.zeros((b, nw, nh, p, 2), dtype=xb.dtype)
         defp = np.broadcast_to(ref[None, :, None], offs.shape).astype(xb.dtype)
 

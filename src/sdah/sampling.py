@@ -14,6 +14,20 @@ import numpy as np
 from .tensor import Tensor, _as_tensor, _make, batched, no_grad, reshape
 
 
+def axis_corners(v: np.ndarray, n: int):
+    """Clamp coordinates v to [0, n-1] on one axis of length n.
+
+    Returns (i0, i1, f): the lower neighbor, the upper one (i0 + 1, capped
+    at n - 1) and the fractional part, so the blend is (1 - f) at i0 plus f
+    at i1, and i1 == i0 only where f == 0.
+    """
+    c = np.clip(v, 0.0, n - 1.0)
+    i0 = np.floor(c)
+    f = c - i0
+    i0 = i0.astype(np.int64)
+    return i0, np.minimum(i0 + 1, n - 1), f
+
+
 def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
     """Clamped 4-neighbor blend at continuous (ys, xs) on an (h, w) map.
 
@@ -21,16 +35,8 @@ def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
     weights of the four neighbors, both in the fixed order y0x0, y0x1, y1x0,
     y1x1, plus the fractional parts of the clamped coordinates.
     """
-    y = np.clip(ys, 0.0, h - 1.0)
-    x = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(y)
-    x0 = np.floor(x)
-    fy = y - y0
-    fx = x - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
-    y1i = np.minimum(y0i + 1, h - 1)
-    x1i = np.minimum(x0i + 1, w - 1)
+    y0i, y1i, fy = axis_corners(ys, h)
+    x0i, x1i, fx = axis_corners(xs, w)
     idx = (y0i * w + x0i, y0i * w + x1i, y1i * w + x0i, y1i * w + x1i)
     wts = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
     return idx, wts, fy, fx

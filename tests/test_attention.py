@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -302,28 +304,111 @@ def test_per_head_offsets_match_batched_offset_net():
                 )
 
 
+def _bias_oracle(table, keys, origins):
+    """interpolated_bias, which runs on the sampler, for every (image,
+    window, head) of a (B, n_w, n_h, P, 2) key array."""
+    b, nw, nh, pp, _ = keys.shape
+    ws = math.isqrt(pp)
+    grid = reference_points(WindowLayout(ws, ws, ws))[0]
+    want = np.empty((b, nw, nh, pp, pp))
+    for bi in range(b):
+        for wi in range(nw):
+            for hi in range(nh):
+                want[bi, wi, hi] = interpolated_bias(
+                    origins[wi] + grid, keys[bi, wi, hi], table[hi]).data
+    return want
+
+
 def test_relative_bias_matches_per_window_oracle():
-    """The per-head batched bias read equals interpolated_bias for every
-    (image, window, head) at fractional, clamped deformed points."""
+    """The separable bias read equals interpolated_bias for every (image,
+    window, head): at fractional, clamped deformed points, with samples
+    clamped to their own window, and on the plain path's local grid."""
     with default_dtype(np.float64):
         c, nh, ws = 8, 2, 4
-        p = _params(c, nh, ws, seed=26, gamma_off=2.0)
-        p.off_pw_w.data[...] *= 20.0
         lay = WindowLayout(8, 8, ws, shift=2)
-        _, trace = sdmsa(_x(2, c, 8, 8, seed=27), p, lay)
-        assert np.any(trace.offsets != np.round(trace.offsets))
-        b, nw, _, pp, _ = trace.deformed.shape
-        keys = trace.deformed.transpose(0, 2, 1, 3, 4).reshape(b * nh, nw * pp, 2)
-        ref = reference_points(lay)
-        got = _relative_bias(p.bias_table, keys, ref).data
-        assert got.shape == (b, nw, nh, pp, pp)
-        for bi in range(b):
-            for wi in range(nw):
-                for hi in range(nh):
-                    want = interpolated_bias(ref[wi], trace.deformed[bi, wi, hi],
-                                             p.bias_table.data[hi])
-                    np.testing.assert_allclose(got[bi, wi, hi], want.data,
-                                               rtol=0, atol=1e-12)
+        origins = window_origins(lay)
+        cases = []
+        for clamp in (False, True):
+            p = _params(c, nh, ws, seed=26, gamma_off=2.0, clamp_to_window=clamp)
+            p.off_pw_w.data[...] *= 20.0
+            _, trace = sdmsa(_x(2, c, 8, 8, seed=27), p, lay)
+            assert np.any(trace.offsets != np.round(trace.offsets))
+            cases.append((trace.deformed, origins))
+        grid = reference_points(WindowLayout(ws, ws, ws))
+        cases.append((np.broadcast_to(grid, (1, 1, nh, ws * ws, 2)), np.zeros((1, 2))))
+        for keys, org in cases:
+            got = _relative_bias(p.bias_table, keys, org).data
+            assert got.shape == keys.shape[:4] + (ws * ws,)
+            np.testing.assert_allclose(got, _bias_oracle(p.bias_table.data, keys, org),
+                                       rtol=0, atol=1e-12)
+
+
+def test_relative_bias_grad_check():
+    """float64 table and key-point gradients at fractional displacements
+    strictly inside the table."""
+    ws, nh = 3, 2
+    org = np.array([[0.0, 0.0], [3.0, 6.0]])
+    # key - origin in (0, ws - 1) keeps every displacement inside (0, t - 1)
+    frac = Stream(41).uniform((1, 2, nh, ws * ws, 2), 0.1, 0.9)
+    cell = np.floor(Stream(42).uniform(frac.shape, 0.0, ws - 1.0))
+    keys = org[None, :, None, None, :] + cell + frac
+    table = Stream(40).normal((nh, 2 * ws - 1, 2 * ws - 1))
+    grad_check(lambda tab, k: _relative_bias(tab, k, org), [table, keys], tol=1e-6)
+
+
+def test_relative_bias_key_gradient_at_clamp_and_integer_displacements():
+    """A key axis gets an exactly zero gradient where every displacement is
+    <= 0 or >= t - 1, and the right derivative at integer displacements:
+    the same gradients the sampler gives through interpolated_bias."""
+    ws, t = 3, 5
+    with default_dtype(np.float64):
+        table = Stream(43).normal((1, t, t))
+        org = np.zeros((1, 2))
+        keys = np.array([[-2.5, 4.5],    # both axes clamped for every query
+                         [-2.0, 4.0],    # on the table's edge or beyond
+                         [1.0, 1.0],     # integer and inside for every query
+                         [0.5, 1.25]])
+        # the oracle reads P keys for P queries: fill up with fractional ones
+        keys = np.concatenate([keys, Stream(47).uniform((5, 2), -1.0, 3.0)])
+        keys = keys.reshape(1, 1, 1, ws * ws, 2)
+        g = Stream(44).normal((1, 1, 1, ws * ws, ws * ws))
+        tab, k = Tensor(table, requires_grad=True), Tensor(keys, requires_grad=True)
+        _relative_bias(tab, k, org).backward(g)
+        dt, dk = tab.grad, k.grad
+        assert np.all(dk[0, 0, 0, :2] == 0.0)
+        assert np.all(dk[0, 0, 0, 2] != 0.0)
+
+        pk = Tensor(keys[0, 0, 0], requires_grad=True)
+        tab = Tensor(table[0], requires_grad=True)
+        grid = reference_points(WindowLayout(ws, ws, ws))[0]
+        interpolated_bias(grid, pk, tab).backward(g[0, 0, 0])
+        np.testing.assert_allclose(dk[0, 0, 0], pk.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dt[0], tab.grad, rtol=0, atol=1e-12)
+
+        # one-sided differences: right derivative at the integer key
+        h = 1e-7
+        for axis in (0, 1):
+            kp = keys.copy()
+            kp[0, 0, 0, 2, axis] += h
+            up = _relative_bias(Tensor(table), kp, org).data
+            at = _relative_bias(Tensor(table), keys, org).data
+            right = ((up - at) * g).sum() / h
+            np.testing.assert_allclose(dk[0, 0, 0, 2, axis], right, rtol=1e-6)
+
+
+def test_relative_bias_stays_in_table_dtype():
+    """A float32 table read at float32 keys from float64 window origins
+    gives a float32 bias and float32 gradients, without upcasting."""
+    lay = WindowLayout(8, 8, 4)
+    org = window_origins(lay)
+    assert org.dtype == np.float64
+    table = Tensor(Stream(45).normal((2, 7, 7)).astype(np.float32), requires_grad=True)
+    pts = reference_points(lay)[None, :, None] + Stream(46).uniform((1, 4, 2, 16, 2), -1, 1)
+    keys = Tensor(pts.astype(np.float32), requires_grad=True)
+    out = _relative_bias(table, keys, org)
+    assert out.dtype == np.float32
+    dt, dk = out._ctx.bwd(np.ones(out.shape, np.float32))
+    assert dt.dtype == np.float32 and dk.dtype == np.float32
 
 
 @pytest.mark.parametrize("deform", [True, False])

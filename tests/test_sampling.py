@@ -138,7 +138,7 @@ def _add_at_scatter(shape, idx, wts, vals):
     return acc
 
 
-@pytest.mark.parametrize("b,c,h,w", [(3, 4, 5, 6), (2, 1, 13, 13)])  # 2nd: bias table
+@pytest.mark.parametrize("b,c,h,w", [(3, 4, 5, 6), (2, 1, 13, 13)])  # 2nd: one channel, 13x13
 def test_scatter_matches_add_at_oracle(b, c, h, w):
     rng = np.random.default_rng(16)
     pts = rng.uniform(-2.0, [h + 1.0, w + 1.0], size=(b, 40, 2))  # some clamped
