@@ -36,8 +36,8 @@ from .tensor import (
     batched,
     clip,
     gelu,
+    linear,
     matmul,
-    narrow,
     reshape,
     roll,
     softmax,
@@ -91,25 +91,25 @@ def effective_window(ws: int, h: int, w: int) -> int:
     return min(ws, h, w)
 
 
-def _split(x: Tensor, layout: WindowLayout) -> Tensor:
-    """(B,C,H,W) -> (B, n_windows, ws*ws, C), row-major in both orders."""
+def _split(x: Tensor, layout: WindowLayout, heads: int = 1) -> Tensor:
+    """(B, C, H, W) -> (B, n_windows, heads, ws*ws, C/heads): windows and
+    patches row-major, channel c = head * C/heads + j."""
     b, c = x.shape[0], x.shape[1]
     ws = layout.ws
     ny, nx = layout.h // ws, layout.w // ws
-    t = reshape(x, (b, c, ny, ws, nx, ws))
-    t = transpose(t, (0, 2, 4, 3, 5, 1))
-    return reshape(t, (b, ny * nx, ws * ws, c))
+    t = reshape(x, (b, heads, c // heads, ny, ws, nx, ws))
+    t = transpose(t, (0, 3, 5, 1, 4, 6, 2))
+    return reshape(t, (b, ny * nx, heads, ws * ws, c // heads))
 
 
 def _stitch(wins: Tensor, layout: WindowLayout) -> Tensor:
-    """Inverse of _split."""
-    b = wins.shape[0]
+    """Inverse of _split, for any number of heads."""
+    b, _, heads, _, d = wins.shape
     ws = layout.ws
     ny, nx = layout.h // ws, layout.w // ws
-    c = wins.shape[-1]
-    t = reshape(wins, (b, ny, nx, ws, ws, c))
-    t = transpose(t, (0, 5, 1, 3, 2, 4))
-    return reshape(t, (b, c, layout.h, layout.w))
+    t = reshape(wins, (b, ny, nx, heads, ws, ws, d))
+    t = transpose(t, (0, 3, 6, 1, 4, 2, 5))
+    return reshape(t, (b, heads * d, layout.h, layout.w))
 
 
 def window_partition(x, layout: WindowLayout) -> Tensor:
@@ -119,7 +119,8 @@ def window_partition(x, layout: WindowLayout) -> Tensor:
         raise ValueError(f"map {xb.shape[2:]} does not match layout {layout}")
     if layout.shift:
         xb = roll(xb, (-layout.shift, -layout.shift), (2, 3))
-    return unbatch(_split(xb, layout))
+    wins = _split(xb, layout)                      # (B, n_w, 1, P, C)
+    return unbatch(reshape(wins, wins.shape[:2] + wins.shape[3:]))
 
 
 def window_merge(wins, layout: WindowLayout) -> Tensor:
@@ -127,7 +128,7 @@ def window_merge(wins, layout: WindowLayout) -> Tensor:
     wins, unbatch = batched(wins)
     if wins.shape[1] != layout.n_windows or wins.shape[2] != layout.patches:
         raise ValueError(f"windows {wins.shape} do not match layout {layout}")
-    x = _stitch(wins, layout)
+    x = _stitch(reshape(wins, wins.shape[:2] + (1,) + wins.shape[2:]), layout)
     if layout.shift:
         x = roll(x, (layout.shift, layout.shift), (2, 3))
     return unbatch(x)
@@ -263,47 +264,6 @@ def _offset_forward(q_heads: Tensor, dw_w, dw_b, pw_w, pw_b,
     return tanh(o) * (gamma_off * ws / 2.0)
 
 
-def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
-    """Offsets for one window and one head: (P, d) queries -> (P, 2)."""
-    if not params.deformable:
-        raise ValueError("offset net absent: layer built with deform=False")
-    q = _as_tensor(q_win)
-    p, d = q.shape
-    qh = reshape(q, (1, 1, 1, p, d))
-    return reshape(
-        _offset_forward(
-            qh,
-            narrow(params.off_dw_w, 0, head * d, d),
-            narrow(params.off_dw_b, 0, head * d, d),
-            narrow(params.off_pw_w, 0, head * 2, 2),
-            narrow(params.off_pw_b, 0, head * 2, 2),
-            params.ws,
-            params.gamma_off,
-        ),
-        (p, 2),
-    )
-
-
-def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
-    """Continuous-relative-position bias matrix for one window and head.
-
-    Entry [i, j] reads the (2*ws-1)^2 table at displacement
-    p_key_deformed[j] - p_query[i], bilinearly interpolated and clamped to
-    the table's range, so integer displacements reproduce the table values
-    exactly.
-    """
-    table = _as_tensor(bias_table)
-    t = table.shape[-1]
-    ws = (t + 1) // 2
-    pq = _as_tensor(p_query, like=table)
-    pk = _as_tensor(p_key_deformed, like=table)
-    p = pq.shape[0]
-    delta = reshape(pk, (1, p, 2)) - reshape(pq, (p, 1, 2)) + float(ws - 1)
-    out = bilinear_sample_batch(reshape(table, (1, 1, t, t)),
-                                reshape(delta, (1, p * p, 2)))
-    return reshape(out, (p, p))
-
-
 def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
     """Dense per-axis interpolation weights from `axis_corners` output.
 
@@ -338,8 +298,9 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     table (n_h, t, t); keys (B, n_w, n_h, P, 2), the points each head's keys
     sit at; origins (n_w, 2), each window's top-left.  The queries are the
     window's integer grid, so entry [b, w, h, ry*ws + rx, j] reads table[h]
-    at keys[j] - (origin + (ry, rx)) + (t - 1)/2, clamped and interpolated
-    like `interpolated_bias`; the result is (B, n_w, n_h, P, P).
+    at keys[j] - (origin + (ry, rx)) + (t - 1)/2, each coordinate clamped to
+    [0, t - 1] and bilinearly interpolated, so an integer displacement reads
+    a table entry exactly; the result is (B, n_w, n_h, P, P).
 
     Each axis is clamped on its own, so the y weights depend only on (query
     row, key) and the x weights only on (query column, key).  With Hy and
@@ -416,8 +377,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     nw = layout.n_windows
 
     xs = roll(xb, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else xb
-    wins = _split(xs, layout)                      # (B, n_w, P, C)
-    xh = transpose(reshape(wins, (b, nw, p, nh, d)), (0, 1, 3, 2, 4))
+    xh = _split(xs, layout, nh)                    # (B, n_w, n_h, P, d)
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
     ref = reference_points(layout)                 # (n_w, P, 2) float64
@@ -452,9 +412,9 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     v = matmul(kv_in, params.wv)
     scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(d))
     attn = softmax(scores + bias, axis=-1)         # (B, n_w, n_h, P, P)
-    z = matmul(attn, v)
-    z = reshape(transpose(z, (0, 1, 3, 2, 4)), (b, nw, p, c))
-    out = window_merge(matmul(z, params.wo), layout)
+    z = _stitch(matmul(attn, v), layout)
+    z = roll(z, (layout.shift, layout.shift), (2, 3)) if layout.shift else z
+    out = linear(z, params.wo)
 
     trace = SdmsaTrace(
         layout=layout,

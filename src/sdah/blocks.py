@@ -7,8 +7,8 @@ branches (channel concat then FC by default, elementwise sum behind a
 flag), and adds the residual.  With every learnable tensor zeroed each
 division is the identity, which keeps layer-wise debugging trivial.
 
-Layer norms run over the channel axis in place; channel-last transposes
-bracket the FC segments so the linear layers are plain matmuls over it.
+Features stay channel-first, (B, C, H, W), throughout: layer norms run
+over axis 1 and the FC layers are `linear` channel mixes over it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _uniform, _zeros, sdmsa
 from .convops import conv2d, deconv2d
 from .rng import Stream
-from .tensor import Tensor, concat, gelu, layer_norm, matmul, transpose
+from .tensor import Tensor, concat, gelu, layer_norm, linear
 
 DW_KERNEL = 7
 
@@ -30,14 +30,6 @@ FUSION_MODES = ("concat", "sum")
 
 def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
-
-
-def _to_last(x: Tensor) -> Tensor:
-    return transpose(x, (0, 2, 3, 1))
-
-
-def _to_first(x: Tensor) -> Tensor:
-    return transpose(x, (0, 3, 1, 2))
 
 
 @dataclass
@@ -153,14 +145,10 @@ def init_sdapc(channels: int, n_heads: int, ws: int, stream: Stream,
 
 def sdapc_division1(x: Tensor, p: SdapcBlockParams) -> Tensor:
     """Depthwise 7x7 -> LN -> FC -> GELU -> FC, residual around it all."""
-    c = p.channels
-    y = conv2d(x, p.dw1_w, p.dw1_b, padding=DW_KERNEL // 2, groups=c)
-    y = _to_last(y)
-    y = layer_norm(y, p.ln1_g, p.ln1_b)
-    y = matmul(y, p.fc1_w) + p.fc1_b
-    y = gelu(y)
-    y = matmul(y, p.fc2_w) + p.fc2_b
-    return _to_first(y) + x
+    y = conv2d(x, p.dw1_w, p.dw1_b, padding=DW_KERNEL // 2, groups=p.channels)
+    y = layer_norm(y, p.ln1_g, p.ln1_b, axis=1)
+    y = gelu(linear(y, p.fc1_w, p.fc1_b))
+    return linear(y, p.fc2_w, p.fc2_b) + x
 
 
 def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
@@ -179,8 +167,7 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
         fused = concat(branches, 1) if p.fusion == "concat" else branches[0] + branches[1]
     else:
         fused = branches[0]
-    out = matmul(_to_last(fused), p.fc_out_w) + p.fc_out_b
-    return _to_first(out) + xbar, trace
+    return linear(fused, p.fc_out_w, p.fc_out_b) + xbar, trace
 
 
 def sdapc_block(x: Tensor, p: SdapcBlockParams, layout: WindowLayout,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import blocks as B
-from .attention import OFFSET_KERNEL, SdmsaTrace, WindowLayout, effective_window
+from .attention import OFFSET_KERNEL, WindowLayout, effective_window
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
 from .tensor import Tensor, add, batched

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _as_tensor, _make, batched, no_grad, reshape
+from .tensor import Tensor, _as_tensor, _make, no_grad
 
 
 def axis_corners(v: np.ndarray, n: int):
@@ -103,18 +103,6 @@ def bilinear_sample_batch(f, points) -> Tensor:
         return df, dp
 
     return _make("bilinear_sample", out, (f, points), bwd)
-
-
-def bilinear_sample(f, points) -> Tensor:
-    """Sample f: (C, H, W) at points: (P, 2) in (y, x) order -> (P, C)."""
-    f = _as_tensor(f)
-    points = _as_tensor(points, like=f)
-    if f.ndim != 3 or points.ndim != 2:
-        raise ValueError(
-            f"bilinear_sample expects (C,H,W) and (P,2), got {f.shape} and {points.shape}"
-        )
-    fb, unbatch = batched(f)
-    return unbatch(bilinear_sample_batch(fb, reshape(points, (1,) + points.shape)))
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -361,6 +361,29 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", out, (a, b), bwd)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """Channel mix along axis 1: (N, C_in, ...) by w (C_in, C_out) plus an
+    optional bias (C_out,) -> (N, C_out, ...), one product per image."""
+    x = _as_tensor(x)
+    w = _as_tensor(w, like=x)
+    if w.ndim != 2 or x.ndim < 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear: input {x.shape} does not match weight {w.shape}")
+    n, cout = x.shape[0], w.shape[1]
+    x3 = x.data.reshape(n, w.shape[0], -1)
+    out = np.matmul(w.data.T, x3)
+    parents = (x, w) if b is None else (x, w, _as_tensor(b, like=x))
+    if b is not None:
+        out += parents[2].data[:, None]
+
+    def bwd(g):
+        g3 = g.reshape(n, cout, -1)
+        grads = (np.matmul(w.data, g3).reshape(x.data.shape),
+                 np.tensordot(x3, g3, axes=((0, 2), (0, 2))))
+        return grads if b is None else grads + (g3.sum(axis=(0, 2)),)
+
+    return _make("linear", out.reshape((n, cout) + x.shape[2:]), parents, bwd)
+
+
 # -- shape manipulation ------------------------------------------------------
 
 def reshape(a, shape) -> Tensor:

@@ -26,7 +26,7 @@ from sdah.inference import SlidingConfig, gaussian_map, predict_mask, sliding_pr
 from sdah.metrics import dsc, hd95
 from sdah.network import ModelConfig, build_model, count_flops, count_params, forward
 from sdah.rng import Stream, derive_seed
-from sdah.sampling import bilinear_sample, bilinear_sample_batch
+from sdah.sampling import bilinear_sample_batch
 from sdah.tensor import (
     Tensor,
     add,
@@ -36,6 +36,7 @@ from sdah.tensor import (
     div,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mul,
     narrow,
@@ -90,7 +91,8 @@ def test_c01_gradient_suite(capsys):
             wc = s.uniform((3, 2, 3, 3), -1, 1)
             bc = s.uniform((3,), -1, 1)
             wd = s.uniform((2, 3, 2, 2), -1, 1)
-            pts = np.stack([s.uniform((6,), 0.0, 4.0), s.uniform((6,), 0.0, 4.0)], -1)
+            wl = s.uniform((2, 3), -1, 1)
+            bl = s.uniform((3,), -1, 1)
             ops = [
                 ("add", add, [a, b]),
                 ("sub", sub, [a, b]),
@@ -98,6 +100,8 @@ def test_c01_gradient_suite(capsys):
                 ("div", div, [s.uniform((3, 4), -1, 1), s.uniform((3, 4), 0.5, 2.0)]),
                 ("neg", neg, [a]),
                 ("matmul", matmul, [a, m2]),
+                ("linear", linear, [x4, wl]),
+                ("linear_bias", linear, [x4, wl, bl]),
                 ("gelu", gelu, [a]),
                 ("tanh", tanh, [a]),
                 ("softmax", lambda t: softmax(t, axis=-1), [a]),
@@ -115,7 +119,6 @@ def test_c01_gradient_suite(capsys):
                 ("conv2d", lambda x, w, c: conv2d(x, w, c, stride=2, padding=1),
                  [x4, wc, bc]),
                 ("deconv2d", lambda x, w: deconv2d(x, w, stride=2), [x4, wd]),
-                ("bilinear", bilinear_sample, [s.uniform((2, 5, 5), -1, 1), pts]),
                 ("bilinear_batch", bilinear_sample_batch,
                  [s.uniform((2, 2, 5, 5), -1, 1),
                   np.stack([s.uniform((2, 6), 0.2, 3.8), s.uniform((2, 6), 0.2, 3.8)], -1)]),
@@ -228,7 +231,7 @@ def test_c04_attention_rows_and_sampling(capsys):
         feat = Stream(5).uniform((3, 6, 7), -1, 1).astype(np.float32)
         iy = np.repeat(np.arange(6), 7).astype(np.float64)
         ix = np.tile(np.arange(7), 6).astype(np.float64)
-        sampled = bilinear_sample(feat, np.stack([iy, ix], -1)).data  # (P, C)
+        sampled = bilinear_sample_batch(feat[None], np.stack([iy, ix], -1)[None]).data[0]
         np.testing.assert_array_equal(
             sampled, feat[:, iy.astype(int), ix.astype(int)].T)
         detail["note"] = "simplex rows, exact integer sampling, bounded points"

@@ -9,9 +9,7 @@ from sdah.attention import (
     SdmsaParams,
     _relative_bias,
     WindowLayout,
-    compute_offsets,
     effective_window,
-    interpolated_bias,
     reference_points,
     sdmsa,
     window_merge,
@@ -21,6 +19,8 @@ from sdah.attention import (
 from sdah.gradcheck import grad_check
 from sdah.rng import Stream
 from sdah.tensor import Tensor, default_dtype, matmul, reshape, transpose, tsum
+
+from oracles import compute_offsets, interpolated_bias
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):

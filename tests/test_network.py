@@ -192,6 +192,23 @@ def test_every_parameter_receives_finite_grad():
         assert np.isfinite(t.grad).all(), name
 
 
+def test_micro_step_graph_size():
+    """The graph of a micro forward plus loss (B=8, 32x32) stays small:
+    channel mixes are single nodes, windows one reshape-transpose-reshape."""
+    from sdah.training import TrainConfig, combined_loss
+
+    lab = np.random.default_rng(5).integers(0, 2, size=(8, 32, 32)).astype(np.uint8)
+    logits, _ = forward(build_model(micro()), _img(b=8, seed=6))
+    loss, _, _ = combined_loss(logits, lab, TrainConfig())
+    seen, todo = set(), [loss]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen and t._ctx is not None:
+            seen.add(id(t))
+            todo.extend(t._ctx.parents)
+    assert len(seen) <= 360
+
+
 def test_model_call_returns_logits():
     m = build_model(micro())
     out = m(Tensor(_img()))

@@ -8,7 +8,6 @@ from sdah.gradcheck import grad_check
 from sdah.sampling import (
     bilinear_corners,
     bilinear_resize,
-    bilinear_sample,
     bilinear_sample_batch,
     bilinear_scatter,
 )
@@ -71,22 +70,6 @@ def test_shape_validation():
         bilinear_sample_batch(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 2, 3))))
     with pytest.raises(ValueError):
         bilinear_sample_batch(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
-    with pytest.raises(ValueError):
-        bilinear_sample(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 2))))
-    with pytest.raises(ValueError):
-        bilinear_sample(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2))))
-    with pytest.raises(ValueError):
-        bilinear_sample(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
-
-
-def test_unbatched_wrapper_matches_batched():
-    f = _feat(1, 3, 5, 5, 6)
-    pts = np.random.default_rng(7).uniform(0, 4, size=(1, 10, 2))
-    a = bilinear_sample_batch(Tensor(f, dtype=np.float64),
-                              Tensor(pts, dtype=np.float64)).data[0]
-    b = bilinear_sample(Tensor(f[0], dtype=np.float64),
-                        Tensor(pts[0], dtype=np.float64)).data
-    np.testing.assert_array_equal(a, b)
 
 
 def test_grad_wrt_features():

@@ -17,6 +17,7 @@ from sdah.tensor import (
     div,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mul,
     narrow,
@@ -169,6 +170,8 @@ def test_gelu_rejects_uint8():
         (matmul, [(3, 4), (4, 5)]),
         (tanh, [(4, 4)]),
         (gelu, [(4, 4)]),
+        (linear, [(2, 3, 4, 5), (3, 6)]),
+        (linear, [(2, 3, 4, 5), (3, 6), (6,)]),
     ],
 )
 def test_grad_check_binary_and_unary(op, shapes):
@@ -195,6 +198,35 @@ def test_grad_check_binary_and_unary(op, shapes):
 )
 def test_grad_check_shape_and_misc_ops(fn, shape):
     grad_check(fn, [Tensor(_rand(shape, seed=20))], tol=1e-6)
+
+
+def test_linear_matches_channel_last_composition():
+    """linear(x, w, b) is the transpose -> matmul -> add -> transpose
+    composition, within float32 rounding, values and gradients alike."""
+    x = _rand((2, 5, 3, 4), 50, np.float32)
+    w, b = _rand((5, 7), 51, np.float32), _rand(7, 52, np.float32)
+    g = _rand((2, 7, 3, 4), 53, np.float32)
+    results = []
+    for mix in (lambda x, w, b: linear(x, w, b),
+                lambda x, w, b: transpose(matmul(transpose(x, (0, 2, 3, 1)), w) + b,
+                                          (0, 3, 1, 2))):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = mix(*ts)
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linear_errors():
+    with pytest.raises(ValueError):
+        linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+    with pytest.raises(ValueError):
+        linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 5, 1))))
+    with pytest.raises(NumericsError, match="linear"):
+        linear(Tensor(np.full((1, 2, 3), 3e38, np.float32)), Tensor(np.full((2, 2), 3.0)))
 
 
 def test_grad_check_concat():
