@@ -3,11 +3,11 @@
 Each head projects its window patches to queries, predicts a bounded 2-D
 offset per patch from those queries (depthwise 5x5 -> GELU -> grouped 1x1),
 and gathers keys/values by bilinear sampling of the full (cyclically
-shifted) feature map at reference + offset.  A continuous relative-position
-bias is read from a learned (2*ws-1)^2 table per head at each key - query
-displacement, clamped to the table and bilinearly interpolated, so at zero
-offset the mechanism reduces exactly to plain shifted-window attention with
-the integer-indexed bias.
+shifted) feature map at clip(reference + offset), one grouped read for all
+heads.  A continuous relative-position bias is read from a learned
+(2*ws-1)^2 table per head at each key - query displacement, clamped to the
+table and bilinearly interpolated, so at zero offset the mechanism reduces
+exactly to plain shifted-window attention with the integer-indexed bias.
 
 The queries sit on each window's integer grid and the clamp acts on each
 axis alone, so the read is separable: per-axis interpolation weights (two
@@ -354,16 +354,13 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     return _make("relative_bias", out, (table, keys), bwd)
 
 
-def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
-          deform: bool = True) -> tuple[Tensor, SdmsaTrace]:
+def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTrace]:
     """Windowed multi-head attention; returns (output, trace).
 
-    deform=True samples keys/values at query-conditioned offsets from the
-    whole shifted map; deform=False attends over the window's own patches.
-    Output shape equals input shape.
+    A layer with an offset net (`params.deformable`) samples each head's
+    keys/values at its own offsets from the whole shifted map; one without
+    attends over the window's own patches.  Output shape equals input shape.
     """
-    if deform and not params.deformable:
-        raise ValueError("deform=True but layer built without an offset net")
     xb, unbatch = batched(x)
     b, c, h, w = xb.shape
     if (h, w) != (layout.h, layout.w):
@@ -381,25 +378,19 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout,
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
     ref = reference_points(layout)                 # (n_w, P, 2) float64
-    if deform:
+    if params.deformable:
         off = _offset_forward(
             q, params.off_dw_w, params.off_dw_b,
             params.off_pw_w, params.off_pw_b, ws, params.gamma_off,
         )
-        if params.clamp_to_window:
-            # keep samples inside their own window
-            local = Tensor(_local_grid(ws).reshape(1, 1, 1, p, 2).astype(xb.dtype))
-            org = window_origins(layout).reshape(1, nw, 1, 1, 2)
-            pts = clip(local + off, 0.0, float(ws - 1)) + Tensor(org.astype(xb.dtype))
-        else:
-            refs = Tensor(ref.reshape(1, nw, 1, p, 2).astype(xb.dtype))
-            pts = clip(refs + off, 0.0, np.array([h - 1, w - 1], dtype=xb.dtype))
-        # pts: (B, n_w, n_h, P, 2)
-        fs = reshape(xs, (b * nh, d, h, w))
-        ptsr = reshape(transpose(pts, (0, 2, 1, 3, 4)), (b * nh, nw * p, 2))
-        samp = bilinear_sample_batch(fs, ptsr)     # (B*n_h, n_w*P, d)
-        kv_in = transpose(reshape(samp, (b, nh, nw, p, d)), (0, 2, 1, 3, 4))
-        bias = _relative_bias(params.bias_table, pts, window_origins(layout))
+        org = window_origins(layout).astype(xb.dtype)
+        lo, hi = np.zeros(2, xb.dtype), np.array([h - 1, w - 1], xb.dtype)  # the map
+        if params.clamp_to_window:                 # the query's own window
+            lo = org.reshape(1, nw, 1, 1, 2)
+            hi = lo + (ws - 1)
+        pts = clip(off + ref.reshape(1, nw, 1, p, 2), lo, hi)
+        kv_in = bilinear_sample_batch(xs, pts)     # (B, n_w, n_h, P, d)
+        bias = _relative_bias(params.bias_table, pts, org)
         offs, defp = off.data, pts.data
     else:
         kv_in = xh

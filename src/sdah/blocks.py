@@ -55,10 +55,6 @@ class SdapcBlockParams:
     fc_out_w: Tensor
     fc_out_b: Tensor
 
-    @property
-    def deform_enabled(self) -> bool:
-        return self.attn is not None and self.attn.deformable
-
     def named_tensors(self) -> dict[str, Tensor]:
         out = {
             "dw1.w": self.dw1_w, "dw1.b": self.dw1_b,
@@ -159,7 +155,7 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
     branches = []
     trace = None
     if p.branch_mode != "conv_only":
-        a, trace = sdmsa(n, p.attn, layout, deform=p.deform_enabled)
+        a, trace = sdmsa(n, p.attn, layout)
         branches.append(a)
     if p.branch_mode != "sdmsa_only":
         branches.append(conv2d(n, p.dw2_w, p.dw2_b, padding=DW_KERNEL // 2, groups=c))

@@ -318,7 +318,7 @@ def _block_flops(p: B.SdapcBlockParams, cfg_ws: int, nh: int,
     # division 2
     if p.branch_mode != "conv_only":
         total += 3 * 2 * pos * c * d          # q, k, v per-head projections
-        if p.deform_enabled:
+        if p.attn.deformable:
             total += _conv_flops(c, 1, OFFSET_KERNEL, pos)
             total += 2 * (2 * nh) * d * pos   # grouped 1x1 to (dy, dx)
             total += 8 * pos * c              # key/value gathering

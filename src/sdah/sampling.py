@@ -59,33 +59,50 @@ def bilinear_scatter(acc: np.ndarray, idx, wts, vals: np.ndarray) -> None:
 
 
 def bilinear_sample_batch(f, points) -> Tensor:
-    """Sample f: (B, C, H, W) at points: (B, P, 2) -> (B, P, C)."""
+    """Sample f: (B, C, H, W) at points: (B, ..., G, P, 2) -> (B, ..., G, P, C/G).
+
+    Channel group g, channels g*C/G to (g+1)*C/G - 1, is read at points[..., g, :, :];
+    (B, P, 2) points are one group.  The groups go to the batch axis: (B*G, M*P)
+    points on a (B*G, C/G, H*W) map, M the product of the middle axes.
+    """
     f = _as_tensor(f)
     points = _as_tensor(points, like=f)
-    if f.ndim != 4 or points.ndim != 3 or points.shape[-1] != 2:
+    if f.ndim != 4 or points.ndim < 3 or points.shape[-1] != 2:
         raise ValueError(
-            f"bilinear_sample_batch expects (B,C,H,W) and (B,P,2), "
+            f"bilinear_sample_batch expects (B,C,H,W) and (B,...,P,2), "
             f"got {f.shape} and {points.shape}"
         )
     if f.shape[0] != points.shape[0]:
         raise ValueError("batch dims of features and points differ")
     b, c, h, w = f.shape
-    p = points.shape[1]
-    idx, wts, fy, fx = bilinear_corners(points.data[..., 0], points.data[..., 1], h, w)
+    lead = points.shape[:-1] if points.ndim > 3 else (b, 1) + points.shape[1:-1]
+    bg, cg = b * lead[-2], c // lead[-2]
+    if cg * lead[-2] != c:
+        raise ValueError(f"{lead[-2]} point groups do not divide {c} channels")
 
-    flat = f.data.reshape(b, c, h * w)
-    v00, v01, v10, v11 = (  # (B,C,P)
-        np.take_along_axis(flat, np.broadcast_to(i[:, None, :], (b, c, p)), axis=2)
-        for i in idx
+    def to_batch(a):  # (B, ..., G, P, k) -> (B*G, M*P, k)
+        a = np.moveaxis(a.reshape(lead + a.shape[-1:]), -3, 1)
+        return a.reshape(bg, -1, a.shape[-1])
+
+    def from_batch(a):  # (B*G, M*P, k) -> (B, ..., G, P, k), or (B, P, k)
+        a = a.reshape((b, lead[-2]) + lead[1:-2] + lead[-1:] + a.shape[-1:])
+        return np.moveaxis(a, 1, -3).reshape(points.shape[:-1] + a.shape[-1:])
+
+    pts = to_batch(points.data)
+    idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
+
+    flat = f.data.reshape(bg, cg, h * w)
+    v00, v01, v10, v11 = (  # (B*G, C/G, M*P)
+        np.take_along_axis(flat, i[:, None, :], axis=2) for i in idx
     )
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
-    out = (w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1)
+    out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
 
     def bwd(g):
-        gt = np.ascontiguousarray(g.transpose(0, 2, 1))  # (B,C,P)
+        gt = np.ascontiguousarray(to_batch(g).transpose(0, 2, 1))  # (B*G, C/G, M*P)
         df = None
         if f.requires_grad:
-            df = np.zeros_like(f.data).reshape(b, c, h * w)
+            df = np.zeros_like(f.data).reshape(bg, cg, h * w)
             bilinear_scatter(df, idx, wts, gt)
             df = df.reshape(f.data.shape)
         dp = None
@@ -93,13 +110,9 @@ def bilinear_sample_batch(f, points) -> Tensor:
             # derivative through the blend weights; zero where clamped
             dy = (1 - fx)[:, None, :] * (v10 - v00) + fx[:, None, :] * (v11 - v01)
             dx = (1 - fy)[:, None, :] * (v01 - v00) + fy[:, None, :] * (v11 - v10)
-            ry = points.data[..., 0]
-            rx = points.data[..., 1]
-            my = ((ry > 0.0) & (ry < h - 1.0)).astype(g.dtype)
-            mx = ((rx > 0.0) & (rx < w - 1.0)).astype(g.dtype)
-            dp = np.stack(
-                [(gt * dy).sum(axis=1) * my, (gt * dx).sum(axis=1) * mx], axis=-1
-            )
+            inside = ((pts > 0.0) & (pts < [h - 1.0, w - 1.0])).astype(g.dtype)
+            dp = from_batch(np.stack(
+                [(gt * dy).sum(axis=1), (gt * dx).sum(axis=1)], axis=-1) * inside)
         return df, dp
 
     return _make("bilinear_sample", out, (f, points), bwd)

@@ -246,10 +246,10 @@ def _require_float(t: Tensor, op: str) -> None:
 
 def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     _check_finite(out, op)
-    req = _grad_enabled and any(p.requires_grad for p in parents)
     out = np.asarray(out)
-    result = Tensor(out, requires_grad=req, dtype=out.dtype)
-    if req:
+    result = Tensor(out, dtype=out.dtype)  # checked above: no second pass
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        result.requires_grad = True
         result._ctx = _Ctx(op, parents, bwd)
     return result
 
@@ -579,6 +579,8 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5, axis: int = -1) -> Tensor:
     mu = a.data.mean(axis=axis, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=axis, keepdims=True)
+    # an overflowed variance would make inv 0 and the output a finite beta
+    _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gb * xhat + bb

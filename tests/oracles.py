@@ -1,6 +1,8 @@
 """Slow per-window reference implementations the attention tests check
 the batched library paths against."""
 
+from dataclasses import replace
+
 from sdah.attention import SdmsaParams, _offset_forward
 from sdah.sampling import bilinear_sample_batch
 from sdah.tensor import Tensor, _as_tensor, narrow, reshape
@@ -25,6 +27,13 @@ def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
         ),
         (p, 2),
     )
+
+
+def plain_twin(params: SdmsaParams) -> SdmsaParams:
+    """The same layer without its offset net: it attends over each window's
+    own patches, the reference the deformable path is checked against."""
+    return replace(params, off_dw_w=None, off_dw_b=None, off_pw_w=None,
+                   off_pw_b=None)
 
 
 def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:

@@ -53,6 +53,8 @@ from sdah.tensor import (
 )
 from sdah.training import TrainConfig, synth_dataset, train
 
+from oracles import plain_twin
+
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
              num_heads=(2, 2, 4, 4))
@@ -93,6 +95,8 @@ def test_c01_gradient_suite(capsys):
             wd = s.uniform((2, 3, 2, 2), -1, 1)
             wl = s.uniform((2, 3), -1, 1)
             bl = s.uniform((3,), -1, 1)
+            sg = Stream(derive_seed(150, seed))  # grouped read: 2 groups of 2 channels
+            fg, pg = sg.uniform((2, 4, 5, 5), -1, 1), sg.uniform((2, 3, 2, 4, 2), 0.2, 3.8)
             ops = [
                 ("add", add, [a, b]),
                 ("sub", sub, [a, b]),
@@ -122,6 +126,7 @@ def test_c01_gradient_suite(capsys):
                 ("bilinear_batch", bilinear_sample_batch,
                  [s.uniform((2, 2, 5, 5), -1, 1),
                   np.stack([s.uniform((2, 6), 0.2, 3.8), s.uniform((2, 6), 0.2, 3.8)], -1)]),
+                ("bilinear_grouped", bilinear_sample_batch, [fg, pg]),
             ]
             for name, fn, inputs in ops:
                 r = grad_check(fn, inputs, seed=seed, name=name)
@@ -171,8 +176,8 @@ def test_c02_zero_offset_equivalence(capsys):
                       params.off_pw_w, params.off_pw_b):
                 t.data[...] = 0.0
             x = Tensor(s.uniform((2, c, lay.h, lay.w), -1, 1))
-            a, _ = sdmsa(x, params, lay, deform=True)
-            b, _ = sdmsa(x, params, lay, deform=False)
+            a, _ = sdmsa(x, params, lay)
+            b, _ = sdmsa(x, plain_twin(params), lay)
             worst = max(worst, float(np.abs(a.data - b.data).max()))
         assert worst <= 1e-6, f"max abs gap {worst:.2e}"
         detail["note"] = f"20 configs, max gap {worst:.1e}"
@@ -221,7 +226,7 @@ def test_c04_attention_rows_and_sampling(capsys):
             lay = WindowLayout(8, 12, ws, shift=2 if i else 0)
             params = SdmsaParams.init(c, nh, ws, s, deform=True)
             x = Tensor(s.uniform((2, c, lay.h, lay.w), -1, 1))
-            _, trace = sdmsa(x, params, lay, deform=deform)
+            _, trace = sdmsa(x, params if deform else plain_twin(params), lay)
             sums = np.asarray(trace.attention).sum(axis=-1)
             assert np.abs(sums - 1.0).max() <= 1e-6
             pts = np.asarray(trace.deformed)

@@ -20,7 +20,7 @@ from sdah.gradcheck import grad_check
 from sdah.rng import Stream
 from sdah.tensor import Tensor, default_dtype, matmul, reshape, transpose, tsum
 
-from oracles import compute_offsets, interpolated_bias
+from oracles import compute_offsets, interpolated_bias, plain_twin
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):
@@ -221,8 +221,8 @@ def test_zero_offsets_reduce_to_plain_window_attention():
         x = _x(2, 8, 8, 8, seed=seed + 100)
         for shift in (0, 2):
             lay = WindowLayout(8, 8, 4, shift)
-            a, _ = sdmsa(x, p, lay, deform=True)
-            b, _ = sdmsa(x, p, lay, deform=False)
+            a, _ = sdmsa(x, p, lay)
+            b, _ = sdmsa(x, plain_twin(p), lay)
             np.testing.assert_array_equal(a.data, b.data)  # bit exact
 
 
@@ -236,7 +236,7 @@ def test_uniform_attention_averages_values():
     p.wv.data[...] = np.broadcast_to(np.eye(d), (nh, d, d))
     p.wo.data[...] = np.eye(c)
     x = _x(1, c, 4, 4, seed=14)
-    out, _ = sdmsa(x, p, WindowLayout(4, 4, ws), deform=False)
+    out, _ = sdmsa(x, p, WindowLayout(4, 4, ws))
     want = x.data.reshape(1, c, 2, 2, 2, 2).mean(axis=(3, 5), keepdims=True)
     want = np.broadcast_to(want, (1, c, 2, 2, 2, 2)).reshape(1, c, 4, 4)
     np.testing.assert_allclose(out.data, want, atol=1e-6)
@@ -246,7 +246,7 @@ def test_smaller_runtime_window_reads_table_center():
     # params built at ws 4 (7x7 table) but run on a ws 2 layout
     p = _params(4, 2, 4, seed=15, deform=False)
     x = _x(1, 4, 2, 2, seed=16)
-    out, trace = sdmsa(x, p, WindowLayout(2, 2, 2), deform=False)
+    out, trace = sdmsa(x, p, WindowLayout(2, 2, 2))
     assert out.shape == (1, 4, 2, 2)
     np.testing.assert_allclose(trace.attention.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -260,9 +260,6 @@ def test_forward_is_deterministic():
 
 
 def test_error_paths():
-    p = _params(8, 2, 4, deform=False)
-    with pytest.raises(ValueError):
-        sdmsa(_x(1, 8, 8, 8), p, WindowLayout(8, 8, 4), deform=True)
     pd = _params(8, 2, 4)
     with pytest.raises(ValueError):
         sdmsa(_x(1, 6, 8, 8), pd, WindowLayout(8, 8, 4))
@@ -273,7 +270,7 @@ def test_error_paths():
 def test_trace_for_plain_path_reports_reference_points():
     p = _params(8, 2, 4, deform=False)
     lay = WindowLayout(8, 8, 4)
-    _, trace = sdmsa(_x(1, 8, 8, 8, seed=19), p, lay, deform=False)
+    _, trace = sdmsa(_x(1, 8, 8, 8, seed=19), p, lay)
     assert np.all(trace.offsets == 0.0)
     want = np.broadcast_to(
         reference_points(lay).reshape(1, 4, 1, 16, 2), trace.deformed.shape
@@ -287,7 +284,7 @@ def test_per_head_offsets_match_batched_offset_net():
     p = _params(c, nh, ws, seed=20)
     lay = WindowLayout(8, 8, ws)
     x = _x(1, c, 8, 8, seed=21)
-    _, trace = sdmsa(x, p, lay, deform=True)
+    _, trace = sdmsa(x, p, lay)
     # rebuild head queries exactly as the forward does
     with default_dtype(x.dtype.type):
         wins = window_partition(x, lay)  # (n_w, P, C)
@@ -425,7 +422,7 @@ def test_batch_matches_single_images(deform, clamp):
         def run(lo, hi):
             p = _params(c, nh, ws, seed=30, gamma_off=2.0, clamp_to_window=clamp)
             p.off_pw_w.data[...] *= 20.0
-            out, _ = sdmsa(Tensor(x.data[lo:hi]), p, lay, deform=deform)
+            out, _ = sdmsa(Tensor(x.data[lo:hi]), p if deform else plain_twin(p), lay)
             out.backward(g[lo:hi])
             return out.data, p.bias_table.grad
 
@@ -454,7 +451,7 @@ def test_grad_check_through_attention(deform):
             off_pw_w=None if not deform else Tensor(p.off_pw_w.data),
             off_pw_b=None if not deform else Tensor(p.off_pw_b.data),
         )
-        out, _ = sdmsa(x, pp, lay, deform=deform)
+        out, _ = sdmsa(x, pp, lay)
         return out
 
     x = Stream(23).normal((1, c, 4, 4)) * 0.5

@@ -58,13 +58,13 @@ def test_branch_mode_controls_parameter_sets():
 
 def test_non_deform_block_has_no_offset_net():
     p = init_sdapc(8, 2, 4, Stream(0), deform=False)
-    assert not p.deform_enabled
+    assert not p.attn.deformable
     assert "sdmsa.off_dw_w" not in p.named_tensors()
 
 
 def test_conv_only_ignores_deform_flag():
     p = init_sdapc(8, 2, 4, Stream(0), deform=True, branch_mode="conv_only")
-    assert not p.deform_enabled
+    assert p.attn is None
 
 
 def test_fused_width_doubles_only_for_dual_concat():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdah.cli import main
-from sdah.io import load_sdt1, save_sdt1
+from sdah.io import load_checkpoint, load_sdt1, save_checkpoint, save_sdt1
 from sdah.network import ModelConfig, build_model, count_params, save_model
 from sdah.training import load_dataset
 
@@ -263,6 +263,24 @@ def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     assert main([str(paths.get(a, a)) for a in argv]) == code
     assert word in capsys.readouterr().err
     assert not (d / "out").exists()
+
+
+def test_overflowing_checkpoint_is_a_numerical_failure(tmp_path, capsys):
+    """A weight of 1e20 overflows the stem's layer-norm variance: exit 3,
+    not a mask of LN offsets and a numpy warning."""
+    root = Path(__file__).resolve().parents[1]
+    named = load_checkpoint(root / "perfbench" / "micro_desk.sdck")
+    named["stem.conv0.w"] = named["stem.conv0.w"] * np.float32(1e20)
+    save_checkpoint(tmp_path / "big.sdck", named)
+    save_sdt1(tmp_path / "img.sdt", np.random.default_rng(0).uniform(
+        0, 1, (1, 32, 32)).astype(np.float32))
+    code = main(["infer", "--ckpt", str(tmp_path / "big.sdck"), "--image",
+                 str(tmp_path / "img.sdt"), "--crop", "32", "--step", "32",
+                 "--out", str(tmp_path / "mask.sdt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "Warning" not in err
+    assert not (tmp_path / "mask.sdt").exists()
 
 
 @pytest.fixture(scope="module")

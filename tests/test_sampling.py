@@ -72,6 +72,40 @@ def test_shape_validation():
         bilinear_sample_batch(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((1, 2, 2))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_read_equals_one_read_per_group(dtype):
+    """Channel group g read at points[..., g, :, :] is the 3-D read of those
+    channels at those points: values and both gradients, bit for bit."""
+    b, c, ng, h, w = 2, 6, 3, 5, 6
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=(b, c, h, w)).astype(dtype)
+    pts = rng.uniform(-0.5, [h - 0.5, w - 0.5], size=(b, 4, ng, 5, 2)).astype(dtype)
+    pts[0, 0, 0, 0] = [1.0, 2.0]              # integer and clamped points
+    pts[1, 2, 1, 3] = [-1.0, w + 1.0]
+    g = rng.normal(size=(b, 4, ng, 5, c // ng)).astype(dtype)
+
+    ft = Tensor(f, requires_grad=True, dtype=dtype)
+    pt = Tensor(pts, requires_grad=True, dtype=dtype)
+    out = bilinear_sample_batch(ft, pt)
+    assert out.shape == (b, 4, ng, 5, c // ng) and out.dtype == dtype
+    out.backward(g)
+
+    cg = c // ng
+    for k in range(ng):
+        fk = Tensor(f[:, k * cg:(k + 1) * cg], requires_grad=True, dtype=dtype)
+        pk = Tensor(pts[:, :, k].reshape(b, -1, 2), requires_grad=True, dtype=dtype)
+        ok = bilinear_sample_batch(fk, pk)
+        ok.backward(g[:, :, k].reshape(ok.shape))
+        np.testing.assert_array_equal(out.data[:, :, k], ok.data.reshape(b, 4, 5, cg))
+        np.testing.assert_array_equal(ft.grad[:, k * cg:(k + 1) * cg], fk.grad)
+        np.testing.assert_array_equal(pt.grad[:, :, k], pk.grad.reshape(b, 4, 5, 2))
+
+
+def test_groups_must_divide_channels():
+    with pytest.raises(ValueError, match="groups"):
+        bilinear_sample_batch(Tensor(np.zeros((1, 4, 3, 3))), Tensor(np.zeros((1, 3, 2, 2))))
+
+
 def test_grad_wrt_features():
     f = Tensor(_feat(2, 2, 4, 4, 8))
     pts = Tensor(np.random.default_rng(9).uniform(0.2, 2.8, size=(2, 6, 2)))

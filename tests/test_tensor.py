@@ -316,6 +316,30 @@ def test_overflow_raises_numerics_error():
         mul(big, big)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_layer_norm_raises_on_an_overflowed_variance():
+    # the float32 variance of this row is inf; without the check the op
+    # would return beta everywhere
+    row = Tensor(np.array([[1e20, -1e20, 1e20, -1e20]], np.float32))
+    with pytest.raises(NumericsError, match="layer_norm produced non-finite values"):
+        layer_norm(row, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+def test_primitive_output_is_checked_once(monkeypatch):
+    import sdah.tensor as T
+
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3))
+    calls, check = [], T._check_finite
+
+    def counting(arr, op):
+        calls.append(op)
+        check(arr, op)
+
+    monkeypatch.setattr(T, "_check_finite", counting)
+    out = add(a, b)
+    assert out.requires_grad and calls == ["add"]
+
+
 # -- properties ----------------------------------------------------------------
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=6),
