@@ -154,17 +154,17 @@ def reference_points(layout: WindowLayout) -> np.ndarray:
 
 @dataclass
 class SdmsaParams:
-    """Learned state of one attention layer.
+    """Learned state of one attention layer: its tensors plus the two
+    settings no tensor carries (`gamma_off`, `clamp_to_window`).
 
     wq/wk/wv are per-head (n_heads, d, d) blocks; wo mixes the concatenated
     heads.  bias_table holds one (2*ws-1)^2 grid per head, indexed by
     relative displacement.  The offset net exists only when deformation is
     on: a depthwise 5x5 over all C channels plus a grouped 1x1 mapping each
-    head's d channels to (dy, dx).
+    head's d channels to (dy, dx).  Channels, head count, configured window
+    and deformability are read off these shapes.
     """
 
-    n_heads: int
-    ws: int
     gamma_off: float
     wq: Tensor
     wk: Tensor
@@ -180,6 +180,15 @@ class SdmsaParams:
     @property
     def channels(self) -> int:
         return self.wo.shape[0]
+
+    @property
+    def n_heads(self) -> int:
+        return self.wq.shape[0]
+
+    @property
+    def ws(self) -> int:
+        """The configured window; a small map runs with a smaller one."""
+        return (self.bias_table.shape[-1] + 1) // 2
 
     @property
     def deformable(self) -> bool:
@@ -202,8 +211,6 @@ class SdmsaParams:
             off_pw_w = _uniform(stream, (2 * n_heads, d, 1, 1), d)
             off_pw_b = _zeros((2 * n_heads,))
         return cls(
-            n_heads=n_heads,
-            ws=ws,
             gamma_off=gamma_off,
             wq=_uniform(stream, (n_heads, d, d), d),
             wk=_uniform(stream, (n_heads, d, d), d),
@@ -237,13 +244,12 @@ class SdmsaTrace:
     Arrays are the very ones used in the forward pass (no copies):
     reference_points (n_windows, P, 2); offsets and deformed points
     (B, n_windows, n_heads, P, 2) where deformed = clip(ref + offset)
-    exactly as sampled; attention (B, n_windows, n_heads, P, P).
-    Coordinates live in the shifted map's frame; `layout.shift` tells the
-    consumer how to roll them back.
+    exactly as sampled; attention (B, n_windows, n_heads, P, P), whose
+    axis 2 is the head count.  Coordinates live in the shifted map's frame;
+    `layout.shift` tells the consumer how to roll them back.
     """
 
     layout: WindowLayout
-    n_heads: int
     reference_points: np.ndarray
     offsets: np.ndarray
     deformed: np.ndarray
@@ -409,7 +415,6 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
 
     trace = SdmsaTrace(
         layout=layout,
-        n_heads=nh,
         reference_points=ref,
         offsets=offs,
         deformed=defp,

@@ -7,20 +7,24 @@ branches (channel concat then FC by default, elementwise sum behind a
 flag), and adds the residual.  With every learnable tensor zeroed each
 division is the identity, which keeps layer-wise debugging trivial.
 
+A block's parameters are only its tensors: it runs the branches it has
+weights for, and fuses two by concat exactly when the output FC takes 2C
+inputs.
+
 Features stay channel-first, (B, C, H, W), throughout: layer norms run
 over axis 1 and the FC layers are `linear` channel mixes over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _uniform, _zeros, sdmsa
 from .convops import conv2d, deconv2d
 from .rng import Stream
-from .tensor import Tensor, concat, gelu, layer_norm, linear
+from .tensor import Tensor, batched, concat, gelu, layer_norm, linear
 
 DW_KERNEL = 7
 
@@ -34,9 +38,6 @@ def _ones(shape) -> Tensor:
 
 @dataclass
 class SdapcBlockParams:
-    channels: int
-    branch_mode: str
-    fusion: str
     # division 1
     dw1_w: Tensor
     dw1_b: Tensor
@@ -55,6 +56,10 @@ class SdapcBlockParams:
     fc_out_w: Tensor
     fc_out_b: Tensor
 
+    @property
+    def channels(self) -> int:
+        return self.dw1_w.shape[0]
+
     def named_tensors(self) -> dict[str, Tensor]:
         out = {
             "dw1.w": self.dw1_w, "dw1.b": self.dw1_b,
@@ -71,26 +76,6 @@ class SdapcBlockParams:
             out["dw2.w"] = self.dw2_w
             out["dw2.b"] = self.dw2_b
         return out
-
-    def with_tensors(self, mapping: dict[str, Tensor]) -> "SdapcBlockParams":
-        """Functional copy with the tensors named in `mapping` swapped in.
-
-        Keys follow named_tensors(); untouched fields keep their original
-        tensor objects.  Handy for finite-difference probes of single
-        parameters without mutating the trained block.
-        """
-        fields: dict = {}
-        attn_map: dict = {}
-        for k, v in mapping.items():
-            if k.startswith("sdmsa."):
-                attn_map[k[len("sdmsa."):]] = v
-            else:
-                fields[k.replace(".", "_")] = v
-        if attn_map:
-            if self.attn is None:
-                raise ValueError("block has no attention branch to swap into")
-            fields["attn"] = replace(self.attn, **attn_map)
-        return replace(self, **fields)
 
 
 def init_sdapc(channels: int, n_heads: int, ws: int, stream: Stream,
@@ -118,9 +103,6 @@ def init_sdapc(channels: int, n_heads: int, ws: int, stream: Stream,
         dw2_b = _zeros((c,))
     fused_width = 2 * c if (branch_mode == "dual" and fusion == "concat") else c
     return SdapcBlockParams(
-        channels=c,
-        branch_mode=branch_mode,
-        fusion=fusion,
         dw1_w=_uniform(stream, (c, 1, k, k), k * k),
         dw1_b=_zeros((c,)),
         ln1_g=_ones((c,)),
@@ -154,21 +136,23 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
     n = layer_norm(xbar, p.ln2_g, p.ln2_b, axis=1)
     branches = []
     trace = None
-    if p.branch_mode != "conv_only":
+    if p.attn is not None:
         a, trace = sdmsa(n, p.attn, layout)
         branches.append(a)
-    if p.branch_mode != "sdmsa_only":
+    if p.dw2_w is not None:
         branches.append(conv2d(n, p.dw2_w, p.dw2_b, padding=DW_KERNEL // 2, groups=c))
+    fused = branches[0]
     if len(branches) == 2:
-        fused = concat(branches, 1) if p.fusion == "concat" else branches[0] + branches[1]
-    else:
-        fused = branches[0]
+        fused = concat(branches, 1) if p.fc_out_w.shape[0] == 2 * c else fused + branches[1]
     return linear(fused, p.fc_out_w, p.fc_out_b) + xbar, trace
 
 
-def sdapc_block(x: Tensor, p: SdapcBlockParams, layout: WindowLayout,
+def sdapc_block(x, p: SdapcBlockParams, layout: WindowLayout,
                 ) -> tuple[Tensor, SdmsaTrace | None]:
-    return sdapc_division2(sdapc_division1(x, p), p, layout)
+    """(B, C, H, W) or (C, H, W) -> the same shape, plus the attention trace."""
+    xb, unbatch = batched(x)
+    out, trace = sdapc_division2(sdapc_division1(xb, p), p, layout)
+    return unbatch(out), trace
 
 
 # -- stems and inter-stage resampling -----------------------------------------

@@ -72,7 +72,7 @@ def _conv_forward(x, w, s, p, g, allow_floor):
     cols = cols.reshape(n, g, cg * k * k, ho * wo)
     wm = w.reshape(g, cout // g, cg * k * k)
     y = np.matmul(wm, cols)  # (N,g,cout/g,L)
-    return y.reshape(n, cout, ho, wo), cols
+    return y.reshape(n, cout, ho, wo)
 
 
 def _conv_backward_x(dy, w, s, p, g, in_hw):
@@ -85,7 +85,7 @@ def _conv_backward_x(dy, w, s, p, g, in_hw):
         q = k - 1 - p
         if q < 0:
             dy = dy[:, :, -q : dy.shape[2] + q, -q : dy.shape[3] + q]
-        return _conv_forward(dy, wt, 1, max(q, 0), g, False)[0]
+        return _conv_forward(dy, wt, 1, max(q, 0), g, False)
     n = dy.shape[0]
     ho, wo = dy.shape[2], dy.shape[3]
     wm = w.reshape(g, cout // g, cg * k * k)
@@ -125,7 +125,7 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
             f"conv2d channel/group mismatch: C_in={cin}, C_out={cout}, "
             f"groups={groups}, weight={w.shape}"
         )
-    y, _ = _conv_forward(xb.data, w.data, stride, padding, groups, allow_floor)
+    y = _conv_forward(xb.data, w.data, stride, padding, groups, allow_floor)
 
     parents = [xb, w]
     if bias is not None:
@@ -179,7 +179,7 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     def bwd(g):
         dx = None
         if xb.requires_grad:
-            dx, _ = _conv_forward(g, w.data, stride, padding, 1, False)
+            dx = _conv_forward(g, w.data, stride, padding, 1, False)
         dw = _conv_backward_w(g, xb.data, k, stride, padding, 1)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))

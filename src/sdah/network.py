@@ -25,7 +25,7 @@ from . import blocks as B
 from .attention import OFFSET_KERNEL, WindowLayout, effective_window
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import Tensor, add, batched
+from .tensor import NumericsError, Tensor, _as_tensor, add, batched
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -33,7 +33,6 @@ STAGE_OF_BLOCK = {
     "dec3": 2, "dec2": 1, "dec1": 0,
 }
 CONFIG_KEY = "meta.config_json"
-STEP_KEY = "meta.step"
 
 
 def _parse_flags(v) -> tuple[bool, bool, bool, bool]:
@@ -253,8 +252,12 @@ def forward(model: Model, image, taps=(), inject=None,
     (still attached to the graph, so their .grad fills in on backward).
     `inject` maps block ids to arrays added onto that block's output —
     the hook used to validate attribution maps by finite differences.
+    A non-finite pixel raises NumericsError naming the input image.
     """
     cfg = model.config
+    image = _as_tensor(image)
+    if not np.isfinite(image.data).all():
+        raise NumericsError("input image has non-finite values")
     x, unbatch = batched(image)
     if x.shape[1] != cfg.in_channels:
         raise ValueError(f"expected (B,{cfg.in_channels},H,W), got {x.shape}")
@@ -303,20 +306,19 @@ def _conv_flops(cout: int, cin_per_group: int, k: int, out_hw: int) -> int:
     return 2 * cout * cin_per_group * k * k * out_hw
 
 
-def _block_flops(p: B.SdapcBlockParams, cfg_ws: int, nh: int,
-                 h: int, w: int) -> int:
+def _block_flops(p: B.SdapcBlockParams, h: int, w: int) -> int:
     c = p.channels
     pos = h * w
-    ws = effective_window(cfg_ws, h, w)
-    pp = ws * ws
-    d = c // nh
     total = 0
     # division 1: dw7 + 2-layer MLP
     total += _conv_flops(c, 1, B.DW_KERNEL, pos)
     hidden = p.fc1_w.shape[1]
     total += 2 * pos * c * hidden + 2 * pos * hidden * c
     # division 2
-    if p.branch_mode != "conv_only":
+    if p.attn is not None:
+        nh = p.attn.n_heads
+        d = c // nh
+        pp = effective_window(p.attn.ws, h, w) ** 2
         total += 3 * 2 * pos * c * d          # q, k, v per-head projections
         if p.attn.deformable:
             total += _conv_flops(c, 1, OFFSET_KERNEL, pos)
@@ -329,7 +331,7 @@ def _block_flops(p: B.SdapcBlockParams, cfg_ws: int, nh: int,
         total += 5 * pos * nh * pp            # softmax
         total += 2 * pos * pp * c             # attn @ v
         total += 2 * pos * c * c              # head mixing
-    if p.branch_mode != "sdmsa_only":
+    if p.dw2_w is not None:
         total += _conv_flops(c, 1, B.DW_KERNEL, pos)
     total += 2 * pos * p.fc_out_w.shape[0] * c
     return total
@@ -352,10 +354,7 @@ def count_flops(model: Model, h: int, w: int) -> int:
     for st, (sh, sw) in enumerate(sizes):
         stage_layout(cfg, st, sh, sw)  # validates window divisibility
     for bid in BLOCK_IDS:
-        st = STAGE_OF_BLOCK[bid]
-        sh, sw = sizes[st]
-        total += _block_flops(model.blocks[bid], cfg.window_sizes[st],
-                              cfg.num_heads[st], sh, sw)
+        total += _block_flops(model.blocks[bid], *sizes[STAGE_OF_BLOCK[bid]])
     for st in range(3):
         sh, sw = sizes[st + 1]
         total += _conv_flops(cfg.stage_widths[st + 1], cfg.stage_widths[st],

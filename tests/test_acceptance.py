@@ -7,6 +7,7 @@ the contract; loosening them is an API change, not a test fix.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ def test_c01_gradient_suite(capsys):
             xs = s.uniform((1, 8, 4, 4), -0.5, 0.5)
 
             def block_fn(x, wq, opw, fw):
-                swapped = p.with_tensors(
-                    {"sdmsa.wq": wq, "sdmsa.off_pw_w": opw, "fc_out.w": fw})
+                swapped = replace(p, attn=replace(p.attn, wq=wq, off_pw_w=opw),
+                                  fc_out_w=fw)
                 return sdapc_block(x, swapped, lay)[0]
 
             r = grad_check(

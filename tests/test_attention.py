@@ -443,7 +443,7 @@ def test_grad_check_through_attention(deform):
 
     def run(x, wq, wv, bias):
         pp = SdmsaParams(
-            n_heads=nh, ws=ws, gamma_off=p.gamma_off,
+            gamma_off=p.gamma_off,
             wq=wq, wk=Tensor(p.wk.data), wv=wv, wo=Tensor(p.wo.data),
             bias_table=bias,
             off_dw_w=None if not deform else Tensor(p.off_dw_w.data),
@@ -465,7 +465,7 @@ def test_grad_check_offset_net_parameters():
 
     def run(dw_w, pw_w):
         pp = SdmsaParams(
-            n_heads=nh, ws=ws, gamma_off=p.gamma_off,
+            gamma_off=p.gamma_off,
             wq=Tensor(p.wq.data), wk=Tensor(p.wk.data),
             wv=Tensor(p.wv.data), wo=Tensor(p.wo.data),
             bias_table=Tensor(p.bias_table.data),

@@ -189,6 +189,19 @@ def test_nonfinite_data_exits_3(workdir, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["infer", "explain"])
+def test_nonfinite_image_is_named_and_exits_3(cmd, tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    img = d / "nan.sdt"
+    pixels = np.zeros((1, 32, 32), dtype=np.float32)
+    pixels[0, 5, 7] = np.nan
+    save_sdt1(img, pixels)
+    tail = {"infer": ["--crop", "32", "--step", "32", "--out", str(d / "mask.sdt")],
+            "explain": ["--block", "enc1", "--out", str(d / "x")]}[cmd]
+    assert main([cmd, "--ckpt", str(d / "model.sdck"), "--image", str(img)] + tail) == 3
+    assert "input image has non-finite values" in capsys.readouterr().err
+
+
 def _micro_files(d: Path) -> Path:
     """An untrained micro checkpoint plus one 32x32 image under d."""
     cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v

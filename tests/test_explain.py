@@ -42,7 +42,7 @@ def _toy_trace(shift=0, attention=None, deformed=None, offsets=None):
         offsets = deformed - refs[None, :, None]
     if attention is None:
         attention = np.full((1, 4, 1, 4, 4), 0.25)
-    return SdmsaTrace(layout=layout, n_heads=1, reference_points=refs,
+    return SdmsaTrace(layout=layout, reference_points=refs,
                       offsets=offsets, deformed=deformed, attention=attention)
 
 

@@ -15,7 +15,7 @@ from sdah.network import (
     stage_layout,
 )
 from sdah.rng import Stream
-from sdah.tensor import Tensor, tsum
+from sdah.tensor import NumericsError, Tensor, tsum
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -140,6 +140,15 @@ def test_forward_rejects_bad_inputs():
         forward(m, _img(), taps=("enc9",))
     with pytest.raises(ValueError):
         forward(m, _img(), inject={"stem": np.zeros(1)})
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_nonfinite_image_is_named(batched):
+    m = build_model(micro())
+    img = _img()
+    img[0, 0, 3, 5] = np.nan
+    with pytest.raises(NumericsError, match="input image has non-finite values"):
+        forward(m, img if batched else img[0])
 
 
 def test_shift_alternates_with_stage_parity():
