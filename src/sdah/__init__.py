@@ -36,9 +36,7 @@ from .tensor import (
     NumericsError,
     Tensor,
     default_dtype,
-    get_default_dtype,
     no_grad,
-    set_default_dtype,
 )
 from .training import (
     SegSample,
@@ -91,7 +89,6 @@ __all__ = [
     "evaluate_pairs",
     "forward",
     "gaussian_map",
-    "get_default_dtype",
     "grad_check",
     "hd95",
     "init_sdapc",
@@ -109,7 +106,6 @@ __all__ = [
     "save_sdt1",
     "sdapc_block",
     "sdmsa",
-    "set_default_dtype",
     "sliding_predict",
     "splitmix64",
     "synth_dataset",

@@ -129,7 +129,8 @@ def sdapc_division1(x: Tensor, p: SdapcBlockParams) -> Tensor:
     return linear(y, p.fc2_w, p.fc2_b) + x
 
 
-def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
+def sdapc_division2(xbar: Tensor, p: SdapcBlockParams,
+                    layout: WindowLayout | None,
                     ) -> tuple[Tensor, SdmsaTrace | None]:
     """Attention and depthwise branches over one shared LN, fused, residual."""
     c = p.channels
@@ -147,7 +148,7 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams, layout: WindowLayout,
     return linear(fused, p.fc_out_w, p.fc_out_b) + xbar, trace
 
 
-def sdapc_block(x, p: SdapcBlockParams, layout: WindowLayout,
+def sdapc_block(x, p: SdapcBlockParams, layout: WindowLayout | None,
                 ) -> tuple[Tensor, SdmsaTrace | None]:
     """(B, C, H, W) or (C, H, W) -> the same shape, plus the attention trace."""
     xb, unbatch = batched(x)

@@ -27,6 +27,8 @@ from .inference import SlidingConfig, predict_mask
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
 from .tensor import GradError, NumericsError
 from .training import (
+    CKPT_NAME,
+    CURVE_NAME,
     TrainConfig,
     TrainingAborted,
     load_dataset,
@@ -93,8 +95,8 @@ def _cmd_train(args) -> int:
     data = load_dataset(args.data)
     model = build_model(mcfg)
     out = Path(args.out)
-    curve = out.with_suffix(".loss.csv") if out.suffix else out / "loss.csv"
-    ckpt = out if out.suffix else out / "checkpoint.sdck"
+    curve = out.with_suffix(f".{CURVE_NAME}") if out.suffix else out / CURVE_NAME
+    ckpt = out if out.suffix else out / CKPT_NAME
 
     def log(row):
         print(f"step {row['step']:>6}  loss {row['loss']:.4f}  "
@@ -106,12 +108,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_image(path) -> np.ndarray:
+    """A float32 (C, H, W) image; a 2-D file gets one channel."""
+    image = load_sdt1(path).astype(np.float32)
+    return image[None] if image.ndim == 2 else image
+
+
 def _cmd_infer(args) -> int:
     model, _ = load_model(args.ckpt)
-    image = load_sdt1(args.image).astype(np.float32)
-    if image.ndim == 2:
-        image = image[None]
-    mask = predict_mask(model, image, _sliding(args))
+    mask = predict_mask(model, _load_image(args.image), _sliding(args))
     save_sdt1(args.out, mask)
     if args.preview:
         write_pgm(args.preview, to_u8(mask))
@@ -145,11 +150,8 @@ def _cmd_explain(args) -> int:
     from .explain import export_bundle
 
     model, _ = load_model(args.ckpt)
-    image = load_sdt1(args.image).astype(np.float32)
-    if image.ndim == 2:
-        image = image[None]
-    paths = export_bundle(model, image, args.block, args.cls, args.out,
-                          stride=args.stride)
+    paths = export_bundle(model, _load_image(args.image), args.block, args.cls,
+                          args.out, stride=args.stride)
     for k, v in paths.items():
         print(f"{k}: {v}")
     return 0

@@ -7,10 +7,13 @@ stage parity, and a stage whose map is smaller than its configured window
 runs with the window capped at the map size (relative-position tables keep
 their configured extent, so checkpoints are resolution-independent).
 
-Parameter/FLOP accounting lives here too.  FLOP constants: 2 FLOPs per
-conv/matmul MAC, 8 per bilinearly sampled value per channel, 5 per softmax
-element; purely elementwise work (activations, norms, residuals) is not
-counted.
+`forward` and the accounting read every width, kernel, head count and branch
+off the weights.  FLOPs: 2 * weight size * pixels per conv, deconv or FC
+layer (a conv at its output pixels, a deconv at its input pixels); attention
+adds 2 * pixels * patches * channels for each of scores and values, 5 per
+softmax element, 8 per sampled value per channel and 8 per bias read for each
+query-key pair and head (a plain layer makes one read every window shares).
+Elementwise work (activations, norms, residuals) is not counted.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import blocks as B
-from .attention import OFFSET_KERNEL, WindowLayout, effective_window
+from .attention import WindowLayout, effective_window
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
 from .tensor import NumericsError, Tensor, _as_tensor, add, batched
@@ -194,6 +197,8 @@ class Model:
                     f"{name}: shape {arr.shape} != expected {t.data.shape}"
                 )
             t.data = arr.astype(t.data.dtype, copy=True)
+            if not np.isfinite(t.data).all():
+                raise NumericsError(f"{name} has non-finite values")
             t.grad = None
             t._ctx = None
 
@@ -233,15 +238,16 @@ def build_model(config: ModelConfig) -> Model:
     return Model(cfg, stem, blocks, downs, ups, fuses, head)
 
 
-def stage_layout(cfg: ModelConfig, stage: int, h: int, w: int) -> WindowLayout:
-    """Layout for a stage map of size (h, w); shift alternates by parity."""
-    ws = effective_window(cfg.window_sizes[stage], h, w)
-    if h % ws or w % ws:
-        raise ValueError(
-            f"stage {stage}: window {ws} does not divide map {h}x{w}"
-        )
-    shift = ws // 2 if stage % 2 == 1 else 0
-    return WindowLayout(h, w, ws, shift)
+def stage_layout(ws: int, stage: int, h: int, w: int) -> WindowLayout:
+    """The (h, w) map's layout: window `ws` capped by the map, odd stages shifted."""
+    ws = effective_window(ws, h, w)
+    return WindowLayout(h, w, ws, ws // 2 if stage % 2 else 0)
+
+
+def _block_layout(p: B.SdapcBlockParams, stage: int, h: int, w: int,
+                  ) -> WindowLayout | None:
+    """A block's window layout, or None when it has no attention branch."""
+    return None if p.attn is None else stage_layout(p.attn.ws, stage, h, w)
 
 
 def forward(model: Model, image, taps=(), inject=None,
@@ -254,13 +260,13 @@ def forward(model: Model, image, taps=(), inject=None,
     the hook used to validate attribution maps by finite differences.
     A non-finite pixel raises NumericsError naming the input image.
     """
-    cfg = model.config
     image = _as_tensor(image)
     if not np.isfinite(image.data).all():
         raise NumericsError("input image has non-finite values")
     x, unbatch = batched(image)
-    if x.shape[1] != cfg.in_channels:
-        raise ValueError(f"expected (B,{cfg.in_channels},H,W), got {x.shape}")
+    in_channels = model.stem.ws[0].shape[1]
+    if x.shape[1] != in_channels:
+        raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     h, w = x.shape[2], x.shape[3]
     if h % 32 or w % 32:
         raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
@@ -271,9 +277,9 @@ def forward(model: Model, image, taps=(), inject=None,
     info = ForwardInfo()
 
     def run_block(bid: str, t: Tensor) -> Tensor:
-        stage = STAGE_OF_BLOCK[bid]
-        layout = stage_layout(cfg, stage, t.shape[2], t.shape[3])
-        out, trace = B.sdapc_block(t, model.blocks[bid], layout)
+        p = model.blocks[bid]
+        layout = _block_layout(p, STAGE_OF_BLOCK[bid], t.shape[2], t.shape[3])
+        out, trace = B.sdapc_block(t, p, layout)
         if bid in inject:
             out = add(out, Tensor(np.asarray(inject.pop(bid)), dtype=out.dtype))
         info.traces[bid] = trace
@@ -302,72 +308,49 @@ def count_params(model: Model) -> int:
     return int(sum(t.size for t in model.named_parameters().values()))
 
 
-def _conv_flops(cout: int, cin_per_group: int, k: int, out_hw: int) -> int:
-    return 2 * cout * cin_per_group * k * k * out_hw
+def _flops(weight: Tensor, pixels: int) -> int:
+    """A conv, deconv or FC layer: 2 FLOPs per weight per pixel."""
+    return 2 * weight.size * pixels
 
 
-def _block_flops(p: B.SdapcBlockParams, h: int, w: int) -> int:
-    c = p.channels
-    pos = h * w
-    total = 0
-    # division 1: dw7 + 2-layer MLP
-    total += _conv_flops(c, 1, B.DW_KERNEL, pos)
-    hidden = p.fc1_w.shape[1]
-    total += 2 * pos * c * hidden + 2 * pos * hidden * c
-    # division 2
-    if p.attn is not None:
-        nh = p.attn.n_heads
-        d = c // nh
-        pp = effective_window(p.attn.ws, h, w) ** 2
-        total += 3 * 2 * pos * c * d          # q, k, v per-head projections
-        if p.attn.deformable:
-            total += _conv_flops(c, 1, OFFSET_KERNEL, pos)
-            total += 2 * (2 * nh) * d * pos   # grouped 1x1 to (dy, dx)
-            total += 8 * pos * c              # key/value gathering
-            total += 8 * pos * nh * pp        # bias interpolation per pair
-        else:
-            total += 8 * nh * pp * pp         # bias lookup, shared across windows
-        total += 2 * pos * pp * c             # q @ k^T
-        total += 5 * pos * nh * pp            # softmax
-        total += 2 * pos * pp * c             # attn @ v
-        total += 2 * pos * c * c              # head mixing
+def _block_flops(p: B.SdapcBlockParams, pos: int,
+                 layout: WindowLayout | None) -> int:
+    total = sum(_flops(t, pos) for t in (p.dw1_w, p.fc1_w, p.fc2_w, p.fc_out_w))
     if p.dw2_w is not None:
-        total += _conv_flops(c, 1, B.DW_KERNEL, pos)
-    total += 2 * pos * p.fc_out_w.shape[0] * c
+        total += _flops(p.dw2_w, pos)
+    a = p.attn
+    if a is not None:
+        c, nh, pp = p.channels, a.n_heads, layout.ws ** 2
+        total += sum(_flops(t, pos) for t in (a.wq, a.wk, a.wv, a.wo))
+        if a.deformable:
+            total += _flops(a.off_dw_w, pos) + _flops(a.off_pw_w, pos)
+            total += 8 * pos * c              # key/value gathering
+            total += 8 * pos * nh * pp        # bias read per query-key pair
+        else:
+            total += 8 * nh * pp * pp         # one bias read, shared by windows
+        total += 2 * 2 * pos * pp * c         # q @ k^T and attn @ v
+        total += 5 * pos * nh * pp            # softmax
     return total
 
 
 def count_flops(model: Model, h: int, w: int) -> int:
     """FLOPs of one single-image forward at input size (h, w)."""
-    cfg = model.config
     if h % 32 or w % 32:
         raise ValueError("input size must be divisible by 32")
-    c0 = cfg.stem_width
-    total = 0
-    # stem: 3x3 convs, strides 2,1,2,1
-    chans = [cfg.in_channels, c0 // 2, c0 // 2, c0, c0]
-    hh, ww = h, w
-    for i, s in enumerate((2, 1, 2, 1)):
-        hh, ww = hh // s, ww // s
-        total += _conv_flops(chans[i + 1], chans[i], 3, hh * ww)
-    sizes = [(h // 4, w // 4), (h // 8, w // 8), (h // 16, w // 16), (h // 32, w // 32)]
-    for st, (sh, sw) in enumerate(sizes):
-        stage_layout(cfg, st, sh, sw)  # validates window divisibility
+    total, s = 0, 1
+    for wt, stride in zip(model.stem.ws, B._STEM_STRIDES):
+        s *= stride
+        total += _flops(wt, (h // s) * (w // s))
+    sizes = [(h // (4 << st), w // (4 << st)) for st in range(4)]
+    pixels = [sh * sw for sh, sw in sizes]
     for bid in BLOCK_IDS:
-        total += _block_flops(model.blocks[bid], *sizes[STAGE_OF_BLOCK[bid]])
-    for st in range(3):
-        sh, sw = sizes[st + 1]
-        total += _conv_flops(cfg.stage_widths[st + 1], cfg.stage_widths[st],
-                             2, sh * sw)
-    for st in (2, 1, 0):
-        sh, sw = sizes[st + 1]
-        # deconv counted at its input resolution
-        total += 2 * cfg.stage_widths[st + 1] * cfg.stage_widths[st] * 4 * sh * sw
-        fh, fw = sizes[st]
-        total += _conv_flops(cfg.stage_widths[st], 2 * cfg.stage_widths[st],
-                             1, fh * fw)
-    total += 2 * cfg.stage_widths[0] * cfg.num_classes * 16 * (h // 4) * (w // 4)
-    return total
+        st, p = STAGE_OF_BLOCK[bid], model.blocks[bid]
+        total += _block_flops(p, pixels[st], _block_layout(p, st, *sizes[st]))
+    for st, down in enumerate(model.downs):
+        total += _flops(down.w, pixels[st + 1])
+    for st, up, fuse in zip((2, 1, 0), model.ups, model.fuses):
+        total += _flops(up.w, pixels[st + 1]) + _flops(fuse.w, pixels[st])
+    return total + _flops(model.head.w, pixels[0])
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -35,24 +35,14 @@ _default_dtype = np.float32
 _grad_enabled = True
 
 
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype).type
-    if dtype not in _FLOAT_DTYPES:
-        raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
-    _default_dtype = dtype
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
 @contextmanager
 def default_dtype(dtype):
     """Temporarily switch the dtype used for newly created tensors."""
     global _default_dtype
-    old = _default_dtype
-    set_default_dtype(dtype)
+    dtype = np.dtype(dtype).type
+    if dtype not in _FLOAT_DTYPES:
+        raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
+    old, _default_dtype = _default_dtype, dtype
     try:
         yield
     finally:

@@ -520,6 +520,40 @@ def _hand_flops_conv_only(h, w):
     return total
 
 
+def _hand_flops_sdmsa_only(deform):
+    """Micro `sdmsa_only` FLOPs at 32x32, with every stage plain or deformable."""
+    widths, heads, wss = (8, 16, 32, 64), (2, 2, 4, 4), (4, 4, 2, 2)
+    hw = [8, 4, 2, 1]
+    want = (2 * 4 * 1 * 9 * 16 * 16 + 2 * 4 * 4 * 9 * 16 * 16
+            + 2 * 8 * 4 * 9 * 64 + 2 * 8 * 8 * 9 * 64)
+    for st in [0, 1, 2, 3, 2, 1, 0]:
+        c, nh = widths[st], heads[st]
+        pos = hw[st] * hw[st]
+        ws = min(wss[st], hw[st])
+        pp, d = ws * ws, c // nh
+        want += 2 * c * 49 * pos + 2 * pos * c * 4 * c + 2 * pos * 4 * c * c
+        want += 3 * 2 * pos * c * d          # q, k, v projections
+        if deform:
+            want += 2 * c * 25 * pos         # offset net depthwise 5x5
+            want += 2 * 2 * nh * d * pos     # offset net grouped 1x1
+            want += 8 * pos * c              # key/value gathering
+            want += 8 * pos * nh * pp        # bias read per query-key pair
+        else:
+            want += 8 * nh * pp * pp         # bias lookup, shared by windows
+        want += 2 * pos * pp * c             # scores
+        want += 5 * pos * nh * pp            # softmax
+        want += 2 * pos * pp * c             # attention @ values
+        want += 2 * pos * c * c              # head mixing
+        want += 2 * pos * c * c              # fc_out at width c
+    for st in range(3):
+        want += 2 * 2 * widths[st] * widths[st] * 4 * hw[st + 1] ** 2
+    for st in (2, 1, 0):
+        want += 2 * widths[st + 1] * widths[st] * 4 * hw[st + 1] ** 2
+        want += 2 * widths[st] * 2 * widths[st] * hw[st] ** 2
+    want += 2 * 8 * 2 * 16 * 64
+    return want
+
+
 def test_c11_accounting(capsys):
     """The micro parameter count equals a closed-form hand derivation and
     every matmul-style term follows the 2*m*k*n convention."""
@@ -535,30 +569,10 @@ def test_c11_accounting(capsys):
 
         # isolated 2mkn spot checks on attention matmuls: turning the conv
         # division off leaves qkv/scores/mix plus documented non-matmul terms
-        attn_model = build_model(ModelConfig(
-            **MICRO, branch_mode="sdmsa_only", deform_flags="NNNN"))
-        widths, heads, wss = (8, 16, 32, 64), (2, 2, 4, 4), (4, 4, 2, 2)
-        hw = [8, 4, 2, 1]
-        want = (2 * 4 * 1 * 9 * 16 * 16 + 2 * 4 * 4 * 9 * 16 * 16
-                + 2 * 8 * 4 * 9 * 64 + 2 * 8 * 8 * 9 * 64)
-        for st in [0, 1, 2, 3, 2, 1, 0]:
-            c, nh = widths[st], heads[st]
-            pos = hw[st] * hw[st]
-            ws = min(wss[st], hw[st])
-            pp, d = ws * ws, c // nh
-            want += 2 * c * 49 * pos + 2 * pos * c * 4 * c + 2 * pos * 4 * c * c
-            want += 3 * 2 * pos * c * d          # q, k, v projections
-            want += 8 * nh * pp * pp             # bias lookup
-            want += 2 * pos * pp * c             # scores
-            want += 5 * pos * nh * pp            # softmax
-            want += 2 * pos * pp * c             # attention @ values
-            want += 2 * pos * c * c              # head mixing
-            want += 2 * pos * c * c              # fc_out at width c
-        for st in range(3):
-            want += 2 * 2 * widths[st] * widths[st] * 4 * hw[st + 1] ** 2
-        for st in (2, 1, 0):
-            want += 2 * widths[st + 1] * widths[st] * 4 * hw[st + 1] ** 2
-            want += 2 * widths[st] * 2 * widths[st] * hw[st] ** 2
-        want += 2 * 8 * 2 * 16 * 64
-        assert count_flops(attn_model, 32, 32) == want
+        for flags in ("NNNN", "DDDD"):
+            attn_model = build_model(ModelConfig(
+                **MICRO, branch_mode="sdmsa_only", deform_flags=flags))
+            assert count_flops(attn_model, 32, 32) == _hand_flops_sdmsa_only(
+                flags == "DDDD")
+        assert count_flops(build_model(ModelConfig()), 224, 224) == 105_386_260
         detail["note"] = f"{got} params; conv and attention flop forms match"

@@ -202,6 +202,33 @@ def test_nonfinite_image_is_named_and_exits_3(cmd, tmp_path, capsys):
     assert "input image has non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["infer", "explain"])
+@pytest.mark.parametrize("name,value", [("enc2.sdmsa.bias_table", np.nan),
+                                        ("dec1.fc2.b", np.inf)])
+def test_nonfinite_checkpoint_tensor_is_named_and_exits_3(cmd, name, value,
+                                                          tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    named = load_checkpoint(d / "model.sdck")
+    named[name].flat[0] = value
+    save_checkpoint(d / "bad.sdck", named)
+    tail = {"infer": ["--crop", "32", "--step", "32", "--out", str(d / "mask.sdt")],
+            "explain": ["--block", "enc1", "--out", str(d / "x")]}[cmd]
+    img = d / "data" / "img_00000.sdt"
+    assert main([cmd, "--ckpt", str(d / "bad.sdck"), "--image", str(img)] + tail) == 3
+    assert f"{name} has non-finite values" in capsys.readouterr().err
+
+
+def test_conv_only_count_ignores_window_sizes(tmp_path, capsys):
+    outs = []
+    for windows in ([3, 3, 3, 3], MICRO["window_sizes"]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {**MICRO, "branch_mode": "conv_only",
+                                             "window_sizes": windows}}))
+        assert main(["count", "--config", str(cfg), "--size", "32"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def _micro_files(d: Path) -> Path:
     """An untrained micro checkpoint plus one 32x32 image under d."""
     cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v

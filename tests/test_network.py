@@ -162,10 +162,21 @@ def test_shift_alternates_with_stage_parity():
     assert shifts["bottleneck"] == 0  # ws_eff 1 -> 1 // 2
 
 
+def test_conv_only_ignores_window_sizes():
+    """Windows are laid out only for blocks with attention, so a conv_only
+    model runs with windows that divide no stage map."""
+    m = build_model(micro(branch_mode="conv_only", window_sizes=(3, 3, 3, 3)))
+    logits, info = forward(m, _img())
+    assert logits.shape == (1, 2, 32, 32)
+    assert all(info.traces[bid] is None for bid in BLOCK_IDS)
+    plain = build_model(micro(branch_mode="conv_only"))
+    assert count_flops(m, 32, 32) == count_flops(plain, 32, 32)
+
+
 def test_stage_layout_validates_divisibility():
     cfg = micro(window_sizes=(4, 3, 2, 2))
     with pytest.raises(ValueError):
-        stage_layout(cfg, 1, 16, 16)
+        stage_layout(cfg.window_sizes[1], 1, 16, 16)
 
 
 def test_taps_expose_block_outputs_with_grads():
@@ -261,6 +272,16 @@ def test_set_parameters_rejects_mismatches(tmp_path):
     bad["head.b"] = np.zeros(99)
     with pytest.raises(ValueError):
         m.set_parameters(bad)
+
+
+@pytest.mark.parametrize("name,value", [("enc2.sdmsa.bias_table", np.nan),
+                                        ("dec1.fc2.b", np.inf)])
+def test_nonfinite_checkpoint_tensor_is_named(name, value, tmp_path):
+    m = build_model(micro())
+    m.named_parameters()[name].data.flat[0] = value
+    save_model(tmp_path / "m.sdck", m)
+    with pytest.raises(NumericsError, match=f"{name} has non-finite values"):
+        load_model(tmp_path / "m.sdck")
 
 
 def test_load_model_requires_config(tmp_path):

@@ -59,6 +59,10 @@ def test_default_dtype_context():
     with default_dtype(np.float64):
         assert Tensor([1.0]).dtype == np.float64
     assert Tensor([1.0]).dtype == np.float32
+    with pytest.raises(ValueError):
+        with default_dtype(np.int32):
+            pass
+    assert Tensor([1.0]).dtype == np.float32
 
 
 def test_init_rejects_nonfinite_parameters():
