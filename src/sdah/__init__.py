@@ -5,7 +5,7 @@ sliding-window inference, overlap/boundary metrics, and explanation exports
 (attention heatmaps, deformation fields, gradient class activation maps).
 """
 
-from .attention import SdmsaParams, SdmsaTrace, WindowLayout, effective_window, sdmsa
+from .attention import SdmsaParams, SdmsaTrace, WindowLayout, sdmsa
 from .blocks import SdapcBlockParams, init_sdapc, sdapc_block
 from .gradcheck import GradCheckError, GradReport, grad_check
 from .inference import SlidingConfig, gaussian_map, predict_mask, sliding_predict, tile_positions
@@ -85,7 +85,6 @@ __all__ = [
     "derive_seed",
     "dice_loss",
     "dsc",
-    "effective_window",
     "evaluate_pairs",
     "forward",
     "gaussian_map",

@@ -86,11 +86,6 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def effective_window(ws: int, h: int, w: int) -> int:
-    """Window size actually used at a stage: capped by the map itself."""
-    return min(ws, h, w)
-
-
 def _split(x: Tensor, layout: WindowLayout, heads: int = 1) -> Tensor:
     """(B, C, H, W) -> (B, n_windows, heads, ws*ws, C/heads): windows and
     patches row-major, channel c = head * C/heads + j."""

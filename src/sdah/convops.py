@@ -81,7 +81,7 @@ def _conv_backward_x(dy, w, s, p, g, in_hw):
         # full correlation of dy with the flipped, per-group transposed
         # kernel, cut to the input: padding k-1-p, or a crop when negative
         wt = w.reshape(g, cout // g, cg, k, k).swapaxes(1, 2)[..., ::-1, ::-1]
-        wt = wt.reshape(g * cg, cout // g, k, k)
+        wt = np.ascontiguousarray(wt.reshape(g * cg, cout // g, k, k))
         q = k - 1 - p
         if q < 0:
             dy = dy[:, :, -q : dy.shape[2] + q, -q : dy.shape[3] + q]

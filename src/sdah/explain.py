@@ -118,8 +118,7 @@ def deformation_field(trace: SdmsaTrace, max_offset: float | None = None,
 
 
 def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
-    """The one forward (with `block` tapped) and one backward behind every
-    Grad-CAM output.
+    """The one forward and one backward behind every Grad-CAM output.
 
     A None `roi_mask` becomes the pixels this forward argmax-predicts as the
     target class (image 0 of a batch).  Returns (info, weights, cam): the
@@ -128,7 +127,7 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     """
     if block not in BLOCK_IDS:
         raise ValueError(f"unknown block {block!r}")
-    logits, info = forward(model, image, taps=(block,))
+    logits, info = forward(model, image)
     k = logits.shape[-3]
     if not 0 <= target_class < k:
         raise ValueError(f"class {target_class} outside [0, {k})")
@@ -143,9 +142,9 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     cls = narrow(logits, -3, target_class, 1)
     score = tsum(cls * Tensor(roi, dtype=cls.dtype))
     score.backward()
-    feat = info.taps[block]           # (B, C, h, w)
+    feat = info.outputs[block]        # (B, C, h, w)
     if feat.grad is None:
-        raise RuntimeError("no gradient reached the tapped block")
+        raise RuntimeError(f"no gradient reached block {block}")
     weights = feat.grad.mean(axis=(2, 3), keepdims=True)
     cam = np.maximum((weights * feat.data).sum(axis=1), 0.0)  # (B, h, w)
     cam = bilinear_resize(cam.astype(np.float64), *roi.shape)[0]
@@ -162,13 +161,6 @@ def seg_grad_cam(model: Model, image, target_class: int, target_block: str,
     and the weighted feature sum is rectified and upsampled.
     """
     return _cam_pass(model, image, target_class, target_block, roi_mask)[2]
-
-
-def cam_channel_weights(model: Model, image, target_class: int,
-                        target_block: str, roi_mask) -> np.ndarray:
-    """The (C,) Grad-CAM channel weights alone (for sensitivity checks)."""
-    weights = _cam_pass(model, image, target_class, target_block, roi_mask)[1]
-    return weights[0, :, 0, 0]
 
 
 def export_bundle(model: Model, image, block: str, target_class: int,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _as_tensor, no_grad
+from .tensor import Tensor, _as_tensor, no_grad, softmax
 
 # Tile pixels per forward: crop 224 keeps one tile per forward (so the
 # default config's memory is that of one tile), crop 32 stacks 49 tiles.
@@ -93,10 +93,7 @@ def sliding_predict(model, image, cfg: SlidingConfig) -> Tensor:
             if lo.ndim != 4 or lo.shape[0] != len(chunk) or lo.shape[2:] != (crop, crop):
                 raise ValueError(f"model returned shape {lo.shape}, "
                                  f"expected ({len(chunk)}, K, {crop}, {crop})")
-            lo = lo.astype(np.float64)
-            lo -= lo.max(axis=1, keepdims=True)
-            e = np.exp(lo)
-            probs = e / e.sum(axis=1, keepdims=True)
+            probs = softmax(Tensor(lo, dtype=np.float64), axis=1).data
             if accum is None:
                 accum = np.zeros((lo.shape[1], ph, pw), dtype=np.float64)
             for (y, x), p in zip(chunk, probs):

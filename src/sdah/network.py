@@ -25,16 +25,20 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import blocks as B
-from .attention import WindowLayout, effective_window
+from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import NumericsError, Tensor, _as_tensor, add, batched
+from .tensor import NumericsError, Tensor, _as_tensor, batched
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
     "enc1": 0, "enc2": 1, "enc3": 2, "bottleneck": 3,
     "dec3": 2, "dec2": 1, "dec1": 0,
 }
+# Checkpoint prefixes, in checkpoint order.  down<i> takes enc<i>'s output
+# (stage i-1) to stage i; up<i> and fuse<i> bring stage i back for dec<i>.
+LAYER_IDS = ("stem", *BLOCK_IDS, "down1", "down2", "down3",
+             "up3", "up2", "up1", "fuse3", "fuse2", "fuse1", "head")
 CONFIG_KEY = "meta.config_json"
 
 
@@ -147,41 +151,27 @@ class ModelConfig:
 
 @dataclass
 class ForwardInfo:
-    traces: dict = field(default_factory=dict)  # block id -> SdmsaTrace | None
-    taps: dict = field(default_factory=dict)    # block id -> output Tensor
+    traces: dict = field(default_factory=dict)   # block id -> SdmsaTrace | None
+    outputs: dict = field(default_factory=dict)  # block id -> output Tensor
 
 
 @dataclass
 class Model:
     config: ModelConfig
-    stem: B.ConvEmbedParams
-    blocks: dict            # block id -> SdapcBlockParams
-    downs: list             # 3 ConvParams, after enc1..enc3
-    ups: list               # 3 ConvParams, before dec3..dec1
-    fuses: list             # 3 ConvParams, for dec3..dec1
-    head: B.ConvParams
+    layers: dict  # checkpoint prefix -> layer parameters, in LAYER_IDS order
+
+    @property
+    def blocks(self) -> dict:
+        """The seven hybrid blocks by id (a fresh dict over `layers`)."""
+        return {bid: self.layers[bid] for bid in BLOCK_IDS}
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for k, v in self.stem.named_tensors().items():
-            out[f"stem.{k}"] = v
-        for bid in BLOCK_IDS:
-            for k, v in self.blocks[bid].named_tensors().items():
-                out[f"{bid}.{k}"] = v
-        for i, p in enumerate(self.downs, start=1):
-            for k, v in p.named_tensors().items():
-                out[f"down{i}.{k}"] = v
-        for i, p in zip((3, 2, 1), self.ups):
-            for k, v in p.named_tensors().items():
-                out[f"up{i}.{k}"] = v
-        for i, p in zip((3, 2, 1), self.fuses):
-            for k, v in p.named_tensors().items():
-                out[f"fuse{i}.{k}"] = v
-        for k, v in self.head.named_tensors().items():
-            out[f"head.{k}"] = v
-        return out
+        return {f"{lid}.{k}": v for lid, p in self.layers.items()
+                for k, v in p.named_tensors().items()}
 
     def set_parameters(self, named: dict[str, np.ndarray]) -> None:
+        """Replace every tensor, or none: names, shapes and finite values
+        are all checked before the first assignment."""
         mine = self.named_parameters()
         missing = set(mine) - set(named)
         extra = set(named) - set(mine)
@@ -190,15 +180,18 @@ class Model:
                 f"parameter names differ: missing {sorted(missing)[:4]}, "
                 f"unexpected {sorted(extra)[:4]}"
             )
+        new = {}
         for name, t in mine.items():
             arr = np.asarray(named[name])
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"{name}: shape {arr.shape} != expected {t.data.shape}"
                 )
-            t.data = arr.astype(t.data.dtype, copy=True)
-            if not np.isfinite(t.data).all():
+            new[name] = arr.astype(t.data.dtype, copy=True)
+            if not np.isfinite(new[name]).all():
                 raise NumericsError(f"{name} has non-finite values")
+        for name, t in mine.items():
+            t.data = new[name]
             t.grad = None
             t._ctx = None
 
@@ -207,10 +200,10 @@ class Model:
 
 
 def build_model(config: ModelConfig) -> Model:
-    """All parameters drawn from one seeded stream in a fixed order."""
+    """All parameters drawn from one seeded stream in U-Net order (stem,
+    enc1, down1, ..., bottleneck, up3, fuse3, dec3, ..., head)."""
     cfg = config
     stream = Stream(cfg.seed)
-    stem = B.init_conv_embed(cfg.in_channels, cfg.stem_width, stream)
 
     def make_block(stage: int) -> B.SdapcBlockParams:
         return B.init_sdapc(
@@ -221,26 +214,22 @@ def build_model(config: ModelConfig) -> Model:
             gamma_off=cfg.gamma_off, clamp_to_window=cfg.clamp_to_window,
         )
 
-    blocks: dict[str, B.SdapcBlockParams] = {}
-    downs, ups, fuses = [], [], []
-    blocks["enc1"] = make_block(0)
-    downs.append(B.init_downsample(cfg.stage_widths[0], stream))
-    blocks["enc2"] = make_block(1)
-    downs.append(B.init_downsample(cfg.stage_widths[1], stream))
-    blocks["enc3"] = make_block(2)
-    downs.append(B.init_downsample(cfg.stage_widths[2], stream))
-    blocks["bottleneck"] = make_block(3)
-    for stage in (2, 1, 0):
-        ups.append(B.init_upsample(cfg.stage_widths[stage + 1], stream))
-        fuses.append(B.init_skip_fuse(cfg.stage_widths[stage], stream))
-        blocks[("dec3", "dec2", "dec1")[2 - stage]] = make_block(stage)
-    head = B.init_head(cfg.stage_widths[0], cfg.num_classes, stream)
-    return Model(cfg, stem, blocks, downs, ups, fuses, head)
+    drawn = {"stem": B.init_conv_embed(cfg.in_channels, cfg.stem_width, stream)}
+    for i in (1, 2, 3):
+        drawn[f"enc{i}"] = make_block(i - 1)
+        drawn[f"down{i}"] = B.init_downsample(cfg.stage_widths[i - 1], stream)
+    drawn["bottleneck"] = make_block(3)
+    for i in (3, 2, 1):
+        drawn[f"up{i}"] = B.init_upsample(cfg.stage_widths[i], stream)
+        drawn[f"fuse{i}"] = B.init_skip_fuse(cfg.stage_widths[i - 1], stream)
+        drawn[f"dec{i}"] = make_block(i - 1)
+    drawn["head"] = B.init_head(cfg.stage_widths[0], cfg.num_classes, stream)
+    return Model(cfg, {lid: drawn[lid] for lid in LAYER_IDS})
 
 
 def stage_layout(ws: int, stage: int, h: int, w: int) -> WindowLayout:
     """The (h, w) map's layout: window `ws` capped by the map, odd stages shifted."""
-    ws = effective_window(ws, h, w)
+    ws = min(ws, h, w)
     return WindowLayout(h, w, ws, ws // 2 if stage % 2 else 0)
 
 
@@ -250,56 +239,44 @@ def _block_layout(p: B.SdapcBlockParams, stage: int, h: int, w: int,
     return None if p.attn is None else stage_layout(p.attn.ws, stage, h, w)
 
 
-def forward(model: Model, image, taps=(), inject=None,
-            ) -> tuple[Tensor, ForwardInfo]:
+def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     """(B,C_in,H,W) or (C_in,H,W) -> logits of the same spatial size.
 
-    `taps` names blocks whose output tensors are kept in the info object
-    (still attached to the graph, so their .grad fills in on backward).
-    `inject` maps block ids to arrays added onto that block's output —
-    the hook used to validate attribution maps by finite differences.
-    A non-finite pixel raises NumericsError naming the input image.
+    The info object keeps each block's attention trace and its output
+    tensor (still attached to the graph, so its .grad fills in on
+    backward).  A non-finite pixel raises NumericsError naming the input
+    image.
     """
     image = _as_tensor(image)
     if not np.isfinite(image.data).all():
         raise NumericsError("input image has non-finite values")
     x, unbatch = batched(image)
-    in_channels = model.stem.ws[0].shape[1]
+    layers = model.layers
+    in_channels = layers["stem"].ws[0].shape[1]
     if x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     h, w = x.shape[2], x.shape[3]
     if h % 32 or w % 32:
         raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
-    inject = dict(inject or {})
-    bad = (set(taps) | set(inject)) - set(BLOCK_IDS)
-    if bad:
-        raise ValueError(f"unknown block ids: {sorted(bad)}")
     info = ForwardInfo()
 
     def run_block(bid: str, t: Tensor) -> Tensor:
-        p = model.blocks[bid]
+        p = layers[bid]
         layout = _block_layout(p, STAGE_OF_BLOCK[bid], t.shape[2], t.shape[3])
-        out, trace = B.sdapc_block(t, p, layout)
-        if bid in inject:
-            out = add(out, Tensor(np.asarray(inject.pop(bid)), dtype=out.dtype))
-        info.traces[bid] = trace
-        if bid in taps:
-            info.taps[bid] = out
+        out, info.traces[bid] = B.sdapc_block(t, p, layout)
+        info.outputs[bid] = out
         return out
 
-    t = B.conv_embed(x, model.stem)
-    e1 = run_block("enc1", t)
-    e2 = run_block("enc2", B.downsample(e1, model.downs[0]))
-    e3 = run_block("enc3", B.downsample(e2, model.downs[1]))
-    bn = run_block("bottleneck", B.downsample(e3, model.downs[2]))
-    d3 = run_block("dec3", B.skip_fuse(B.upsample(bn, model.ups[0]), e3, model.fuses[0]))
-    d2 = run_block("dec2", B.skip_fuse(B.upsample(d3, model.ups[1]), e2, model.fuses[1]))
-    d1 = run_block("dec1", B.skip_fuse(B.upsample(d2, model.ups[2]), e1, model.fuses[2]))
-    logits = B.deconv_expand(d1, model.head)
-
-    if inject:
-        raise ValueError(f"inject refers to blocks that never ran: {sorted(inject)}")
-    return unbatch(logits), info
+    t = B.conv_embed(x, layers["stem"])
+    skips = {}
+    for i in (1, 2, 3):
+        skips[i] = run_block(f"enc{i}", t)
+        t = B.downsample(skips[i], layers[f"down{i}"])
+    t = run_block("bottleneck", t)
+    for i in (3, 2, 1):
+        t = B.skip_fuse(B.upsample(t, layers[f"up{i}"]), skips[i], layers[f"fuse{i}"])
+        t = run_block(f"dec{i}", t)
+    return unbatch(B.deconv_expand(t, layers["head"])), info
 
 
 # -- accounting ---------------------------------------------------------------
@@ -337,20 +314,20 @@ def count_flops(model: Model, h: int, w: int) -> int:
     """FLOPs of one single-image forward at input size (h, w)."""
     if h % 32 or w % 32:
         raise ValueError("input size must be divisible by 32")
-    total, s = 0, 1
-    for wt, stride in zip(model.stem.ws, B._STEM_STRIDES):
+    layers, total, s = model.layers, 0, 1
+    for wt, stride in zip(layers["stem"].ws, B._STEM_STRIDES):
         s *= stride
         total += _flops(wt, (h // s) * (w // s))
     sizes = [(h // (4 << st), w // (4 << st)) for st in range(4)]
     pixels = [sh * sw for sh, sw in sizes]
     for bid in BLOCK_IDS:
-        st, p = STAGE_OF_BLOCK[bid], model.blocks[bid]
+        st, p = STAGE_OF_BLOCK[bid], layers[bid]
         total += _block_flops(p, pixels[st], _block_layout(p, st, *sizes[st]))
-    for st, down in enumerate(model.downs):
-        total += _flops(down.w, pixels[st + 1])
-    for st, up, fuse in zip((2, 1, 0), model.ups, model.fuses):
-        total += _flops(up.w, pixels[st + 1]) + _flops(fuse.w, pixels[st])
-    return total + _flops(model.head.w, pixels[0])
+    for i in (1, 2, 3):
+        total += _flops(layers[f"down{i}"].w, pixels[i])
+        total += _flops(layers[f"up{i}"].w, pixels[i])
+        total += _flops(layers[f"fuse{i}"].w, pixels[i - 1])
+    return total + _flops(layers["head"].w, pixels[0])
 
 
 # -- checkpoints --------------------------------------------------------------

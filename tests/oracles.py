@@ -1,11 +1,14 @@
 """Slow per-window reference implementations the attention tests check
-the batched library paths against."""
+the batched library paths against, and the block-output bump the Grad-CAM
+tests take finite differences with."""
 
 from dataclasses import replace
 
+import sdah.blocks
 from sdah.attention import SdmsaParams, _offset_forward
+from sdah.network import forward
 from sdah.sampling import bilinear_sample_batch
-from sdah.tensor import Tensor, _as_tensor, narrow, reshape
+from sdah.tensor import Tensor, _as_tensor, add, narrow, reshape
 
 
 def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
@@ -54,3 +57,23 @@ def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     out = bilinear_sample_batch(reshape(table, (1, 1, t, t)),
                                 reshape(delta, (1, p * p, 2)))
     return reshape(out, (p, p))
+
+
+def bumped_logits(model, image, block: str, delta) -> Tensor:
+    """The logits of `network.forward` with `delta` added onto `block`'s
+    output.  `blocks.sdapc_block` is wrapped for this one forward and picks
+    the block by parameter identity."""
+    target = model.layers[block]
+    inner = sdah.blocks.sdapc_block
+
+    def bumped(x, p, layout):
+        out, trace = inner(x, p, layout)
+        if p is target:
+            out = add(out, Tensor(delta, dtype=out.dtype))
+        return out, trace
+
+    sdah.blocks.sdapc_block = bumped
+    try:
+        return forward(model, image)[0]
+    finally:
+        sdah.blocks.sdapc_block = inner

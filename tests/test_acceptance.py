@@ -10,18 +10,16 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from sdah.attention import (
     SdmsaParams,
     WindowLayout,
-    effective_window,
     window_merge,
     window_partition,
 )
 from sdah.blocks import init_sdapc, sdapc_block
 from sdah.convops import conv2d, deconv2d
-from sdah.explain import cam_channel_weights, export_bundle, points_csv_bytes
+from sdah.explain import _cam_pass, export_bundle, points_csv_bytes
 from sdah.gradcheck import grad_check
 from sdah.inference import SlidingConfig, gaussian_map, predict_mask, sliding_predict, tile_positions
 from sdah.metrics import dsc, hd95
@@ -54,7 +52,7 @@ from sdah.tensor import (
 )
 from sdah.training import TrainConfig, synth_dataset, train
 
-from oracles import plain_twin
+from oracles import bumped_logits, plain_twin
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -442,17 +440,17 @@ def test_c10_explain_integrity(capsys, tmp_path):
         roi[8:24, 8:24] = True
         worst = 0.0
         for block, ch, hw in (("dec1", 8, 8), ("dec2", 16, 4)):
-            weights = cam_channel_weights(fd_model, image, 1, block, roi)
+            weights = _cam_pass(fd_model, image, 1, block, roi)[1][0, :, 0, 0]
 
-            def score(inject):
-                logits, _ = forward(fd_model, image, inject=inject)
+            def score(bump):
+                logits = bumped_logits(fd_model, image, block, bump)
                 return float(logits.data[0, 1][roi].sum())
 
             delta = 1e-3
             for c in range(ch):
                 e = np.zeros((1, ch, hw, hw), dtype=np.float64)
                 e[0, c] = delta
-                fd = (score({block: e}) - score({block: -e})) / (2 * delta)
+                fd = (score(e) - score(-e)) / (2 * delta)
                 want = weights[c] * hw * hw
                 rel = abs(fd - want) / max(abs(want), 1e-6)
                 worst = max(worst, rel)

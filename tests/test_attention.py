@@ -9,7 +9,6 @@ from sdah.attention import (
     SdmsaParams,
     _relative_bias,
     WindowLayout,
-    effective_window,
     reference_points,
     sdmsa,
     window_merge,
@@ -18,7 +17,8 @@ from sdah.attention import (
 )
 from sdah.gradcheck import grad_check
 from sdah.rng import Stream
-from sdah.tensor import Tensor, default_dtype, matmul, reshape, transpose, tsum
+from sdah.network import stage_layout
+from sdah.tensor import Tensor, default_dtype, matmul, reshape, transpose
 
 from oracles import compute_offsets, interpolated_bias, plain_twin
 
@@ -57,9 +57,9 @@ def test_window_count_formula(ws, ny, nx):
 
 
 def test_effective_window_caps_at_resolution():
-    assert effective_window(7, 56, 56) == 7
-    assert effective_window(7, 4, 8) == 4
-    assert effective_window(2, 1, 1) == 1
+    assert stage_layout(7, 0, 56, 56).ws == 7
+    assert stage_layout(7, 0, 4, 8).ws == 4
+    assert stage_layout(2, 1, 1, 1).ws == 1
 
 
 @pytest.mark.parametrize("shift", [0, 2])

@@ -17,7 +17,6 @@ from sdah.blocks import (
     init_upsample,
     sdapc_block,
     sdapc_division1,
-    sdapc_division2,
     skip_fuse,
     upsample,
 )

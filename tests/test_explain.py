@@ -3,8 +3,8 @@ import pytest
 
 from sdah.attention import SdmsaTrace, WindowLayout
 from sdah.explain import (
+    _cam_pass,
     attention_heatmap,
-    cam_channel_weights,
     deformation_field,
     deformation_rows,
     export_bundle,
@@ -15,6 +15,8 @@ import sdah.explain
 from sdah.network import ModelConfig, build_model, forward
 from sdah.rng import Stream
 from sdah.tensor import Tensor
+
+from oracles import bumped_logits
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -227,17 +229,16 @@ def test_cam_weights_match_finite_differences(block, ch, hw):
     img = _image()
     roi = np.zeros((32, 32), dtype=bool)
     roi[8:24, 8:24] = True
-    weights = cam_channel_weights(m, img, 1, block, roi)
+    weights = _cam_pass(m, img, 1, block, roi)[1][0, :, 0, 0]
 
-    def score(inject):
-        logits, _ = forward(m, img, inject=inject)
-        return float(logits.data[0, 1][roi].sum())
+    def score(bump):
+        return float(bumped_logits(m, img, block, bump).data[0, 1][roi].sum())
 
     delta = 1e-3
     for c in range(ch):
         e = np.zeros((1, ch, hw, hw), dtype=np.float64)
         e[0, c] = delta
-        fd = (score({block: e}) - score({block: -e})) / (2 * delta)
+        fd = (score(e) - score(-e)) / (2 * delta)
         assert fd == pytest.approx(weights[c] * hw * hw, rel=1e-3, abs=1e-6)
 
 

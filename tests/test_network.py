@@ -1,10 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sdah.network import (
     BLOCK_IDS,
-    STAGE_OF_BLOCK,
-    Model,
     ModelConfig,
     build_model,
     count_flops,
@@ -14,8 +14,11 @@ from sdah.network import (
     save_model,
     stage_layout,
 )
+from sdah.io import checkpoint_bytes
 from sdah.rng import Stream
 from sdah.tensor import NumericsError, Tensor, tsum
+
+from oracles import bumped_logits
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -107,6 +110,14 @@ def test_named_parameters_order_is_stable():
             < first_of["dec1"])
 
 
+def test_init_checkpoint_bytes_are_pinned():
+    """Parameter names, their order and the seeded init draws, byte for byte."""
+    m = build_model(micro(seed=0))
+    named = {k: t.data for k, t in m.named_parameters().items()}
+    assert hashlib.sha256(checkpoint_bytes(named)).hexdigest() == (
+        "7ab1d820837e64aaafc824cc587c2cd921041d68c5b1180eae6c563f5554b101")
+
+
 def test_deform_flags_select_offset_nets():
     m = build_model(micro(deform_flags="DNND"))
     names = set(m.named_parameters())
@@ -136,10 +147,6 @@ def test_forward_rejects_bad_inputs():
         forward(m, np.zeros((1, 2, 32, 32), dtype=np.float32))  # channels
     with pytest.raises(ValueError):
         forward(m, np.zeros((1, 1, 30, 32), dtype=np.float32))  # divisibility
-    with pytest.raises(ValueError):
-        forward(m, _img(), taps=("enc9",))
-    with pytest.raises(ValueError):
-        forward(m, _img(), inject={"stem": np.zeros(1)})
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -180,12 +187,13 @@ def test_stage_layout_validates_divisibility():
 
 
 def test_taps_expose_block_outputs_with_grads():
+    """Every block's output is kept, attached to the graph."""
     m = build_model(micro())
-    logits, info = forward(m, _img(), taps=("enc2", "dec3"))
-    assert set(info.taps) == {"enc2", "dec3"}
-    assert info.taps["enc2"].shape == (1, 16, 4, 4)
+    logits, info = forward(m, _img())
+    assert tuple(info.outputs) == BLOCK_IDS
+    assert info.outputs["enc2"].shape == (1, 16, 4, 4)
     tsum(logits * logits).backward()
-    for t in info.taps.values():
+    for t in info.outputs.values():
         assert t.grad is not None and t.grad.shape == t.shape
 
 
@@ -193,8 +201,9 @@ def test_inject_shifts_downstream_output():
     m = build_model(micro())
     base, _ = forward(m, _img())
     eps = np.zeros((1, 16, 4, 4), dtype=np.float32)
+    np.testing.assert_array_equal(bumped_logits(m, _img(), "enc2", eps).data, base.data)
     eps[0, 3] = 1e-3
-    bumped, _ = forward(m, _img(), inject={"enc2": eps})
+    bumped = bumped_logits(m, _img(), "enc2", eps)
     assert np.abs(bumped.data - base.data).max() > 0
 
 
@@ -272,6 +281,19 @@ def test_set_parameters_rejects_mismatches(tmp_path):
     bad["head.b"] = np.zeros(99)
     with pytest.raises(ValueError):
         m.set_parameters(bad)
+
+
+def test_set_parameters_is_all_or_nothing():
+    """A load that fails on its last tensor leaves every tensor as it was."""
+    m = build_model(micro(seed=0))
+    before = {k: t.data.copy() for k, t in m.named_parameters().items()}
+    other = build_model(micro(seed=1))
+    named = {k: t.data.copy() for k, t in other.named_parameters().items()}
+    named["head.b"][0] = np.nan
+    with pytest.raises(NumericsError, match="head.b has non-finite values"):
+        m.set_parameters(named)
+    for k, t in m.named_parameters().items():
+        np.testing.assert_array_equal(t.data, before[k], err_msg=k)
 
 
 @pytest.mark.parametrize("name,value", [("enc2.sdmsa.bias_table", np.nan),

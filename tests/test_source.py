@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sdah"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sdah"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Test and script file names never repeat a module's, so each id stays short.
+LINTED = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
+          *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -22,7 +26,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 
