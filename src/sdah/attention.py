@@ -15,8 +15,8 @@ nonzeros per query row or column and key), one matmul with the table and
 small per-key products, in one primitive with its own backward that both
 attention paths use.
 
-All public entry points accept (C, H, W) tensors; internally everything is
-batched as (B, ...) with heads folded into the batch axis where convenient.
+Feature maps are (B, C, H, W) and windows (B, n_windows, heads, P, d)
+throughout, with P = ws*ws patches per window.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .tensor import (
     Tensor,
     _as_tensor,
     _make,
-    batched,
     clip,
     gelu,
     linear,
@@ -63,7 +62,7 @@ class WindowLayout:
             raise ValueError("window size must be positive")
         if self.h % self.ws or self.w % self.ws:
             raise ValueError(
-                f"window {self.ws} does not divide map {self.h}x{self.w}"
+                f"window {self.ws} does not divide its {self.h}x{self.w} map"
             )
         if self.shift not in (0, self.ws // 2):
             raise ValueError(f"shift must be 0 or {self.ws // 2}, got {self.shift}")
@@ -97,36 +96,31 @@ def _split(x: Tensor, layout: WindowLayout, heads: int = 1) -> Tensor:
     return reshape(t, (b, ny * nx, heads, ws * ws, c // heads))
 
 
-def _stitch(wins: Tensor, layout: WindowLayout) -> Tensor:
-    """Inverse of _split, for any number of heads."""
+def window_partition(x, layout: WindowLayout) -> Tensor:
+    """Cyclic shift (when layout.shift > 0), then split (B, C, H, W) into
+    (B, n_windows, 1, P, C) windows."""
+    x = _as_tensor(x)
+    if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w):
+        raise ValueError(f"map {x.shape} does not match layout {layout}")
+    if layout.shift:
+        x = roll(x, (-layout.shift, -layout.shift), (2, 3))
+    return _split(x, layout)
+
+
+def window_merge(wins, layout: WindowLayout) -> Tensor:
+    """(B, n_windows, heads, P, d) -> (B, heads*d, H, W), un-shifted: the
+    exact inverse of window_partition, and of _split for any head count."""
+    wins = _as_tensor(wins)
+    if (wins.ndim != 5 or wins.shape[1] != layout.n_windows
+            or wins.shape[3] != layout.patches):
+        raise ValueError(f"windows {wins.shape} do not match layout {layout}")
     b, _, heads, _, d = wins.shape
     ws = layout.ws
     ny, nx = layout.h // ws, layout.w // ws
     t = reshape(wins, (b, ny, nx, heads, ws, ws, d))
     t = transpose(t, (0, 3, 6, 1, 4, 2, 5))
-    return reshape(t, (b, heads * d, layout.h, layout.w))
-
-
-def window_partition(x, layout: WindowLayout) -> Tensor:
-    """Cyclic shift (when layout.shift > 0) then split into windows."""
-    xb, unbatch = batched(x)
-    if xb.shape[2] != layout.h or xb.shape[3] != layout.w:
-        raise ValueError(f"map {xb.shape[2:]} does not match layout {layout}")
-    if layout.shift:
-        xb = roll(xb, (-layout.shift, -layout.shift), (2, 3))
-    wins = _split(xb, layout)                      # (B, n_w, 1, P, C)
-    return unbatch(reshape(wins, wins.shape[:2] + wins.shape[3:]))
-
-
-def window_merge(wins, layout: WindowLayout) -> Tensor:
-    """Exact inverse of window_partition, including the un-shift."""
-    wins, unbatch = batched(wins)
-    if wins.shape[1] != layout.n_windows or wins.shape[2] != layout.patches:
-        raise ValueError(f"windows {wins.shape} do not match layout {layout}")
-    x = _stitch(reshape(wins, wins.shape[:2] + (1,) + wins.shape[2:]), layout)
-    if layout.shift:
-        x = roll(x, (layout.shift, layout.shift), (2, 3))
-    return unbatch(x)
+    x = reshape(t, (b, heads * d, layout.h, layout.w))
+    return roll(x, (layout.shift, layout.shift), (2, 3)) if layout.shift else x
 
 
 def window_origins(layout: WindowLayout) -> np.ndarray:
@@ -362,10 +356,10 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
     keys/values at its own offsets from the whole shifted map; one without
     attends over the window's own patches.  Output shape equals input shape.
     """
-    xb, unbatch = batched(x)
-    b, c, h, w = xb.shape
-    if (h, w) != (layout.h, layout.w):
-        raise ValueError(f"map {h}x{w} does not match layout {layout}")
+    x = _as_tensor(x)
+    if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w):
+        raise ValueError(f"map {x.shape} does not match layout {layout}")
+    b, c, h, w = x.shape
     nh = params.n_heads
     d = c // nh
     if d * nh != c or params.channels != c:
@@ -374,7 +368,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
     p = layout.patches
     nw = layout.n_windows
 
-    xs = roll(xb, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else xb
+    xs = roll(x, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else x
     xh = _split(xs, layout, nh)                    # (B, n_w, n_h, P, d)
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
@@ -384,8 +378,8 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
             q, params.off_dw_w, params.off_dw_b,
             params.off_pw_w, params.off_pw_b, ws, params.gamma_off,
         )
-        org = window_origins(layout).astype(xb.dtype)
-        lo, hi = np.zeros(2, xb.dtype), np.array([h - 1, w - 1], xb.dtype)  # the map
+        org = window_origins(layout).astype(x.dtype)
+        lo, hi = np.zeros(2, x.dtype), np.array([h - 1, w - 1], x.dtype)  # the map
         if params.clamp_to_window:                 # the query's own window
             lo = org.reshape(1, nw, 1, 1, 2)
             hi = lo + (ws - 1)
@@ -397,16 +391,14 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
         kv_in = xh
         keys = np.broadcast_to(_local_grid(ws), (1, 1, nh, p, 2))
         bias = _relative_bias(params.bias_table, keys, np.zeros((1, 2)))
-        offs = np.zeros((b, nw, nh, p, 2), dtype=xb.dtype)
-        defp = np.broadcast_to(ref[None, :, None], offs.shape).astype(xb.dtype)
+        offs = np.zeros((b, nw, nh, p, 2), dtype=x.dtype)
+        defp = np.broadcast_to(ref[None, :, None], offs.shape).astype(x.dtype)
 
     k = matmul(kv_in, params.wk)
     v = matmul(kv_in, params.wv)
     scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(d))
     attn = softmax(scores + bias, axis=-1)         # (B, n_w, n_h, P, P)
-    z = _stitch(matmul(attn, v), layout)
-    z = roll(z, (layout.shift, layout.shift), (2, 3)) if layout.shift else z
-    out = linear(z, params.wo)
+    out = linear(window_merge(matmul(attn, v), layout), params.wo)
 
     trace = SdmsaTrace(
         layout=layout,
@@ -415,4 +407,4 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
         deformed=defp,
         attention=attn.data,
     )
-    return unbatch(out), trace
+    return out, trace

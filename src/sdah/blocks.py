@@ -24,7 +24,7 @@ import numpy as np
 from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _uniform, _zeros, sdmsa
 from .convops import conv2d, deconv2d
 from .rng import Stream
-from .tensor import Tensor, batched, concat, gelu, layer_norm, linear
+from .tensor import Tensor, _as_tensor, concat, gelu, layer_norm, linear
 
 DW_KERNEL = 7
 
@@ -150,10 +150,8 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams,
 
 def sdapc_block(x, p: SdapcBlockParams, layout: WindowLayout | None,
                 ) -> tuple[Tensor, SdmsaTrace | None]:
-    """(B, C, H, W) or (C, H, W) -> the same shape, plus the attention trace."""
-    xb, unbatch = batched(x)
-    out, trace = sdapc_division2(sdapc_division1(xb, p), p, layout)
-    return unbatch(out), trace
+    """(B, C, H, W) -> the same shape, plus the attention trace."""
+    return sdapc_division2(sdapc_division1(_as_tensor(x), p), p, layout)
 
 
 # -- stems and inter-stage resampling -----------------------------------------

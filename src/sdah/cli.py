@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .gradcheck import GradCheckError
-from .io import FormatError, load_sdt1, save_sdt1, to_u8, write_pgm
+from .io import FormatError, load_image, save_sdt1, to_u8, write_pgm
 from .inference import SlidingConfig, predict_mask
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
 from .tensor import GradError, NumericsError
@@ -108,15 +108,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_image(path) -> np.ndarray:
-    """A float32 (C, H, W) image; a 2-D file gets one channel."""
-    image = load_sdt1(path).astype(np.float32)
-    return image[None] if image.ndim == 2 else image
-
-
 def _cmd_infer(args) -> int:
     model, _ = load_model(args.ckpt)
-    mask = predict_mask(model, _load_image(args.image), _sliding(args))
+    mask = predict_mask(model, load_image(args.image), _sliding(args))
     save_sdt1(args.out, mask)
     if args.preview:
         write_pgm(args.preview, to_u8(mask))
@@ -150,8 +144,8 @@ def _cmd_explain(args) -> int:
     from .explain import export_bundle
 
     model, _ = load_model(args.ckpt)
-    paths = export_bundle(model, _load_image(args.image), args.block, args.cls,
-                          args.out, stride=args.stride)
+    paths = export_bundle(model, load_image(args.image)[None], args.block,
+                          args.cls, args.out, stride=args.stride)
     for k, v in paths.items():
         print(f"{k}: {v}")
     return 0
@@ -215,7 +209,7 @@ def _selfcheck_windows():
     s = Stream(11)
     for shift in (0, 2):
         lay = WindowLayout(8, 8, 4, shift)
-        x = Tensor(s.uniform((3, 8, 8), -1, 1))
+        x = Tensor(s.uniform((1, 3, 8, 8), -1, 1))
         back = window_merge(window_partition(x, lay), lay)
         if not np.array_equal(back.data, x.data):
             raise AssertionError("window round trip not exact")
@@ -231,7 +225,7 @@ def _selfcheck_zero_offset():
     for t in (params.off_dw_w, params.off_dw_b, params.off_pw_w, params.off_pw_b):
         t.data[...] = 0.0
     lay = WindowLayout(8, 8, 4, 2)
-    x = Tensor(s.uniform((8, 8, 8), -1, 1))
+    x = Tensor(s.uniform((1, 8, 8, 8), -1, 1))
     a, _ = sdmsa(x, params, lay)
     b, _ = sdmsa(x, replace(params, off_dw_w=None, off_dw_b=None, off_pw_w=None,
                             off_pw_b=None), lay)  # the plain twin

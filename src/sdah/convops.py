@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _as_tensor, _make, batched
+from .tensor import Tensor, _as_tensor, _make
 
 
 def _out_size(n: int, k: int, s: int, p: int, allow_floor: bool, op: str) -> int:
@@ -110,13 +110,14 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
            allow_floor: bool = False) -> Tensor:
     """Grouped 2-D cross-correlation with zero padding.
 
-    x: (C_in,H,W) or (N,C_in,H,W); w: (C_out, C_in/groups, k, k);
+    x: (N, C_in, H, W); w: (C_out, C_in/groups, k, k);
     bias: (C_out,) or None.  groups=C_in gives a depthwise convolution.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
-    xb, unbatch = batched(x)
-    n, cin, h, wd = xb.shape
+    if x.ndim != 4:
+        raise ValueError(f"conv2d expects (N, C_in, H, W), got {x.shape}")
+    n, cin, h, wd = x.shape
     cout, cg, k, k2 = w.shape
     if k != k2:
         raise ValueError("conv2d kernels must be square")
@@ -125,9 +126,9 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
             f"conv2d channel/group mismatch: C_in={cin}, C_out={cout}, "
             f"groups={groups}, weight={w.shape}"
         )
-    y = _conv_forward(xb.data, w.data, stride, padding, groups, allow_floor)
+    y = _conv_forward(x.data, w.data, stride, padding, groups, allow_floor)
 
-    parents = [xb, w]
+    parents = [x, w]
     if bias is not None:
         bias = _as_tensor(bias, like=x)
         if bias.shape != (cout,):
@@ -137,26 +138,27 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
 
     def bwd(g):
         dx = None
-        if xb.requires_grad:
+        if x.requires_grad:
             dx = _conv_backward_x(g, w.data, stride, padding, groups, (h, wd))
-        dw = _conv_backward_w(xb.data, g, k, stride, padding, groups)
+        dw = _conv_backward_w(x.data, g, k, stride, padding, groups)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
 
-    return unbatch(_make("conv2d", y, tuple(parents), bwd))
+    return _make("conv2d", y, tuple(parents), bwd)
 
 
 def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Transposed convolution: the adjoint of conv2d with the same weight.
 
-    x: (C_in,H,W) or (N,C_in,H,W); w: (C_in, C_out, k, k); output spatial
+    x: (N, C_in, H, W); w: (C_in, C_out, k, k); output spatial
     size is (H-1)*stride - 2*padding + k.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
-    xb, unbatch = batched(x)
-    n, cin, h, wd = xb.shape
+    if x.ndim != 4:
+        raise ValueError(f"deconv2d expects (N, C_in, H, W), got {x.shape}")
+    n, cin, h, wd = x.shape
     cin_w, cout, k, k2 = w.shape
     if k != k2:
         raise ValueError("deconv2d kernels must be square")
@@ -166,9 +168,9 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     wo = (wd - 1) * stride - 2 * padding + k
     if ho <= 0 or wo <= 0:
         raise ValueError(f"deconv2d invalid geometry: output {ho}x{wo}")
-    y = _conv_backward_x(xb.data, w.data, stride, padding, 1, (ho, wo))
+    y = _conv_backward_x(x.data, w.data, stride, padding, 1, (ho, wo))
 
-    parents = [xb, w]
+    parents = [x, w]
     if bias is not None:
         bias = _as_tensor(bias, like=x)
         if bias.shape != (cout,):
@@ -178,11 +180,11 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def bwd(g):
         dx = None
-        if xb.requires_grad:
+        if x.requires_grad:
             dx = _conv_forward(g, w.data, stride, padding, 1, False)
-        dw = _conv_backward_w(g, xb.data, k, stride, padding, 1)
+        dw = _conv_backward_w(g, x.data, k, stride, padding, 1)
         if bias is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
 
-    return unbatch(_make("deconv2d", y, tuple(parents), bwd))
+    return _make("deconv2d", y, tuple(parents), bwd)

@@ -120,26 +120,25 @@ def deformation_field(trace: SdmsaTrace, max_offset: float | None = None,
 def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     """The one forward and one backward behind every Grad-CAM output.
 
-    A None `roi_mask` becomes the pixels this forward argmax-predicts as the
-    target class (image 0 of a batch).  Returns (info, weights, cam): the
-    forward's ForwardInfo, the (B, C, 1, 1) channel weights, and the (H, W)
-    map as seg_grad_cam describes it.
+    `image` is a (B, C, H, W) batch.  A None `roi_mask` becomes the pixels
+    this forward argmax-predicts as the target class in image 0.  Returns
+    (info, weights, cam): the forward's ForwardInfo, the (B, C, 1, 1)
+    channel weights, and the (H, W) map as seg_grad_cam describes it.
     """
     if block not in BLOCK_IDS:
         raise ValueError(f"unknown block {block!r}")
     logits, info = forward(model, image)
-    k = logits.shape[-3]
+    k = logits.shape[1]
     if not 0 <= target_class < k:
         raise ValueError(f"class {target_class} outside [0, {k})")
     if roi_mask is None:
-        pred = np.argmax(logits.data, axis=-3)
-        roi_mask = (pred[0] if pred.ndim == 3 else pred) == target_class
+        roi_mask = np.argmax(logits.data[0], axis=0) == target_class
     roi = np.asarray(roi_mask).astype(bool)
     if not roi.any():
         raise ValueError("empty roi")
     if roi.shape != logits.shape[-2:]:
         raise ValueError("roi shape does not match the image")
-    cls = narrow(logits, -3, target_class, 1)
+    cls = narrow(logits, 1, target_class, 1)
     score = tsum(cls * Tensor(roi, dtype=cls.dtype))
     score.backward()
     feat = info.outputs[block]        # (B, C, h, w)

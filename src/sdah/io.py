@@ -78,6 +78,15 @@ def load_sdt1(path) -> np.ndarray:
     return arr
 
 
+def load_image(path) -> np.ndarray:
+    """A float32 (C, H, W) image from an SDT1 file; a 2-D file gets one channel."""
+    image = load_sdt1(path)
+    image = image[None] if image.ndim == 2 else image
+    if image.ndim != 3:
+        raise FormatError(f"{path}: an image must be 2-D or (C, H, W), got {image.shape}")
+    return image.astype(np.float32)
+
+
 def checkpoint_bytes(named: dict[str, np.ndarray]) -> bytes:
     parts = [SDCK_MAGIC, struct.pack("<I", len(named))]
     for name, arr in named.items():

@@ -28,7 +28,7 @@ from . import blocks as B
 from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import NumericsError, Tensor, _as_tensor, batched
+from .tensor import NumericsError, Tensor, _as_tensor
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -233,37 +233,44 @@ def stage_layout(ws: int, stage: int, h: int, w: int) -> WindowLayout:
     return WindowLayout(h, w, ws, ws // 2 if stage % 2 else 0)
 
 
-def _block_layout(p: B.SdapcBlockParams, stage: int, h: int, w: int,
-                  ) -> WindowLayout | None:
-    """A block's window layout, or None when it has no attention branch."""
-    return None if p.attn is None else stage_layout(p.attn.ws, stage, h, w)
+def block_layouts(model: Model, h: int, w: int) -> dict:
+    """Every block's window layout for an (h, w) input, by block id, or
+    None for a block without attention (so a conv-only model takes any
+    size divisible by 32).  Raises ValueError naming the first block whose
+    window does not divide its map."""
+    if h % 32 or w % 32:
+        raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+    layouts = {}
+    for bid in BLOCK_IDS:
+        st, a = STAGE_OF_BLOCK[bid], model.layers[bid].attn
+        sh, sw = h // (4 << st), w // (4 << st)
+        try:
+            layouts[bid] = None if a is None else stage_layout(a.ws, st, sh, sw)
+        except ValueError as e:
+            raise ValueError(f"{bid}: {e} (input {h}x{w})") from None
+    return layouts
 
 
 def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
-    """(B,C_in,H,W) or (C_in,H,W) -> logits of the same spatial size.
+    """(B, C_in, H, W) -> (B, K, H, W) logits.
 
-    The info object keeps each block's attention trace and its output
-    tensor (still attached to the graph, so its .grad fills in on
-    backward).  A non-finite pixel raises NumericsError naming the input
-    image.
+    The input geometry is checked before any layer runs.  The info object
+    keeps each block's attention trace and its output tensor (still
+    attached to the graph, so its .grad fills in on backward).  A
+    non-finite pixel raises NumericsError naming the input image.
     """
-    image = _as_tensor(image)
-    if not np.isfinite(image.data).all():
+    x = _as_tensor(image)
+    if not np.isfinite(x.data).all():
         raise NumericsError("input image has non-finite values")
-    x, unbatch = batched(image)
     layers = model.layers
     in_channels = layers["stem"].ws[0].shape[1]
-    if x.shape[1] != in_channels:
+    if x.ndim != 4 or x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
-    h, w = x.shape[2], x.shape[3]
-    if h % 32 or w % 32:
-        raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+    layouts = block_layouts(model, x.shape[2], x.shape[3])
     info = ForwardInfo()
 
     def run_block(bid: str, t: Tensor) -> Tensor:
-        p = layers[bid]
-        layout = _block_layout(p, STAGE_OF_BLOCK[bid], t.shape[2], t.shape[3])
-        out, info.traces[bid] = B.sdapc_block(t, p, layout)
+        out, info.traces[bid] = B.sdapc_block(t, layers[bid], layouts[bid])
         info.outputs[bid] = out
         return out
 
@@ -276,7 +283,7 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     for i in (3, 2, 1):
         t = B.skip_fuse(B.upsample(t, layers[f"up{i}"]), skips[i], layers[f"fuse{i}"])
         t = run_block(f"dec{i}", t)
-    return unbatch(B.deconv_expand(t, layers["head"])), info
+    return B.deconv_expand(t, layers["head"]), info
 
 
 # -- accounting ---------------------------------------------------------------
@@ -312,17 +319,14 @@ def _block_flops(p: B.SdapcBlockParams, pos: int,
 
 def count_flops(model: Model, h: int, w: int) -> int:
     """FLOPs of one single-image forward at input size (h, w)."""
-    if h % 32 or w % 32:
-        raise ValueError("input size must be divisible by 32")
+    layouts = block_layouts(model, h, w)
     layers, total, s = model.layers, 0, 1
     for wt, stride in zip(layers["stem"].ws, B._STEM_STRIDES):
         s *= stride
         total += _flops(wt, (h // s) * (w // s))
-    sizes = [(h // (4 << st), w // (4 << st)) for st in range(4)]
-    pixels = [sh * sw for sh, sw in sizes]
+    pixels = [(h // (4 << st)) * (w // (4 << st)) for st in range(4)]
     for bid in BLOCK_IDS:
-        st, p = STAGE_OF_BLOCK[bid], layers[bid]
-        total += _block_flops(p, pixels[st], _block_layout(p, st, *sizes[st]))
+        total += _block_flops(layers[bid], pixels[STAGE_OF_BLOCK[bid]], layouts[bid])
     for i in (1, 2, 3):
         total += _flops(layers[f"down{i}"].w, pixels[i])
         total += _flops(layers[f"up{i}"].w, pixels[i])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -385,19 +384,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _make("reshape", out, (a,), bwd)
-
-
-def batched(x) -> tuple[Tensor, Callable[[Tensor], Tensor]]:
-    """View a 3-D input as a batch of one; a 4-D input passes through.
-
-    The second result takes a batched output back to the caller's rank.
-    """
-    x = _as_tensor(x)
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), lambda t: reshape(t, t.shape[1:])
-    if x.ndim == 4:
-        return x, lambda t: t
-    raise ValueError(f"expected a 3-D or batched 4-D input, got shape {x.shape}")
 
 
 def transpose(a, axes) -> Tensor:

@@ -3,7 +3,8 @@
 The loop is deterministic end to end: parameters come from the config seed,
 every batch's sample indices are a pure function of (seed, step), and the
 optimizer is plain Adam.  Loading a checkpoint and continuing from its step
-therefore reproduces the next loss value bit-exactly.
+therefore reproduces the next loss value bit-exactly; later losses drift,
+because the Adam moments are not checkpointed (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import load_sdt1, save_sdt1
+from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
 from .tensor import (
@@ -24,7 +25,6 @@ from .tensor import (
     Tensor,
     _as_tensor,
     _make,
-    batched,
     narrow,
     softmax,
     tsum,
@@ -77,6 +77,8 @@ class SegSample:
     classes: int
 
     def __post_init__(self):
+        if self.classes < 2:
+            raise ValueError(f"a sample needs at least 2 classes, got {self.classes}")
         if self.image.shape[-2:] != self.label.shape:
             raise ValueError("image and label sizes differ")
         if self.label.data.max(initial=0) >= self.classes:
@@ -86,12 +88,10 @@ class SegSample:
 # -- losses -------------------------------------------------------------------
 
 def _as_batched_pair(logits, label):
+    """(B, K, H, W) logits and their (B, H, W) integer labels."""
     lg = _as_tensor(logits)
     lab = np.asarray(label.data if isinstance(label, Tensor) else label)
-    if lg.ndim == 3:
-        lab = lab[None]
-    lg, _ = batched(lg)
-    if lab.shape != (lg.shape[0],) + lg.shape[2:]:
+    if lg.ndim != 4 or lab.shape != (lg.shape[0],) + lg.shape[2:]:
         raise ValueError(f"logits {lg.shape} do not match labels {lab.shape}")
     k = lg.shape[1]
     if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
@@ -343,7 +343,10 @@ def load_dataset(dirpath) -> list[SegSample]:
         raise ValueError(f"{mf} must be a list of {{image, label, classes}} objects")
     samples = []
     for entry in entries:
-        img = load_sdt1(d / entry["image"])
+        img = load_image(d / entry["image"])
         lab = load_sdt1(d / entry["label"])
+        if lab.ndim != 2 or lab.dtype != np.uint8:
+            raise FormatError(f"{entry['label']}: labels must be a 2-D uint8 map, "
+                              f"got {lab.dtype} {lab.shape}")
         samples.append(SegSample(Tensor(img), Tensor(lab), int(entry["classes"])))
     return samples

@@ -205,7 +205,7 @@ def test_c03_window_math(capsys):
                     (2, 3, lay.h, lay.w), -1, 1))
                 wins = window_partition(x, lay)
                 assert wins.shape[1] == ny * nx == lay.n_windows
-                assert wins.shape[2] == ws * ws
+                assert wins.shape[3] == ws * ws
                 np.testing.assert_array_equal(
                     window_merge(wins, lay).data, x.data)
         detail["note"] = "224/7 -> 1024 windows; 10 random geometries exact"

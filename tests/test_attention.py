@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sdah.attention import (
     SdmsaParams,
     _relative_bias,
+    _split,
     WindowLayout,
     reference_points,
     sdmsa,
@@ -63,35 +64,40 @@ def test_effective_window_caps_at_resolution():
 
 
 @pytest.mark.parametrize("shift", [0, 2])
-@pytest.mark.parametrize("batched", [False, True])
-def test_partition_merge_round_trip_exact(shift, batched):
-    x = _x(2 if batched else 1, 3, 8, 12, seed=shift)
-    if not batched:
-        x = reshape(x, (3, 8, 12))
+def test_partition_merge_round_trip_exact(shift):
+    x = _x(2, 3, 8, 12, seed=shift)
     lay = WindowLayout(8, 12, 4, shift)
     back = window_merge(window_partition(x, lay), lay)
     np.testing.assert_array_equal(back.data, x.data)
+
+
+def test_merge_inverts_split_for_any_head_count():
+    x = _x(2, 4, 8, 12, seed=1)
+    lay = WindowLayout(8, 12, 4)
+    wins = _split(x, lay, 2)
+    assert wins.shape == (2, 6, 2, 16, 2)
+    np.testing.assert_array_equal(window_merge(wins, lay).data, x.data)
 
 
 def test_partition_layout_mismatch_raises():
     with pytest.raises(ValueError):
         window_partition(_x(1, 2, 8, 8), WindowLayout(4, 4, 2))
     with pytest.raises(ValueError):
-        window_merge(Tensor(np.zeros((1, 3, 4, 2))), WindowLayout(4, 4, 2))
+        window_merge(Tensor(np.zeros((1, 3, 1, 4, 2))), WindowLayout(4, 4, 2))
 
 
 def test_partition_window_contents_row_major():
     # 4x4 map, ws 2: window 1 must hold columns 2..3 of rows 0..1
     x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
     wins = window_partition(x, WindowLayout(4, 4, 2))
-    np.testing.assert_array_equal(wins.data[0, 1, :, 0], [2.0, 3.0, 6.0, 7.0])
+    np.testing.assert_array_equal(wins.data[0, 1, 0, :, 0], [2.0, 3.0, 6.0, 7.0])
 
 
 def test_shifted_partition_rolls_before_split():
     x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
     wins = window_partition(x, WindowLayout(4, 4, 2, shift=1))
     # after roll(-1, -1) the top-left window starts at original (1, 1)
-    np.testing.assert_array_equal(wins.data[0, 0, :, 0], [5.0, 6.0, 9.0, 10.0])
+    np.testing.assert_array_equal(wins.data[0, 0, 0, :, 0], [5.0, 6.0, 9.0, 10.0])
 
 
 def test_origins_and_reference_points():
@@ -164,8 +170,6 @@ def test_output_shape_matches_input():
     out, trace = sdmsa(_x(2, 8, 8, 8), p, lay)
     assert out.shape == (2, 8, 8, 8)
     assert trace.attention.shape == (2, 4, 2, 16, 16)
-    out3, _ = sdmsa(reshape(_x(1, 8, 8, 8, seed=3), (8, 8, 8)), p, lay)
-    assert out3.shape == (8, 8, 8)
 
 
 def test_attention_rows_sum_to_one():
@@ -287,7 +291,7 @@ def test_per_head_offsets_match_batched_offset_net():
     _, trace = sdmsa(x, p, lay)
     # rebuild head queries exactly as the forward does
     with default_dtype(x.dtype.type):
-        wins = window_partition(x, lay)  # (n_w, P, C)
+        wins = window_partition(x, lay)  # (1, n_w, 1, P, C)
         d = c // nh
         xh = transpose(
             reshape(wins, (lay.n_windows, lay.patches, nh, d)), (0, 2, 1, 3)

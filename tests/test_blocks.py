@@ -43,18 +43,6 @@ def test_block_preserves_shape(branch_mode, fusion):
     assert (trace is None) == (branch_mode == "conv_only")
 
 
-def test_unbatched_block_equals_batched_of_one():
-    """H == C, where a channel-axis op on an unbatched map would read H."""
-    p = init_sdapc(8, 2, 4, Stream(0))
-    x = _x(1, 8, 8, 8, seed=3)
-    lay = WindowLayout(8, 8, 4, 2)
-    out, trace = sdapc_block(Tensor(x.data[0]), p, lay)
-    ref, ref_trace = sdapc_block(x, p, lay)
-    assert out.shape == (8, 8, 8)
-    np.testing.assert_array_equal(out.data, ref.data[0])
-    np.testing.assert_array_equal(trace.attention, ref_trace.attention)
-
-
 @pytest.mark.parametrize("branch_mode", ["dual", "sdmsa_only", "conv_only"])
 @pytest.mark.parametrize("deform", [True, False])
 def test_containers_hold_only_tensors(branch_mode, deform):

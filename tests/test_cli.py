@@ -362,3 +362,54 @@ def test_damaged_files_exit_with_a_documented_code(valid_files, target, data):
         shutil.copytree(valid_files, tmp, dirs_exist_ok=True)
         (Path(tmp) / rel).write_bytes(blob)
         assert main([a.format(d=tmp) for a in argv]) in (0, 1, 2, 3)
+
+
+# -- dataset files ------------------------------------------------------------
+
+def _eval(ckpt, data, out) -> int:
+    return main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--crop", "32", "--step", "32", "--out", str(out)])
+
+
+def test_two_d_dataset_images_load_like_cli_images(workdir, capsys):
+    """2-D dataset images get one channel, as `--image` files do."""
+    flat = workdir / "flat"
+    shutil.copytree(workdir / "data", flat)
+    for p in flat.glob("img_*.sdt"):
+        save_sdt1(p, load_sdt1(p)[0])
+    cfg = workdir / "one_step.json"
+    cfg.write_text(json.dumps({"model": MICRO,
+                               "train": {"batch_size": 2, "max_steps": 1}}))
+    ckpt = workdir / "flat.sdck"
+    assert main(["train", "--data", str(flat), "--config", str(cfg),
+                 "--out", str(ckpt)]) == 0
+    assert _eval(ckpt, workdir / "data", workdir / "chw.csv") == 0
+    assert _eval(ckpt, flat, workdir / "flat.csv") == 0
+    assert (workdir / "flat.csv").read_bytes() == (workdir / "chw.csv").read_bytes()
+
+    lab = flat / "lab_00000.sdt"
+    save_sdt1(lab, load_sdt1(lab).astype(np.float32))
+    capsys.readouterr()
+    assert _eval(ckpt, flat, workdir / "bad.csv") == 2
+    assert "2-D uint8" in capsys.readouterr().err
+    assert not (workdir / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "train"])
+def test_single_class_samples_exit_2(cmd, tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    save_sdt1(d / "data" / "lab_00000.sdt", np.zeros((32, 32), dtype=np.uint8))
+    mf = d / "data" / "manifest.json"
+    mf.write_text(json.dumps([{**e, "classes": 1} for e in json.loads(mf.read_text())]))
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps({"model": MICRO,
+                               "train": {"batch_size": 1, "max_steps": 1}}))
+    out = d / ("eval.csv" if cmd == "eval" else "run.sdck")
+    if cmd == "eval":
+        code = _eval(d / "model.sdck", d / "data", out)
+    else:
+        code = main(["train", "--data", str(d / "data"), "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 2
+    assert "at least 2 classes" in capsys.readouterr().err
+    assert not out.exists()

@@ -57,12 +57,6 @@ def test_conv_matches_loop_oracle(cin, cout, k, stride, padding, groups):
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
-def test_conv_unbatched_input_round_trips_shape():
-    x = Tensor(_rand((3, 8, 8), 1))
-    w = Tensor(_rand((5, 3, 3, 3), 2))
-    assert conv2d(x, w, padding=1).shape == (5, 8, 8)
-
-
 def test_conv_strict_geometry_raises():
     x = Tensor(np.zeros((1, 1, 7, 7)))
     w = Tensor(np.zeros((1, 1, 2, 2)))

@@ -242,7 +242,7 @@ def test_batched_network_matches_per_tile_oracle(h, w, crop, step, ys, xs):
     wsum = np.zeros((h, w))
     for y in ys:
         for x in xs:
-            lo = m(Tensor(image[:, y:y + crop, x:x + crop])).data.astype(np.float64)
+            lo = m(Tensor(image[None, :, y:y + crop, x:x + crop])).data[0].astype(np.float64)
             assert lo.shape == (2, crop, crop)
             lo -= lo.max(axis=0, keepdims=True)
             e = np.exp(lo)

@@ -8,6 +8,7 @@ from sdah.io import (
     FormatError,
     checkpoint_bytes,
     load_checkpoint,
+    load_image,
     load_sdt1,
     save_checkpoint,
     save_sdt1,
@@ -82,6 +83,18 @@ def test_sdt1_trailing_bytes(tmp_path):
     p.write_bytes(sdt1_bytes(np.ones(2, dtype=np.float32)) + b"junk")
     with pytest.raises(FormatError):
         load_sdt1(p)
+
+
+def test_load_image_gives_float32_chw(tmp_path):
+    px = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    save_sdt1(tmp_path / "flat.sdt", px)
+    got = load_image(tmp_path / "flat.sdt")
+    assert got.dtype == np.float32 and got.shape == (1, 3, 4)
+    np.testing.assert_array_equal(got[0], px)
+    for shape in ((12,), (1, 1, 3, 4)):
+        save_sdt1(tmp_path / "bad.sdt", px.reshape(shape))
+        with pytest.raises(FormatError, match="2-D or"):
+            load_image(tmp_path / "bad.sdt")
 
 
 def test_checkpoint_round_trip_preserves_order(tmp_path):

@@ -137,8 +137,6 @@ def test_forward_shapes_and_traces():
     logits, info = forward(m, _img(2))
     assert logits.shape == (2, 2, 32, 32)
     assert set(info.traces) == set(BLOCK_IDS)
-    logits3, _ = forward(m, _img(1)[0])
-    assert logits3.shape == (2, 32, 32)
 
 
 def test_forward_rejects_bad_inputs():
@@ -147,6 +145,18 @@ def test_forward_rejects_bad_inputs():
         forward(m, np.zeros((1, 2, 32, 32), dtype=np.float32))  # channels
     with pytest.raises(ValueError):
         forward(m, np.zeros((1, 1, 30, 32), dtype=np.float32))  # divisibility
+
+
+def test_input_geometry_is_checked_before_the_stem(monkeypatch):
+    """Micro windows (4, 4, 2, 2): at 64x96 the bottleneck map is 2x3."""
+    def stem(*args):
+        raise AssertionError("the stem ran")
+
+    monkeypatch.setattr("sdah.blocks.conv_embed", stem)
+    m = build_model(micro())
+    for run in (lambda: count_flops(m, 64, 96), lambda: forward(m, _img(1, 64, 96))):
+        with pytest.raises(ValueError, match=r"^bottleneck: .* 2x3 .*\(input 64x96\)"):
+            run()
 
 
 @pytest.mark.parametrize("batched", [False, True])

@@ -109,13 +109,6 @@ def test_dice_matches_reference(k):
     assert got.item() == pytest.approx(_ref_dice(logits, label), rel=1e-12)
 
 
-def test_dice_unbatched_equals_batched():
-    logits, label = _pair(1, 3, 8, 8)
-    a = dice_loss(Tensor(logits), label).item()
-    b = dice_loss(Tensor(logits[0]), label[0]).item()
-    assert a == pytest.approx(b, rel=1e-6)
-
-
 def test_dice_perfect_prediction_is_near_zero():
     label = np.zeros((1, 8, 8), dtype=np.uint8)
     label[0, 2:6, 2:6] = 1
