@@ -302,11 +302,12 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     Hx the (P, ws, t) per-axis weights of a window and head (two nonzeros
     per row), the bias is bias[(ry, rx), j] = sum_c (Hy T)[j, ry, c]
     Hx[j, rx, c]: one matmul with the table, then P small (ws, t) x (t, ws)
-    products.  Backward keeps only the per-axis (floor, upper, fraction,
-    inside) arrays; the table gradient is Hy^T (G Hx) and each key
-    coordinate's gradient is its axis' table slope summed over the ws query
-    rows (or columns): zero where the displacement is not strictly inside
-    (0, t-1), the right derivative at integer displacements.
+    products.  Backward keeps the forward's Hy and Hx (the latter as its
+    transpose) and the per-axis (floor, upper, fraction, inside) arrays;
+    the table gradient is Hy^T (G Hx) and each key coordinate's gradient is
+    its axis' table slope summed over the ws query rows (or columns): zero
+    where the displacement is not strictly inside (0, t-1), the right
+    derivative at integer displacements.
     """
     keys = _as_tensor(keys, like=table)
     tab = table.data
@@ -325,15 +326,15 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     def rows(a, m):  # (B, n_w, n_h, P, ws, t) times each head's table m
         return (a.reshape(b, nw, nh, p * ws, t) @ m).reshape(shape)
 
-    out = rows(_hat(y0, y1, fy, t), tab) @ _hat(x0, x1, fx, t, transposed=True)
+    hy, hxt = _hat(y0, y1, fy, t), _hat(x0, x1, fx, t, transposed=True)
+    out = rows(hy, tab) @ hxt
     out = out.reshape(b, nw, nh, p, p).swapaxes(-1, -2)
 
     def bwd(g):
         # (.., (ry, rx), j) -> (.., j, ry, rx)
         g = np.ascontiguousarray(
             g.reshape(b, nw, nh, ws, ws, p).transpose(0, 1, 2, 5, 3, 4))
-        hy, hx = _hat(y0, y1, fy, t), _hat(x0, x1, fx, t)
-        g_rows = g @ hx                            # (.., j, ry, t)
+        g_rows = g @ np.swapaxes(hxt, -1, -2)     # (.., j, ry, t)
         dt = dk = None
         if table.requires_grad:
             dt = (np.swapaxes(hy.reshape(b * nw, nh, p * ws, t), -1, -2)

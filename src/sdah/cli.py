@@ -248,16 +248,18 @@ def _selfcheck_adjoint():
     rhs = float((x.data * deconv2d(g, w, stride=2).data).sum())
     if abs(lhs - rhs) > 1e-5 * max(1.0, abs(lhs)):
         raise AssertionError(f"adjoint mismatch {lhs} vs {rhs}")
-    # stride-1 depthwise 7x7: <conv(x, w), g> == <x, x.grad> after backward(g)
+    # stride-1 depthwise 7x7, linear in x and in w: <conv(x, w), g> equals
+    # both <x, x.grad> and <w, w.grad> after backward(g)
     x = Tensor(s.uniform((1, 4, 8, 8), -1, 1), requires_grad=True)
-    w = Tensor(s.uniform((4, 1, 7, 7), -1, 1))
+    w = Tensor(s.uniform((4, 1, 7, 7), -1, 1), requires_grad=True)
     y = conv2d(x, w, padding=3, groups=4)
     g = s.uniform(y.shape, -1, 1)
     y.backward(g)
     lhs = float((y.data * g).sum())
-    rhs = float((x.data * x.grad).sum())
-    if abs(lhs - rhs) > 1e-5 * max(1.0, abs(lhs)):
-        raise AssertionError(f"depthwise adjoint mismatch {lhs} vs {rhs}")
+    for name, t in (("input", x), ("weight", w)):
+        rhs = float((t.data * t.grad).sum())
+        if abs(lhs - rhs) > 1e-5 * max(1.0, abs(lhs)):
+            raise AssertionError(f"depthwise {name} adjoint mismatch {lhs} vs {rhs}")
 
 
 def _selfcheck_tiles():

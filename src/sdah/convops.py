@@ -1,11 +1,26 @@
 """2-D convolution and transposed convolution primitives.
 
-Cross-correlation semantics with zero padding.  The forward is an im2col
-view plus batched matmuls.  The input gradient of a stride-1 conv is the
-same forward run on the output gradient with the flipped kernel, its input
-and output channels swapped within each group, at padding k-1-p (a crop of
-the output gradient when p > k-1).  Only strided convs use the col2im
-scatter, k*k ordered slice additions, so every reduction order is fixed.
+Cross-correlation semantics with zero padding, lowered to matmuls in one of
+two ways picked from the conv's geometry:
+
+- Banded rows, for a depthwise conv (groups == C_in == C_out) at stride 1
+  with k > 1.  Output row y reads the k padded rows y..y+k-1 laid end to
+  end, so the map is copied k times, not k*k, into (N, C, ho, k*Wp) rows.
+  Each channel's kernel becomes a (k*Wp, wo) band holding w[c, 0, i, q] at
+  [i*Wp + j + q, j], and the conv is one broadcast matmul, rows @ band, with
+  one product per image and channel, so a batch gives each image's result
+  bit for bit.  The weight gradient is the band's gradient, taken in a
+  (C, N*ho, k*Wp) layout so that one matmul per channel sums the images,
+  and folded back to (k, k) by summing each of its k*k diagonals.
+- im2col, for every other conv (dense, grouped, strided, transposed, and
+  1x1): a (N, C, k, k, ho, wo) patch copy and one batched matmul per group.
+
+The input gradient of a stride-1 conv is the same forward run on the output
+gradient with the flipped kernel, its input and output channels swapped
+within each group, at padding k-1-p (a crop of the output gradient when
+p > k-1), so a depthwise input gradient takes the banded path too.  Only
+strided convs use the col2im scatter, k*k ordered slice additions, so every
+reduction order is fixed.
 
 Geometry is strict by default: (H + 2p - k) must be divisible by the stride
 or the op raises.  `allow_floor=True` opts into floor semantics (trailing
@@ -63,11 +78,35 @@ def _col2im(dcols: np.ndarray, hw: tuple[int, int], k: int, s: int, p: int) -> n
     return buf
 
 
+def _banded(cin: int, cout: int, k: int, s: int, g: int) -> bool:
+    """True when a conv takes the banded-rows lowering: depthwise, stride 1, k > 1."""
+    return g == cin == cout and s == 1 and k > 1
+
+
+def _rows(x: np.ndarray, k: int, p: int) -> np.ndarray:
+    """(N,C,H,W) -> (N, C, ho, k*Wp) view: row y is padded rows y..y+k-1 end to end."""
+    xp = np.ascontiguousarray(_pad(x, p))
+    n, c, hp, wp = xp.shape
+    return as_strided(xp, (n, c, hp - k + 1, k * wp), xp.strides)
+
+
+def _diagonals(m: np.ndarray, k: int, wp: int) -> np.ndarray:
+    """(C, k*Wp, wo) -> the (C, k, k, wo) strided view of entries [i*Wp + j + q, j]."""
+    c, _, wo = m.shape
+    s0, s1, s2 = m.strides
+    return as_strided(m, (c, k, k, wo), (s0, wp * s1, s1, s1 + s2))
+
+
 def _conv_forward(x, w, s, p, g, allow_floor):
     n, cin, h, wd = x.shape
     cout, cg, k, _ = w.shape
     ho = _out_size(h, k, s, p, allow_floor, "conv2d")
     wo = _out_size(wd, k, s, p, allow_floor, "conv2d")
+    if _banded(cin, cout, k, s, g):
+        wp = wd + 2 * p
+        band = np.zeros((cin, k * wp, wo), w.dtype)
+        _diagonals(band, k, wp)[...] = w.reshape(cin, k, k, 1)
+        return np.ascontiguousarray(_rows(x, k, p)) @ band
     cols = _im2col(_pad(x, p), k, s, ho, wo)  # (N,C,k,k,ho,wo)
     cols = cols.reshape(n, g, cg * k * k, ho * wo)
     wm = w.reshape(g, cout // g, cg * k * k)
@@ -100,6 +139,14 @@ def _conv_backward_w(x, dy, k, s, p, g):
     cout = dy.shape[1]
     ho, wo = dy.shape[2], dy.shape[3]
     cg = cin // g
+    if _banded(cin, cout, k, s, g):
+        # the band's gradient, transposed, summed over images inside one
+        # matmul per channel: dy^T rows in a (C, N*ho, .) layout
+        rows = np.ascontiguousarray(_rows(x, k, p).transpose(1, 0, 2, 3))
+        dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cin, n * ho, wo)
+        dbt = np.swapaxes(dyc, -1, -2) @ rows.reshape(cin, n * ho, -1)  # (C, wo, k*Wp)
+        dw = _diagonals(np.swapaxes(dbt, -1, -2), k, wd + 2 * p).sum(axis=-1)
+        return dw.reshape(cout, 1, k, k)
     cols = _im2col(_pad(x, p), k, s, ho, wo).reshape(n, g, cg * k * k, ho * wo)
     dyr = dy.reshape(n, g, cout // g, ho * wo)
     dw = np.matmul(dyr, np.swapaxes(cols, -1, -2)).sum(axis=0)  # (g,cout/g,cg*k*k)

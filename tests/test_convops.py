@@ -31,6 +31,37 @@ def _ref_conv(x, w, bias, stride, padding, groups):
     return out
 
 
+def _ref_conv_grads(x, w, g, stride, padding, groups):
+    """Direct-loop input and weight gradients of `_ref_conv` for output
+    gradient g: every output pixel scatters g * w into its input patch and
+    gathers g * patch into the kernel."""
+    n, cin, h, wd = x.shape
+    cout, cg, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    cpg = cout // groups
+    for b in range(n):
+        for co in range(cout):
+            ci = slice(co // cpg * cg, (co // cpg + 1) * cg)
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    rows = slice(i * stride, i * stride + k)
+                    cols = slice(j * stride, j * stride + k)
+                    dxp[b, ci, rows, cols] += g[b, co, i, j] * w[co]
+                    dw[co] += g[b, co, i, j] * xp[b, ci, rows, cols]
+    return dxp[:, :, padding:padding + h, padding:padding + wd], dw
+
+
+def _conv_and_grads(x, w, b, g, **kw):
+    xt = Tensor(x, requires_grad=True, dtype=np.float64)
+    wt = Tensor(w, requires_grad=True, dtype=np.float64)
+    bt = None if b is None else Tensor(b, dtype=np.float64)
+    y = conv2d(xt, wt, bt, **kw)
+    y.backward(g)
+    return y.data, xt.grad, wt.grad
+
+
 def _rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
 
@@ -50,11 +81,58 @@ def test_conv_matches_loop_oracle(cin, cout, k, stride, padding, groups):
     x = _rand((2, cin, 8, 8), seed=cin * 10 + k)
     w = _rand((cout, cin // groups, k, k), seed=cout)
     b = _rand((cout,), seed=99)
-    got = conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
-                 Tensor(b, dtype=np.float64), stride=stride, padding=padding,
-                 groups=groups)
     want = _ref_conv(x, w, b, stride, padding, groups)
-    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+    g = _rand(want.shape, seed=98)
+    y, dx, dw = _conv_and_grads(x, w, b, g, stride=stride, padding=padding,
+                                groups=groups)
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+    for got, ref in zip((dx, dw), _ref_conv_grads(x, w, g, stride, padding, groups)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("hw", [(5, 9), (1, 1), (2, 2), (3, 3)])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_depthwise_banded_matches_loop_oracles(k, hw, n):
+    """Stride-1 depthwise convs (the banded lowering) on non-square maps and
+    maps smaller than the kernel, at padding 0, k//2 and k-1 where the
+    output is non-empty: forward, input and weight gradients."""
+    c = 2
+    x = _rand((n, c) + hw, seed=k * 100 + hw[1] * 10 + n)
+    w = _rand((c, 1, k, k), seed=k)
+    b = _rand((c,), seed=97)
+    for padding in sorted({0, k // 2, k - 1}):
+        if min(hw) + 2 * padding < k:
+            continue
+        want = _ref_conv(x, w, b, 1, padding, c)
+        g = _rand(want.shape, seed=padding)
+        y, dx, dw = _conv_and_grads(x, w, b, g, padding=padding, groups=c)
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+        for got, ref in zip((dx, dw), _ref_conv_grads(x, w, g, 1, padding, c)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,stride,groups,banded", [
+    (7, 1, 4, True),    # depthwise 7x7
+    (5, 1, 4, True),    # the offset net's depthwise 5x5
+    (1, 1, 4, False),   # depthwise 1x1
+    (3, 2, 4, False),   # strided depthwise
+    (3, 1, 2, False),   # grouped
+    (3, 1, 1, False),   # dense
+])
+def test_only_stride1_depthwise_skips_im2col(monkeypatch, k, stride, groups, banded):
+    """The lowering follows geometry alone: a stride-1 depthwise conv with
+    k > 1 never builds im2col columns, in forward or backward; every other
+    conv does."""
+    import sdah.convops as convops
+
+    calls = []
+    real = convops._im2col
+    monkeypatch.setattr(convops, "_im2col", lambda *a: calls.append(1) or real(*a))
+    x = Tensor(_rand((2, 4, 7, 7), 30), requires_grad=True)
+    w = Tensor(_rand((4, 4 // groups, k, k), 31), requires_grad=True)
+    tsum(conv2d(x, w, stride=stride, padding=k // 2, groups=groups)).backward()
+    assert (not calls) == banded
 
 
 def test_conv_strict_geometry_raises():
