@@ -15,6 +15,9 @@ nonzeros per query row or column and key), one matmul with the table and
 small per-key products, in one primitive with its own backward that both
 attention paths use.
 
+The window core, softmax(q kᵀ/√d + bias) v, is one fused node (`_attend`)
+that keeps only its probabilities for the backward.
+
 Feature maps are (B, C, H, W) and windows (B, n_windows, heads, P, d)
 throughout, with P = ws*ws patches per window.
 """
@@ -32,15 +35,15 @@ from .sampling import axis_corners, bilinear_sample_batch
 from .tensor import (
     Tensor,
     _as_tensor,
+    _check_finite,
     _make,
+    _unbroadcast,
     clip,
     gelu,
     linear,
     matmul,
     reshape,
     roll,
-    softmax,
-    swap_last,
     tanh,
     transpose,
 )
@@ -234,8 +237,9 @@ class SdmsaTrace:
     reference_points (n_windows, P, 2); offsets and deformed points
     (B, n_windows, n_heads, P, 2) where deformed = clip(ref + offset)
     exactly as sampled; attention (B, n_windows, n_heads, P, P), whose
-    axis 2 is the head count.  Coordinates live in the shifted map's frame;
-    `layout.shift` tells the consumer how to roll them back.
+    axis 2 is the head count: the probability array the fused `_attend`
+    node keeps for its backward.  Coordinates live in the shifted map's
+    frame; `layout.shift` tells the consumer how to roll them back.
     """
 
     layout: WindowLayout
@@ -350,12 +354,47 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     return _make("relative_bias", out, (table, keys), bwd)
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ/√d + bias) v as one graph node; returns (output, probs).
+
+    q, k, v (B, n_w, n_h, P, d); bias broadcasts to the (B, n_w, n_h, P, P)
+    scores, which are scaled, biased and softmaxed in place.  The
+    probabilities are the one array the backward keeps, dS = P * (dP -
+    rowsum(dP * P)), and the one finite check: a NaN or +inf score makes its
+    row NaN (a -inf one among finite scores just gets probability 0).  Each
+    step runs in the order of the six-node chain this replaces, so values
+    and gradients equal the chain's bit for bit.
+    """
+    scale = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    probs *= scale
+    probs += bias.data
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    _check_finite(probs, "attend")
+
+    def bwd(g):
+        dv = np.matmul(np.swapaxes(probs, -1, -2), g)
+        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+        dbias = _unbroadcast(ds, bias.shape)
+        ds = ds * scale                           # not in place: dbias may be ds
+        dq = np.matmul(ds, k.data)
+        dk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2)
+        return dq, dk, dv, dbias
+
+    return _make("attend", np.matmul(probs, v.data), (q, k, v, bias), bwd), probs
+
+
 def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTrace]:
     """Windowed multi-head attention; returns (output, trace).
 
     A layer with an offset net (`params.deformable`) samples each head's
     keys/values at its own offsets from the whole shifted map; one without
-    attends over the window's own patches.  Output shape equals input shape.
+    attends over the window's own patches.  Both run the fused window core
+    `_attend`, and `trace.attention` is the probability array it keeps.
+    Output shape equals input shape.
     """
     x = _as_tensor(x)
     if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w):
@@ -397,15 +436,14 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
 
     k = matmul(kv_in, params.wk)
     v = matmul(kv_in, params.wv)
-    scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(d))
-    attn = softmax(scores + bias, axis=-1)         # (B, n_w, n_h, P, P)
-    out = linear(window_merge(matmul(attn, v), layout), params.wo)
+    heads, probs = _attend(q, k, v, bias)          # probs (B, n_w, n_h, P, P)
+    out = linear(window_merge(heads, layout), params.wo)
 
     trace = SdmsaTrace(
         layout=layout,
         reference_points=ref,
         offsets=offs,
         deformed=defp,
-        attention=attn.data,
+        attention=probs,
     )
     return out, trace

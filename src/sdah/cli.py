@@ -188,6 +188,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _selfcheck_grads():
+    from .attention import _attend
     from .gradcheck import grad_check
     from .rng import Stream
     from .tensor import gelu, matmul, softmax
@@ -199,6 +200,12 @@ def _selfcheck_grads():
     grad_check(gelu, [s.uniform((3, 5), -2, 2)], h=1e-5, tol=1e-6)
     grad_check(lambda t: softmax(t, axis=-1), [s.uniform((2, 6), -2, 2)],
                h=1e-5, tol=1e-6)
+    # the fused window core, with a full-shape (deformable path) and a
+    # broadcast (plain path) bias
+    qkv = [s.uniform((1, 2, 2, 4, 3), -1, 1) for _ in range(3)]
+    for bias_shape in ((1, 2, 2, 4, 4), (1, 1, 2, 4, 4)):
+        grad_check(lambda *t: _attend(*t)[0], [*qkv, s.uniform(bias_shape, -1, 1)],
+                   h=1e-5, tol=1e-6)
 
 
 def _selfcheck_windows():

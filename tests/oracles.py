@@ -1,14 +1,17 @@
 """Slow per-window reference implementations the attention tests check
-the batched library paths against, and the block-output bump the Grad-CAM
-tests take finite differences with."""
+the batched library paths against, the op chain the fused window core
+replaces, and the block-output bump the Grad-CAM tests take finite
+differences with."""
 
+import math
 from dataclasses import replace
 
 import sdah.blocks
 from sdah.attention import SdmsaParams, _offset_forward
 from sdah.network import forward
 from sdah.sampling import bilinear_sample_batch
-from sdah.tensor import Tensor, _as_tensor, add, narrow, reshape
+from sdah.tensor import (Tensor, _as_tensor, add, matmul, narrow, reshape, softmax,
+                         swap_last)
 
 
 def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
@@ -57,6 +60,15 @@ def interpolated_bias(p_query, p_key_deformed, bias_table) -> Tensor:
     out = bilinear_sample_batch(reshape(table, (1, 1, t, t)),
                                 reshape(delta, (1, p * p, 2)))
     return reshape(out, (p, p))
+
+
+def attend_chain(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
+    """softmax(q kᵀ/√d + bias) v as six graph nodes (swap_last, matmul,
+    scale, add, softmax, matmul): the chain `attention._attend` fuses.
+    Returns (output, probabilities)."""
+    scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(q.shape[-1]))
+    attn = softmax(scores + bias, axis=-1)
+    return matmul(attn, v), attn
 
 
 def bumped_logits(model, image, block: str, delta) -> Tensor:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sdah.attention import (
     SdmsaParams,
+    _attend,
     _relative_bias,
     _split,
     WindowLayout,
@@ -19,9 +20,9 @@ from sdah.attention import (
 from sdah.gradcheck import grad_check
 from sdah.rng import Stream
 from sdah.network import stage_layout
-from sdah.tensor import Tensor, default_dtype, matmul, reshape, transpose
+from sdah.tensor import NumericsError, Tensor, default_dtype, matmul, reshape, transpose
 
-from oracles import compute_offsets, interpolated_bias, plain_twin
+from oracles import attend_chain, compute_offsets, interpolated_bias, plain_twin
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):
@@ -480,3 +481,52 @@ def test_grad_check_offset_net_parameters():
         return out
 
     grad_check(run, [p.off_dw_w.data, p.off_pw_w.data], tol=1e-4)
+
+
+# -- fused window core ------------------------------------------------------------
+
+def _qkvb(dtype, bias_shape, seed=40, shape=(2, 3, 2, 16, 4)):
+    s = Stream(seed)
+    return [Tensor(s.normal(sh), requires_grad=True, dtype=dtype)
+            for sh in (shape, shape, shape, bias_shape)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias_shape", [(2, 3, 2, 16, 16), (1, 1, 2, 16, 16)],
+                         ids=["full", "broadcast"])
+def test_attend_matches_the_op_chain(dtype, bias_shape):
+    """The fused node equals the six-node chain bit for bit: output,
+    probabilities and the gradients of q, k, v and a full-shape
+    (deformable path) or broadcast (plain path) bias."""
+    with default_dtype(dtype):
+        fused, chain = _qkvb(dtype, bias_shape), _qkvb(dtype, bias_shape)
+        out, probs = _attend(*fused)
+        ref_out, ref_probs = attend_chain(*chain)
+        g = Stream(41).normal(out.shape).astype(dtype)
+        out.backward(g)
+        ref_out.backward(g)
+    assert out.dtype == dtype and probs.dtype == dtype
+    np.testing.assert_array_equal(out.data, ref_out.data)
+    np.testing.assert_array_equal(probs, ref_probs.data)
+    for t, ref in zip(fused, chain):
+        assert t.grad.shape == ref.grad.shape
+        np.testing.assert_array_equal(t.grad, ref.grad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attend_score_overflow_raises():
+    """q kᵀ past float32 range makes +inf scores, and the softmax turns
+    them NaN: the check on the probabilities names the fused node."""
+    q, k, v, bias = _qkvb(np.float32, (1, 1, 2, 16, 16))
+    q.data[...] = k.data[...] = 1e20
+    with pytest.raises(NumericsError, match="attend produced non-finite"):
+        _attend(q, k, v, bias)
+
+
+def test_attend_nonfinite_upstream_gradient_raises():
+    q, k, v, bias = _qkvb(np.float32, (1, 1, 2, 16, 16))
+    out, _ = _attend(q, k, v, bias)
+    g = np.zeros(out.shape, np.float32)
+    g[0, 1, 0, 3, 2] = np.nan
+    with pytest.raises(NumericsError, match="attend backward produced non-finite"):
+        out.backward(g)

@@ -244,7 +244,7 @@ def test_micro_step_graph_size():
         if id(t) not in seen and t._ctx is not None:
             seen.add(id(t))
             todo.extend(t._ctx.parents)
-    assert len(seen) <= 325
+    assert len(seen) <= 290
 
 
 def test_model_call_returns_logits():

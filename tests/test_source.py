@@ -68,3 +68,34 @@ def test_unread_constant_is_reported():
     tree = ast.parse("A_B = 1\nC: int = 2\nlower = 3\n_D = 4\nprint(m.C, _D)\n")
     assert _constants(tree) == ["A_B", "C", "_D"]
     assert {"C", "_D"} <= _reads(tree) and "A_B" not in _reads(tree)
+
+
+def _callerless(trees: dict[str, ast.Module], module: str) -> list[str]:
+    """Public functions of `module` whose bare name no code in `trees`
+    loads, their own bodies aside."""
+    loads = [n for t in trees.values() for n in ast.walk(t)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+    out = []
+    for f in trees[module].body:
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+            own = {id(n) for n in ast.walk(f)}
+            if not any(n.id == f.name and id(n) not in own for n in loads):
+                out.append(f.name)
+    return out
+
+
+# Kept without a caller only because perfbench/tracing.py lists them in
+# TENSOR_PRIMITIVES; they go when the benchmark's list drops them.
+TRACER_ONLY_PRIMITIVES = {"swap_last", "tmean", "broadcast_to"}
+
+
+def test_every_tensor_primitive_has_a_src_caller():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert set(_callerless(trees, "tensor.py")) == TRACER_ONLY_PRIMITIVES
+
+
+def test_callerless_function_is_reported():
+    trees = {"m": ast.parse("def a():\n    return a()\n\ndef b():\n    return 1\n\n"
+                            "def _c():\n    return b\n"),
+             "n": ast.parse("from m import a\nx = 'a'\n")}
+    assert _callerless(trees, "m") == ["a"]
