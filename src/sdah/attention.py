@@ -18,8 +18,8 @@ attention paths use.
 The window core, softmax(q kᵀ/√d + bias) v, is one fused node (`_attend`)
 that keeps only its probabilities for the backward.
 
-Feature maps are (B, C, H, W) and windows (B, n_windows, heads, P, d)
-throughout, with P = ws*ws patches per window.
+Maps are (B, C, H, W) and windows (B, n_windows, heads, P = ws*ws, d); one
+node each way (`window_partition`, `window_merge`), each the other's VJP.
 """
 
 from __future__ import annotations
@@ -88,42 +88,45 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _split(x: Tensor, layout: WindowLayout, heads: int = 1) -> Tensor:
-    """(B, C, H, W) -> (B, n_windows, heads, ws*ws, C/heads): windows and
-    patches row-major, channel c = head * C/heads + j."""
-    b, c = x.shape[0], x.shape[1]
-    ws = layout.ws
-    ny, nx = layout.h // ws, layout.w // ws
-    t = reshape(x, (b, heads, c // heads, ny, ws, nx, ws))
-    t = transpose(t, (0, 3, 5, 1, 4, 6, 2))
-    return reshape(t, (b, ny * nx, heads, ws * ws, c // heads))
-
-
-def window_partition(x, layout: WindowLayout) -> Tensor:
-    """Cyclic shift (when layout.shift > 0), then split (B, C, H, W) into
-    (B, n_windows, 1, P, C) windows."""
-    x = _as_tensor(x)
-    if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w):
-        raise ValueError(f"map {x.shape} does not match layout {layout}")
+def _to_windows(a: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, n_windows, heads, P, C/heads) after the cyclic
+    shift: windows and patches row-major, channel c = head * C/heads + j."""
     if layout.shift:
-        x = roll(x, (-layout.shift, -layout.shift), (2, 3))
-    return _split(x, layout)
+        a = np.roll(a, (-layout.shift, -layout.shift), (2, 3))
+    b, c = a.shape[:2]
+    ws, ny, nx = layout.ws, layout.h // layout.ws, layout.w // layout.ws
+    t = a.reshape(b, heads, c // heads, ny, ws, nx, ws).transpose(0, 3, 5, 1, 4, 6, 2)
+    return t.reshape(b, ny * nx, heads, ws * ws, c // heads)
+
+
+def _from_windows(a: np.ndarray, layout: WindowLayout) -> np.ndarray:
+    """(B, n_windows, heads, P, d) -> (B, heads*d, H, W): `_to_windows` undone."""
+    b, _, heads, _, d = a.shape
+    ws, ny, nx = layout.ws, layout.h // layout.ws, layout.w // layout.ws
+    t = a.reshape(b, ny, nx, heads, ws, ws, d).transpose(0, 3, 6, 1, 4, 2, 5)
+    x = t.reshape(b, heads * d, layout.h, layout.w)
+    return np.roll(x, (layout.shift, layout.shift), (2, 3)) if layout.shift else x
+
+
+def window_partition(x, layout: WindowLayout, heads: int = 1) -> Tensor:
+    """Cyclic shift (when layout.shift > 0), then split (B, C, H, W) into
+    (B, n_windows, heads, P, C/heads) windows, as one node."""
+    x = _as_tensor(x)
+    if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w) or x.shape[1] % heads:
+        raise ValueError(f"map {x.shape} does not match layout {layout} at {heads} heads")
+    return _make("window_partition", _to_windows(x.data, layout, heads), (x,),
+                 lambda g: (_from_windows(g, layout),))
 
 
 def window_merge(wins, layout: WindowLayout) -> Tensor:
-    """(B, n_windows, heads, P, d) -> (B, heads*d, H, W), un-shifted: the
-    exact inverse of window_partition, and of _split for any head count."""
+    """(B, n_windows, heads, P, d) -> (B, heads*d, H, W), un-shifted, as one
+    node: the exact inverse of window_partition for any head count."""
     wins = _as_tensor(wins)
     if (wins.ndim != 5 or wins.shape[1] != layout.n_windows
             or wins.shape[3] != layout.patches):
         raise ValueError(f"windows {wins.shape} do not match layout {layout}")
-    b, _, heads, _, d = wins.shape
-    ws = layout.ws
-    ny, nx = layout.h // ws, layout.w // ws
-    t = reshape(wins, (b, ny, nx, heads, ws, ws, d))
-    t = transpose(t, (0, 3, 6, 1, 4, 2, 5))
-    x = reshape(t, (b, heads * d, layout.h, layout.w))
-    return roll(x, (layout.shift, layout.shift), (2, 3)) if layout.shift else x
+    return _make("window_merge", _from_windows(wins.data, layout), (wins,),
+                 lambda g: (_to_windows(g, layout, wins.shape[2]),))
 
 
 def window_origins(layout: WindowLayout) -> np.ndarray:
@@ -390,26 +393,22 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
 def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTrace]:
     """Windowed multi-head attention; returns (output, trace).
 
-    A layer with an offset net (`params.deformable`) samples each head's
-    keys/values at its own offsets from the whole shifted map; one without
-    attends over the window's own patches.  Both run the fused window core
-    `_attend`, and `trace.attention` is the probability array it keeps.
-    Output shape equals input shape.
+    `window_partition` raises on a map that does not fit.  A layer with an
+    offset net (`params.deformable`) samples each head's keys/values at its
+    own offsets from the whole shifted map (its one `roll`); one without
+    attends over the window's own patches.  Both run the fused core
+    `_attend`, whose probabilities are `trace.attention`; output is x's shape.
     """
     x = _as_tensor(x)
-    if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w):
-        raise ValueError(f"map {x.shape} does not match layout {layout}")
-    b, c, h, w = x.shape
     nh = params.n_heads
-    d = c // nh
-    if d * nh != c or params.channels != c:
+    xh = window_partition(x, layout, nh)           # (B, n_w, n_h, P, d)
+    b, c, h, w = x.shape
+    if params.channels != c:
         raise ValueError("channel count does not match params")
     ws = layout.ws
     p = layout.patches
     nw = layout.n_windows
 
-    xs = roll(x, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else x
-    xh = _split(xs, layout, nh)                    # (B, n_w, n_h, P, d)
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
     ref = reference_points(layout)                 # (n_w, P, 2) float64
@@ -424,6 +423,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
             lo = org.reshape(1, nw, 1, 1, 2)
             hi = lo + (ws - 1)
         pts = clip(off + ref.reshape(1, nw, 1, p, 2), lo, hi)
+        xs = roll(x, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else x
         kv_in = bilinear_sample_batch(xs, pts)     # (B, n_w, n_h, P, d)
         bias = _relative_bias(params.bias_table, pts, org)
         offs, defp = off.data, pts.data

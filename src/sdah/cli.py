@@ -220,6 +220,16 @@ def _selfcheck_windows():
         back = window_merge(window_partition(x, lay), lay)
         if not np.array_equal(back.data, x.data):
             raise AssertionError("window round trip not exact")
+    # 2 heads on the shifted layout: each op's backward is the other's forward
+    x = Tensor(s.uniform((1, 4, 8, 8), -1, 1), requires_grad=True)
+    wins = window_partition(x, lay, 2)
+    g = Tensor(s.uniform(wins.shape, -1, 1), requires_grad=True)
+    wins.backward(g.data)
+    window_merge(g, lay).backward(x.data)
+    if not (np.array_equal(window_merge(wins, lay).data, x.data)
+            and np.array_equal(x.grad, window_merge(g.data, lay).data)
+            and np.array_equal(g.grad, wins.data)):
+        raise AssertionError("2-head windows: round trip or backward not exact")
 
 
 def _selfcheck_zero_offset():

@@ -134,10 +134,10 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     if roi_mask is None:
         roi_mask = np.argmax(logits.data[0], axis=0) == target_class
     roi = np.asarray(roi_mask).astype(bool)
-    if not roi.any():
-        raise ValueError("empty roi")
     if roi.shape != logits.shape[-2:]:
         raise ValueError("roi shape does not match the image")
+    if not roi.any():
+        raise ValueError("empty roi")
     cls = narrow(logits, 1, target_class, 1)
     score = tsum(cls * Tensor(roi, dtype=cls.dtype))
     score.backward()

@@ -74,7 +74,7 @@ class _Ctx:
     def __init__(self, op, parents, bwd):
         self.op = op
         self.parents = parents
-        self.bwd = bwd  # grad_out -> tuple of grads aligned with parents
+        self.bwd = bwd  # grad_out -> grads aligned with parents, None where unneeded
 
 
 class Tensor:
@@ -264,7 +264,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make("add", out, (a, b), bwd)
 
@@ -275,7 +276,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _make("sub", out, (a, b), bwd)
 
@@ -286,10 +288,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make("mul", out, (a, b), bwd)
 
@@ -301,8 +301,9 @@ def div(a, b) -> Tensor:
 
     def bwd(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+            if b.requires_grad else None,
         )
 
     return _make("div", out, (a, b), bwd)

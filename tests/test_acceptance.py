@@ -96,6 +96,8 @@ def test_c01_gradient_suite(capsys):
             bl = s.uniform((3,), -1, 1)
             sg = Stream(derive_seed(150, seed))  # grouped read: 2 groups of 2 channels
             fg, pg = sg.uniform((2, 4, 5, 5), -1, 1), sg.uniform((2, 3, 2, 4, 2), 0.2, 3.8)
+            sw, lw = Stream(derive_seed(170, seed)), WindowLayout(4, 6, 2, 1)  # shifted
+            xw, ww = sw.uniform((1, 4, 4, 6), -1, 1), sw.uniform((1, 6, 2, 4, 2), -1, 1)
             ops = [
                 ("add", add, [a, b]),
                 ("sub", sub, [a, b]),
@@ -126,6 +128,8 @@ def test_c01_gradient_suite(capsys):
                  [s.uniform((2, 2, 5, 5), -1, 1),
                   np.stack([s.uniform((2, 6), 0.2, 3.8), s.uniform((2, 6), 0.2, 3.8)], -1)]),
                 ("bilinear_grouped", bilinear_sample_batch, [fg, pg]),
+                ("window_partition", lambda t: window_partition(t, lw, 2), [xw]),
+                ("window_merge", lambda t: window_merge(t, lw), [ww]),
             ]
             for name, fn, inputs in ops:
                 r = grad_check(fn, inputs, seed=seed, name=name)

@@ -9,7 +9,6 @@ from sdah.attention import (
     SdmsaParams,
     _attend,
     _relative_bias,
-    _split,
     WindowLayout,
     reference_points,
     sdmsa,
@@ -75,9 +74,52 @@ def test_partition_merge_round_trip_exact(shift):
 def test_merge_inverts_split_for_any_head_count():
     x = _x(2, 4, 8, 12, seed=1)
     lay = WindowLayout(8, 12, 4)
-    wins = _split(x, lay, 2)
+    wins = window_partition(x, lay, 2)
     assert wins.shape == (2, 6, 2, 16, 2)
     np.testing.assert_array_equal(window_merge(wins, lay).data, x.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("shift", [0, 2])
+def test_partition_and_merge_are_each_others_vjp(shift, heads, dtype):
+    """Each is one node whose backward is the other's forward, bit for bit."""
+    lay = WindowLayout(8, 12, 4, shift)                # non-square map
+    x = Tensor(Stream(3).normal((2, 4, 8, 12)), requires_grad=True, dtype=dtype)
+    wins = window_partition(x, lay, heads)
+    assert wins._ctx.op == "window_partition" and wins._ctx.parents == (x,)
+    g = Stream(4).normal(wins.shape).astype(dtype)
+    wins.backward(g)
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, window_merge(Tensor(g, dtype=dtype), lay).data)
+
+    w = Tensor(g, requires_grad=True, dtype=dtype)
+    out = window_merge(w, lay)
+    assert out._ctx.op == "window_merge" and out._ctx.parents == (w,)
+    gx = Stream(5).normal(x.shape).astype(dtype)
+    out.backward(gx)
+    np.testing.assert_array_equal(
+        w.grad, window_partition(Tensor(gx, dtype=dtype), lay, heads).data)
+
+
+@pytest.mark.parametrize("deform", [False, True])
+def test_sdmsa_layout_nodes(deform):
+    """The windows in and out are one node each; the plain path has no
+    reshape, transpose or roll, and the deformable one only the sampler's
+    roll of the shifted map."""
+    x = Tensor(Stream(0).normal((2, 8, 8, 8)), requires_grad=True)  # records the layout nodes
+    out, _ = sdmsa(x, _params(8, 2, 4, deform=deform), WindowLayout(8, 8, 4, 2))
+    ops, seen, todo = [], set(), [out]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen and t._ctx is not None:
+            seen.add(id(t))
+            ops.append(t._ctx.op)
+            todo.extend(t._ctx.parents)
+    assert ops.count("window_partition") == ops.count("window_merge") == 1
+    assert ops.count("roll") == int(deform)
+    if not deform:
+        assert not {"reshape", "transpose"} & set(ops)
 
 
 def test_partition_layout_mismatch_raises():

@@ -219,6 +219,17 @@ def test_gradcam_validation():
         seg_grad_cam(m, _image(), 1, "dec1", roi[:16])
 
 
+@pytest.mark.parametrize("shape,fill,message", [
+    ((32, 32), False, "empty roi"),
+    ((16, 32), True, "roi shape does not match the image"),
+    ((16, 32), False, "roi shape does not match the image"),  # shape is checked first
+])
+def test_gradcam_roi_errors_name_the_fault(shape, fill, message):
+    roi = np.full(shape, fill, dtype=bool)
+    with pytest.raises(ValueError, match=message):
+        seg_grad_cam(_micro_model(), _image(), 1, "dec1", roi)
+
+
 @pytest.mark.parametrize("block,ch,hw", [("dec1", 8, 8), ("dec2", 16, 4)])
 def test_cam_weights_match_finite_differences(block, ch, hw):
     """Channel weights times the spatial count equal the FD derivative of

@@ -255,6 +255,24 @@ def test_broadcast_grads_sum_over_expanded_axes():
     assert b.grad.shape == (1, 4)
 
 
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+@pytest.mark.parametrize("const_first", [False, True])
+def test_binary_vjp_skips_a_constant_operand(op, const_first):
+    """x ∘ c and c ∘ x with a constant c: the backward returns None in c's
+    slot, and x gets the gradient it gets when c needs one too."""
+    x_data, c_data, g = _rand((3, 4), 60), _rand(4, 61) + 3.0, _rand((3, 4), 62)
+    grads = []
+    for c_needs_grad in (False, True):
+        x = Tensor(x_data, requires_grad=True)
+        c = Tensor(c_data, requires_grad=c_needs_grad)
+        t = op(c, x) if const_first else op(x, c)
+        c_slot = t._ctx.bwd(g)[0 if const_first else 1]
+        assert (c_slot is None) != c_needs_grad
+        t.backward(g)
+        grads.append(x.grad)
+    np.testing.assert_array_equal(*grads)
+
+
 def test_grad_accumulates_across_uses():
     a = Tensor(np.array([2.0]), requires_grad=True)
     y = add(mul(a, a), a)  # a^2 + a, dy/da = 2a + 1 = 5
