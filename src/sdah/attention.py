@@ -115,7 +115,7 @@ def window_partition(x, layout: WindowLayout, heads: int = 1) -> Tensor:
     if x.ndim != 4 or x.shape[2:] != (layout.h, layout.w) or x.shape[1] % heads:
         raise ValueError(f"map {x.shape} does not match layout {layout} at {heads} heads")
     return _make("window_partition", _to_windows(x.data, layout, heads), (x,),
-                 lambda g: (_from_windows(g, layout),))
+                 lambda g: _from_windows(g, layout))
 
 
 def window_merge(wins, layout: WindowLayout) -> Tensor:
@@ -126,7 +126,7 @@ def window_merge(wins, layout: WindowLayout) -> Tensor:
             or wins.shape[3] != layout.patches):
         raise ValueError(f"windows {wins.shape} do not match layout {layout}")
     return _make("window_merge", _from_windows(wins.data, layout), (wins,),
-                 lambda g: (_to_windows(g, layout, wins.shape[2]),))
+                 lambda g: _to_windows(g, layout, wins.shape[2]))
 
 
 def window_origins(layout: WindowLayout) -> np.ndarray:
@@ -337,34 +337,37 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     out = rows(hy, tab) @ hxt
     out = out.reshape(b, nw, nh, p, p).swapaxes(-1, -2)
 
-    def bwd(g):
-        # (.., (ry, rx), j) -> (.., j, ry, rx)
+    def prep(g):
+        # (.., (ry, rx), j) -> (.., j, ry, rx), and its rows times Hx
         g = np.ascontiguousarray(
             g.reshape(b, nw, nh, ws, ws, p).transpose(0, 1, 2, 5, 3, 4))
-        g_rows = g @ np.swapaxes(hxt, -1, -2)     # (.., j, ry, t)
-        dt = dk = None
-        if table.requires_grad:
-            dt = (np.swapaxes(hy.reshape(b * nw, nh, p * ws, t), -1, -2)
-                  @ g_rows.reshape(b * nw, nh, p * ws, t)).sum(axis=0)
-        if keys.requires_grad:
-            g_cols = np.swapaxes(g, -1, -2) @ hy     # (.., j, rx, t)
-            dk = np.stack([
-                _slope(rows(g_rows, np.swapaxes(tab, -1, -2)), y0, y1, my),
-                _slope(rows(g_cols, tab), x0, x1, mx),
-            ], axis=-1)
-        return dt, dk
+        return g, g @ np.swapaxes(hxt, -1, -2)     # (.., j, ry, t)
 
-    return _make("relative_bias", out, (table, keys), bwd)
+    def dt(s):
+        g_rows = s[1]
+        return (np.swapaxes(hy.reshape(b * nw, nh, p * ws, t), -1, -2)
+                @ g_rows.reshape(b * nw, nh, p * ws, t)).sum(axis=0)
+
+    def dk(s):
+        g, g_rows = s
+        g_cols = np.swapaxes(g, -1, -2) @ hy     # (.., j, rx, t)
+        return np.stack([
+            _slope(rows(g_rows, np.swapaxes(tab, -1, -2)), y0, y1, my),
+            _slope(rows(g_cols, tab), x0, x1, mx),
+        ], axis=-1)
+
+    return _make("relative_bias", out, (table, keys), dt, dk, prep=prep)
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.ndarray]:
     """softmax(q kᵀ/√d + bias) v as one graph node; returns (output, probs).
 
     q, k, v (B, n_w, n_h, P, d); bias broadcasts to the (B, n_w, n_h, P, P)
-    scores, which are scaled, biased and softmaxed in place.  The
-    probabilities are the one array the backward keeps, dS = P * (dP -
-    rowsum(dP * P)), and the one finite check: a NaN or +inf score makes its
-    row NaN (a -inf one among finite scores just gets probability 0).  Each
+    scores, which are scaled, biased and softmaxed in place.  The biased
+    scores get the one finite check, so a -inf score raises like a NaN or
+    +inf one, and finite scores always give finite probabilities.  The
+    probabilities are the one array the backward keeps; its `prep` computes
+    dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.  Each
     step runs in the order of the six-node chain this replaces, so values
     and gradients equal the chain's bit for bit.
     """
@@ -372,22 +375,22 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
     probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     probs *= scale
     probs += bias.data
+    _check_finite(probs, "attend")
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    _check_finite(probs, "attend")
 
-    def bwd(g):
-        dv = np.matmul(np.swapaxes(probs, -1, -2), g)
+    def prep(g):  # (g, dS, scale * dS), the last a copy: the bias VJP may return dS
         dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
         ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        dbias = _unbroadcast(ds, bias.shape)
-        ds = ds * scale                           # not in place: dbias may be ds
-        dq = np.matmul(ds, k.data)
-        dk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2)
-        return dq, dk, dv, dbias
+        return g, ds, ds * scale
 
-    return _make("attend", np.matmul(probs, v.data), (q, k, v, bias), bwd), probs
+    out = _make("attend", np.matmul(probs, v.data), (q, k, v, bias),
+                lambda s: np.matmul(s[2], k.data),
+                lambda s: np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), s[2]), -1, -2),
+                lambda s: np.matmul(np.swapaxes(probs, -1, -2), s[0]),
+                lambda s: _unbroadcast(s[1], bias.shape), prep=prep)
+    return out, probs
 
 
 def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTrace]:

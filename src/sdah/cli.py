@@ -410,7 +410,8 @@ def main(argv=None) -> int:
             ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, FormatError, ValueError, KeyError, OSError) as e:
+    except (FileNotFoundError, FormatError, ValueError, KeyError, OSError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

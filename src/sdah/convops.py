@@ -153,6 +153,19 @@ def _conv_backward_w(x, dy, k, s, p, g):
     return dw.reshape(cout, cg, k, k)
 
 
+def _biased_node(op, y, x, w, bias, dx, dw) -> Tensor:
+    """Record `op`'s (N, C_out, ho, wo) output y with VJPs dx and dw, plus the
+    optional (C_out,) bias added per channel, whose gradient is g's channel sum."""
+    if bias is None:
+        return _make(op, y, (x, w), dx, dw)
+    bias = _as_tensor(bias, like=x)
+    cout = y.shape[1]
+    if bias.shape != (cout,):
+        raise ValueError(f"{op} bias must be (C_out,)")
+    return _make(op, y + bias.data.reshape(1, cout, 1, 1), (x, w, bias), dx, dw,
+                 lambda g: g.sum(axis=(0, 2, 3)))
+
+
 def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
            allow_floor: bool = False) -> Tensor:
     """Grouped 2-D cross-correlation with zero padding.
@@ -174,25 +187,10 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
             f"groups={groups}, weight={w.shape}"
         )
     y = _conv_forward(x.data, w.data, stride, padding, groups, allow_floor)
-
-    parents = [x, w]
-    if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        if bias.shape != (cout,):
-            raise ValueError("conv2d bias must be (C_out,)")
-        y = y + bias.data.reshape(1, cout, 1, 1)
-        parents.append(bias)
-
-    def bwd(g):
-        dx = None
-        if x.requires_grad:
-            dx = _conv_backward_x(g, w.data, stride, padding, groups, (h, wd))
-        dw = _conv_backward_w(x.data, g, k, stride, padding, groups)
-        if bias is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
-
-    return _make("conv2d", y, tuple(parents), bwd)
+    return _biased_node(
+        "conv2d", y, x, w, bias,
+        lambda g: _conv_backward_x(g, w.data, stride, padding, groups, (h, wd)),
+        lambda g: _conv_backward_w(x.data, g, k, stride, padding, groups))
 
 
 def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -216,22 +214,7 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ValueError(f"deconv2d invalid geometry: output {ho}x{wo}")
     y = _conv_backward_x(x.data, w.data, stride, padding, 1, (ho, wo))
-
-    parents = [x, w]
-    if bias is not None:
-        bias = _as_tensor(bias, like=x)
-        if bias.shape != (cout,):
-            raise ValueError("deconv2d bias must be (C_out,)")
-        y = y + bias.data.reshape(1, cout, 1, 1)
-        parents.append(bias)
-
-    def bwd(g):
-        dx = None
-        if x.requires_grad:
-            dx = _conv_forward(g, w.data, stride, padding, 1, False)
-        dw = _conv_backward_w(g, x.data, k, stride, padding, 1)
-        if bias is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
-
-    return _make("deconv2d", y, tuple(parents), bwd)
+    return _biased_node(
+        "deconv2d", y, x, w, bias,
+        lambda g: _conv_forward(g, w.data, stride, padding, 1, False),
+        lambda g: _conv_backward_w(g, x.data, k, stride, padding, 1))

@@ -98,24 +98,21 @@ def bilinear_sample_batch(f, points) -> Tensor:
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
 
-    def bwd(g):
-        gt = np.ascontiguousarray(to_batch(g).transpose(0, 2, 1))  # (B*G, C/G, M*P)
-        df = None
-        if f.requires_grad:
-            df = np.zeros_like(f.data).reshape(bg, cg, h * w)
-            bilinear_scatter(df, idx, wts, gt)
-            df = df.reshape(f.data.shape)
-        dp = None
-        if points.requires_grad:
-            # derivative through the blend weights; zero where clamped
-            dy = (1 - fx)[:, None, :] * (v10 - v00) + fx[:, None, :] * (v11 - v01)
-            dx = (1 - fy)[:, None, :] * (v01 - v00) + fy[:, None, :] * (v11 - v10)
-            inside = ((pts > 0.0) & (pts < [h - 1.0, w - 1.0])).astype(g.dtype)
-            dp = from_batch(np.stack(
-                [(gt * dy).sum(axis=1), (gt * dx).sum(axis=1)], axis=-1) * inside)
-        return df, dp
+    def df(gt):  # gt: prep's (B*G, C/G, M*P) transposed gradient
+        acc = np.zeros_like(f.data).reshape(bg, cg, h * w)
+        bilinear_scatter(acc, idx, wts, gt)
+        return acc.reshape(f.data.shape)
 
-    return _make("bilinear_sample", out, (f, points), bwd)
+    def dp(gt):
+        # derivative through the blend weights; zero where clamped
+        dy = (1 - fx)[:, None, :] * (v10 - v00) + fx[:, None, :] * (v11 - v01)
+        dx = (1 - fy)[:, None, :] * (v01 - v00) + fy[:, None, :] * (v11 - v10)
+        inside = ((pts > 0.0) & (pts < [h - 1.0, w - 1.0])).astype(gt.dtype)
+        return from_batch(np.stack(
+            [(gt * dy).sum(axis=1), (gt * dx).sum(axis=1)], axis=-1) * inside)
+
+    return _make("bilinear_sample", out, (f, points), df, dp,
+                 prep=lambda g: np.ascontiguousarray(to_batch(g).transpose(0, 2, 1)))
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -8,6 +8,12 @@ vector-Jacobian products from consumers to operands with `+=` accumulation,
 and then marks the contexts as spent so a repeated backward without a fresh
 forward raises.
 
+A primitive records itself with `_make`, passing one vector-Jacobian product
+(VJP) per operand: a function from the output gradient to that operand's
+gradient.  The node runs only the VJPs whose operand needs a gradient, so no
+primitive checks `requires_grad` itself.  Ops whose VJPs share work pass a
+`prep` that maps the output gradient once to what they all read.
+
 Every primitive checks its float outputs for NaN/Inf and raises
 `NumericsError` instead of propagating them.
 """
@@ -74,7 +80,24 @@ class _Ctx:
     def __init__(self, op, parents, bwd):
         self.op = op
         self.parents = parents
-        self.bwd = bwd  # grad_out -> grads aligned with parents, None where unneeded
+        self.bwd = bwd  # a _VJPs: grad_out -> grads aligned with parents
+
+
+class _VJPs:
+    """A node's `bwd`: the VJPs of the parents that need a gradient, run on
+    `prep(grad_out)` when given; None for the rest.  One object per node
+    where a closure would take five: the graph's object count sets how often
+    the cyclic garbage collector runs."""
+
+    __slots__ = ("parents", "vjps", "prep")
+
+    def __init__(self, parents, vjps, prep):
+        self.parents, self.vjps, self.prep = parents, vjps, prep
+
+    def __call__(self, g):
+        s = g if self.prep is None else self.prep(g)
+        return tuple([f(s) if p.requires_grad else None
+                      for p, f in zip(self.parents, self.vjps)])
 
 
 class Tensor:
@@ -163,7 +186,7 @@ class Tensor:
                 continue
             grads = ctx.bwd(node.grad)
             for parent, g in zip(ctx.parents, grads):
-                if g is None or not parent.requires_grad:
+                if g is None:
                     continue
                 _check_finite(g, f"{ctx.op} backward")
                 if g.dtype != parent.data.dtype:
@@ -233,13 +256,20 @@ def _require_float(t: Tensor, op: str) -> None:
         raise TypeError(f"{op} requires a float tensor, got {t.data.dtype}")
 
 
-def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
+def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=None) -> Tensor:
+    """Wrap `out` as the result of `op` on `parents`, one VJP per parent.
+
+    Each VJP maps the output gradient, or `prep(grad)` when `prep` is given,
+    to its parent's gradient; backward runs only those whose parent needs one.
+    """
+    if len(vjps) != len(parents):
+        raise TypeError(f"{op}: {len(vjps)} VJPs for {len(parents)} parents")
     _check_finite(out, op)
     out = np.asarray(out)
     result = Tensor(out, dtype=out.dtype)  # checked above: no second pass
     if _grad_enabled and any(p.requires_grad for p in parents):
         result.requires_grad = True
-        result._ctx = _Ctx(op, parents, bwd)
+        result._ctx = _Ctx(op, parents, _VJPs(parents, vjps, prep))
     return result
 
 
@@ -261,57 +291,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    out = a.data + b.data
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-
-    return _make("add", out, (a, b), bwd)
+    return _make("add", a.data + b.data, (a, b),
+                 lambda g: _unbroadcast(g, a.data.shape),
+                 lambda g: _unbroadcast(g, b.data.shape))
 
 
 def sub(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    out = a.data - b.data
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-
-    return _make("sub", out, (a, b), bwd)
+    return _make("sub", a.data - b.data, (a, b),
+                 lambda g: _unbroadcast(g, a.data.shape),
+                 lambda g: _unbroadcast(-g, b.data.shape))
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    out = a.data * b.data
-
-    def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-
-    return _make("mul", out, (a, b), bwd)
+    return _make("mul", a.data * b.data, (a, b),
+                 lambda g: _unbroadcast(g * b.data, a.data.shape),
+                 lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def div(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    out = a.data / b.data
-
-    def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad else None,
-        )
-
-    return _make("div", out, (a, b), bwd)
+    return _make("div", a.data / b.data, (a, b),
+                 lambda g: _unbroadcast(g / b.data, a.data.shape),
+                 lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _make("neg", -a.data, (a,), lambda g: (-g,))
+    return _make("neg", -a.data, (a,), lambda g: -g)
 
 
 def clip(a, lo, hi) -> Tensor:
@@ -320,11 +331,7 @@ def clip(a, lo, hi) -> Tensor:
     a = _as_tensor(a)
     out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-
-    def bwd(g):
-        return (g * inside,)
-
-    return _make("clip", out, (a,), bwd)
+    return _make("clip", out, (a,), lambda g: g * inside)
 
 
 # -- matmul ------------------------------------------------------------------
@@ -341,14 +348,11 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul operands must have at least 2 dims")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return _make("matmul", out, (a, b), bwd)
+    return _make("matmul", np.matmul(a.data, b.data), (a, b),
+                 lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                        a.data.shape),
+                 lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                        b.data.shape))
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -362,16 +366,15 @@ def linear(x, w, b=None) -> Tensor:
     x3 = x.data.reshape(n, w.shape[0], -1)
     out = np.matmul(w.data.T, x3)
     parents = (x, w) if b is None else (x, w, _as_tensor(b, like=x))
+    vjps = (lambda g3: np.matmul(w.data, g3).reshape(x.data.shape),
+            lambda g3: np.tensordot(x3, g3, axes=((0, 2), (0, 2))))
     if b is not None:
         out += parents[2].data[:, None]
-
-    def bwd(g):
-        g3 = g.reshape(n, cout, -1)
-        grads = (np.matmul(w.data, g3).reshape(x.data.shape),
-                 np.tensordot(x3, g3, axes=((0, 2), (0, 2))))
-        return grads if b is None else grads + (g3.sum(axis=(0, 2)),)
-
-    return _make("linear", out.reshape((n, cout) + x.shape[2:]), parents, bwd)
+        vjps += (lambda g3: g3.sum(axis=(0, 2)),)
+    # the VJPs share one (N, C_out, L) reshape: a copy when the gradient is
+    # a concat's slice
+    return _make("linear", out.reshape((n, cout) + x.shape[2:]), parents, *vjps,
+                 prep=lambda g: g.reshape(n, cout, -1))
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -379,24 +382,14 @@ def linear(x, w, b=None) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-    out = a.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make("reshape", out, (a,), bwd)
+    return _make("reshape", a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return _make("transpose", out, (a,), bwd)
+    return _make("transpose", a.data.transpose(axes), (a,), lambda g: g.transpose(inv))
 
 
 def swap_last(a) -> Tensor:
@@ -411,24 +404,22 @@ def roll(a, shifts, axes) -> Tensor:
     a = _as_tensor(a)
     shifts = tuple(shifts)
     axes = tuple(axes)
-    out = np.roll(a.data, shifts, axis=axes)
-
-    def bwd(g):
-        return (np.roll(g, tuple(-s for s in shifts), axis=axes),)
-
-    return _make("roll", out, (a,), bwd)
+    back = tuple(-s for s in shifts)
+    return _make("roll", np.roll(a.data, shifts, axis=axes), (a,),
+                 lambda g: np.roll(g, back, axis=axes))
 
 
 def concat(parts, axis: int) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    ends = np.cumsum([p.data.shape[axis] for p in parts])
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+    def part(lo, hi):  # the VJP of the part at [lo, hi) along axis
+        return lambda g: g[lead + (slice(lo, hi),)]
 
-    return _make("concat", out, tuple(parts), bwd)
+    return _make("concat", out, tuple(parts),
+                 *(part(hi - p.data.shape[axis], hi) for p, hi in zip(parts, ends)))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -445,7 +436,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(a.data)
         full[sl] = g
-        return (full,)
+        return full
 
     return _make("narrow", out, (a,), bwd)
 
@@ -453,12 +444,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 def broadcast_to(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
-    out = np.broadcast_to(a.data, shape)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape),)
-
-    return _make("broadcast_to", out, (a,), bwd)
+    return _make("broadcast_to", np.broadcast_to(a.data, shape), (a,),
+                 lambda g: _unbroadcast(g, a.data.shape))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -469,11 +456,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return np.broadcast_to(g, a.data.shape).copy()
         ax = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return np.broadcast_to(g, a.data.shape).copy()
 
     return _make("sum", np.asarray(out), (a,), bwd)
 
@@ -504,7 +491,7 @@ def gelu(a) -> Tensor:
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf),)
+        return g * (phi + x * pdf)
 
     return _make("gelu", out.astype(x.dtype, copy=False), (a,), bwd)
 
@@ -512,11 +499,7 @@ def gelu(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _make("tanh", out, (a,), bwd)
+    return _make("tanh", out, (a,), lambda g: g * (1.0 - out * out))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -531,7 +514,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        return out * (g - inner)
 
     return _make("softmax", out, (a,), bwd)
 
@@ -561,15 +544,13 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5, axis: int = -1) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gb * xhat + bb
+    rest = tuple(i for i in range(a.ndim) if i != (axis % a.ndim))
 
-    def bwd(g):
-        sum_axes = tuple(i for i in range(g.ndim) if i != (axis % g.ndim))
-        dgamma = (g * xhat).sum(axis=sum_axes)
-        dbeta = g.sum(axis=sum_axes)
+    def dx(g):
         dxhat = g * gb
         m1 = dxhat.mean(axis=axis, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        return inv * (dxhat - m1 - xhat * m2)
 
-    return _make("layer_norm", out, (a, gamma, beta), bwd)
+    return _make("layer_norm", out, (a, gamma, beta), dx,
+                 lambda g: (g * xhat).sum(axis=rest), lambda g: g.sum(axis=rest))

@@ -133,7 +133,7 @@ def ce_loss(logits, label) -> Tensor:
         soft = np.exp(x - lse)
         onehot = np.zeros_like(x)
         np.put_along_axis(onehot, lab[:, None], 1.0, axis=1)
-        return (g * (soft - onehot) / n,)
+        return g * (soft - onehot) / n
 
     return _make("ce_loss", out, (lg,), bwd)
 

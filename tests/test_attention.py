@@ -557,10 +557,24 @@ def test_attend_matches_the_op_chain(dtype, bias_shape):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_attend_score_overflow_raises():
-    """q kᵀ past float32 range makes +inf scores, and the softmax turns
-    them NaN: the check on the probabilities names the fused node."""
+    """q kᵀ past float32 range makes +inf scores: the check on the biased
+    scores names the fused node."""
     q, k, v, bias = _qkvb(np.float32, (1, 1, 2, 16, 16))
     q.data[...] = k.data[...] = 1e20
+    with pytest.raises(NumericsError, match="attend produced non-finite"):
+        _attend(q, k, v, bias)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attend_negative_infinite_score_raises():
+    """Keys (-1e20, 1) against q = 1e20 score (-inf, 1e20): the softmax
+    alone would give the finite probabilities (0, 1), so the check has to
+    see the scores, as the six-node chain's matmul did."""
+    q, k, v, bias = _qkvb(np.float32, (1, 1, 1, 2, 2), shape=(1, 1, 1, 2, 1))
+    q.data[...] = 1e20
+    k.data[..., 0, 0] = -1e20
+    k.data[..., 1, 0] = 1.0
+    bias.data[...] = 0.0
     with pytest.raises(NumericsError, match="attend produced non-finite"):
         _attend(q, k, v, bias)
 

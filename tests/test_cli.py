@@ -292,6 +292,10 @@ def test_malformed_json_exits_2(target, text, workdir, capsys):
      2, "seed"),
     (["count", "--config", "BIGSEED", "--size", "32"], 2, "seed"),
     (["eval", "--ckpt", "CKPT", "--data", "EMPTY", "--out", "OUT"], 2, "no samples"),
+    (["infer", "--ckpt", "CKPT", "--image", "IMG", "--crop", "32", "--step", "16",
+      "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
+    (["eval", "--ckpt", "CKPT", "--data", "DATA", "--crop", "32", "--step", "16",
+      "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
 ])
 def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     d = _micro_files(tmp_path)
@@ -299,10 +303,42 @@ def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     (d / "empty").mkdir()
     (d / "empty" / "manifest.json").write_text("[]")
     paths = {"CKPT": d / "model.sdck", "IMG": d / "data" / "img_00000.sdt",
-             "OUT": d / "out", "BIGSEED": d / "big.json", "EMPTY": d / "empty"}
+             "OUT": d / "out", "BIGSEED": d / "big.json", "EMPTY": d / "empty",
+             "DATA": d / "data"}
     assert main([str(paths.get(a, a)) for a in argv]) == code
     assert word in capsys.readouterr().err
     assert not (d / "out").exists()
+
+
+def test_narrow_sigma_ratio_still_runs(tmp_path, capsys):
+    """0.02 keeps the corner weight of a 32-pixel crop above zero, so the
+    config accepts it and a 64x64 image tiled at step 16 gets its mask."""
+    d = _micro_files(tmp_path)
+    save_sdt1(d / "img.sdt", np.random.default_rng(0).uniform(
+        0, 1, (1, 64, 64)).astype(np.float32))
+    assert main(["infer", "--ckpt", str(d / "model.sdck"), "--image", str(d / "img.sdt"),
+                 "--crop", "32", "--step", "16", "--sigma-ratio", "0.02",
+                 "--out", str(d / "mask.sdt")]) == 0
+    assert load_sdt1(d / "mask.sdt").shape == (64, 64)
+    assert capsys.readouterr().err == ""
+
+
+def test_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    """A crop too large to allocate ends in exit 2 and an `error:` line, not a
+    traceback.  The failed allocation is simulated: a real one could succeed
+    lazily on an overcommitting host and then fill its memory."""
+    d = _micro_files(tmp_path)
+
+    def no_memory(crop, sigma_ratio):
+        raise MemoryError(f"Unable to allocate the {crop}x{crop} weight map")
+
+    monkeypatch.setattr("sdah.inference.gaussian_map", no_memory)
+    assert main(["infer", "--ckpt", str(d / "model.sdck"),
+                 "--image", str(d / "data" / "img_00000.sdt"), "--crop", "32",
+                 "--step", "32", "--out", str(d / "mask.sdt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not (d / "mask.sdt").exists()
 
 
 def test_overflowing_checkpoint_is_a_numerical_failure(tmp_path, capsys):

@@ -7,12 +7,8 @@ from sdah.tensor import Tensor, _make, mul, tsum
 
 def _broken_mul(a, b):
     """Correct forward, deliberately wrong backward (swapped factors + bias)."""
-    out = a.data * b.data
-
-    def bwd(g):
-        return g * b.data * 1.5, g * a.data + 0.1
-
-    return _make("broken_mul", out, (a, b), bwd)
+    return _make("broken_mul", a.data * b.data, (a, b),
+                 lambda g: g * b.data * 1.5, lambda g: g * a.data + 0.1)
 
 
 def test_accepts_correct_gradient():

@@ -27,10 +27,29 @@ def test_config_defaults():
 @pytest.mark.parametrize("kw", [
     dict(crop=32, step=0), dict(crop=32, step=33),
     dict(crop=33, step=16), dict(crop=32, step=16, sigma_ratio=0.0),
+    dict(crop=32, step=16, sigma_ratio=0.01),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         SlidingConfig(**kw)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("crop", [32, 64, 224])
+def test_config_rejects_exactly_the_ratios_whose_map_has_no_weight_somewhere(crop):
+    """A ratio is accepted iff every entry of its map is positive; a zero
+    entry would leave pixels unweighted and their blend NaN."""
+    # the corner underflows near ratio 0.018: sweep finely across it; at
+    # 1e-300 the peak underflows too and the map is NaN
+    for r in np.concatenate([[1e-300], np.geomspace(1e-3, 0.1, 30),
+                             np.geomspace(0.017, 0.02, 200)]):
+        m = gaussian_map(crop, r)
+        try:
+            SlidingConfig(crop=crop, step=crop, sigma_ratio=float(r))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == bool((m > 0).all()), r
 
 
 # -- gaussian map -----------------------------------------------------------------
@@ -110,6 +129,18 @@ def test_constant_logits_pass_through():
     assert probs.shape == (3, 64, 80)
     np.testing.assert_allclose(probs.data, np.broadcast_to(want, probs.shape),
                                rtol=0, atol=1e-6)
+
+
+def test_narrowest_accepted_sigma_still_blends_every_pixel():
+    """At ratio 0.02 a 32-pixel tile's corner weight is about 1e-254: every
+    pixel keeps a positive weight, so a constant prediction passes through
+    with no NaN (at 0.01 the config refuses the ratio)."""
+    logits = np.array([0.3, -1.2])
+    image = np.zeros((1, 64, 64), dtype=np.float32)
+    probs = sliding_predict(_const_model(logits), image, _cfg(sigma_ratio=0.02)).data
+    e = np.exp(logits - logits.max())
+    np.testing.assert_allclose(probs, np.broadcast_to((e / e.sum())[:, None, None],
+                                                      probs.shape), rtol=0, atol=1e-6)
 
 
 def test_tile_count_64x64_crop32_step16():

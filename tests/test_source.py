@@ -99,3 +99,23 @@ def test_callerless_function_is_reported():
                             "def _c():\n    return b\n"),
              "n": ast.parse("from m import a\nx = 'a'\n")}
     assert _callerless(trees, "m") == ["a"]
+
+
+def _grad_flag_reads(tree: ast.Module) -> list[int]:
+    """Lines that load a `.requires_grad` attribute."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and n.attr == "requires_grad" and isinstance(n.ctx, ast.Load))
+
+
+def test_only_the_engine_reads_requires_grad():
+    """Every primitive hands `_make` one VJP per operand and the engine picks
+    which to run, so no other module decides on a gradient flag."""
+    found = {p.name: _grad_flag_reads(ast.parse(p.read_text(), str(p)))
+             for p in MODULES if p.name != "tensor.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_requires_grad_read_is_reported():
+    tree = ast.parse("t = Tensor(x, requires_grad=True)\nt.requires_grad = False\n"
+                     "if t.requires_grad:\n    pass\n")
+    assert _grad_flag_reads(tree) == [3]
