@@ -124,7 +124,7 @@ def init_sdapc(channels: int, n_heads: int, ws: int, stream: Stream,
 def sdapc_division1(x: Tensor, p: SdapcBlockParams) -> Tensor:
     """Depthwise 7x7 -> LN -> FC -> GELU -> FC, residual around it all."""
     y = conv2d(x, p.dw1_w, p.dw1_b, padding=DW_KERNEL // 2, groups=p.channels)
-    y = layer_norm(y, p.ln1_g, p.ln1_b, axis=1)
+    y = layer_norm(y, p.ln1_g, p.ln1_b)
     y = gelu(linear(y, p.fc1_w, p.fc1_b))
     return linear(y, p.fc2_w, p.fc2_b) + x
 
@@ -134,7 +134,7 @@ def sdapc_division2(xbar: Tensor, p: SdapcBlockParams,
                     ) -> tuple[Tensor, SdmsaTrace | None]:
     """Attention and depthwise branches over one shared LN, fused, residual."""
     c = p.channels
-    n = layer_norm(xbar, p.ln2_g, p.ln2_b, axis=1)
+    n = layer_norm(xbar, p.ln2_g, p.ln2_b)
     branches = []
     trace = None
     if p.attn is not None:
@@ -199,7 +199,7 @@ def conv_embed(x: Tensor, p: ConvEmbedParams) -> Tensor:
     for w, b, g, beta, stride in zip(p.ws, p.bs, p.gs, p.betas, _STEM_STRIDES):
         x = conv2d(x, w, b, stride=stride, padding=1, allow_floor=(stride == 2))
         x = gelu(x)
-        x = layer_norm(x, g, beta, axis=1)
+        x = layer_norm(x, g, beta)
     return x
 
 

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (FileNotFoundError, FormatError, ValueError, KeyError, OSError,
-            MemoryError) as e:
+            MemoryError, RecursionError) as e:  # the last: JSON nested too deep
         print(f"error: {e}", file=sys.stderr)
         return 2
 

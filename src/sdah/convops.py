@@ -193,11 +193,12 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, groups: int = 1,
         lambda g: _conv_backward_w(x.data, g, k, stride, padding, groups))
 
 
-def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed convolution: the adjoint of conv2d with the same weight.
+def deconv2d(x, w, bias=None, stride: int = 1) -> Tensor:
+    """Transposed convolution: the adjoint of conv2d with the same weight,
+    at padding 0.
 
     x: (N, C_in, H, W); w: (C_in, C_out, k, k); output spatial
-    size is (H-1)*stride - 2*padding + k.
+    size is (H-1)*stride + k.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
@@ -209,12 +210,12 @@ def deconv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError("deconv2d kernels must be square")
     if cin_w != cin:
         raise ValueError(f"deconv2d channel mismatch: input {cin}, weight {w.shape}")
-    ho = (h - 1) * stride - 2 * padding + k
-    wo = (wd - 1) * stride - 2 * padding + k
-    if ho <= 0 or wo <= 0:
-        raise ValueError(f"deconv2d invalid geometry: output {ho}x{wo}")
-    y = _conv_backward_x(x.data, w.data, stride, padding, 1, (ho, wo))
+    if h < 1 or wd < 1:
+        raise ValueError(f"deconv2d of an empty map {x.shape}")
+    ho = (h - 1) * stride + k
+    wo = (wd - 1) * stride + k
+    y = _conv_backward_x(x.data, w.data, stride, 0, 1, (ho, wo))
     return _biased_node(
         "deconv2d", y, x, w, bias,
-        lambda g: _conv_forward(g, w.data, stride, padding, 1, False),
-        lambda g: _conv_backward_w(g, x.data, k, stride, padding, 1))
+        lambda g: _conv_forward(g, w.data, stride, 0, 1, False),
+        lambda g: _conv_backward_w(g, x.data, k, stride, 0, 1))

@@ -19,28 +19,22 @@ from .attention import SdmsaTrace
 from .io import save_sdt1, to_u8, write_pgm, write_ppm
 from .network import BLOCK_IDS, Model, forward
 from .sampling import bilinear_corners, bilinear_resize, bilinear_scatter
-from .tensor import Tensor, narrow, tsum
 
 
-def attention_heatmap(trace: SdmsaTrace, agg: str = "sum",
-                      normalize: bool = True, batch: int = 0) -> np.ndarray:
-    """(H, W) map of attention received per key location.
+def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
+    """(H, W) map of attention received per key location in image 0.
 
     Column sums of each window/head attention matrix are splatted at the
     deformed key coordinates (so mass lands where the keys were actually
     sampled), accumulated over heads, rolled back to the unshifted frame,
-    and min-max normalized.  agg="mean" divides by the query count.
+    and min-max normalized (a flat map is returned as is).
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
-    if agg not in ("sum", "mean"):
-        raise ValueError("agg must be 'sum' or 'mean'")
     layout = trace.layout
-    attn = np.asarray(trace.attention, dtype=np.float64)[batch]
-    pts = np.asarray(trace.deformed, dtype=np.float64)[batch]
+    attn = np.asarray(trace.attention, dtype=np.float64)[0]
+    pts = np.asarray(trace.deformed, dtype=np.float64)[0]
     received = attn.sum(axis=-2)  # (n_w, n_h, P): weight landing on key j
-    if agg == "mean":
-        received = received / attn.shape[-2]
     idx, wts, _, _ = bilinear_corners(pts[..., 0].reshape(1, -1),
                                       pts[..., 1].reshape(1, -1), layout.h, layout.w)
     acc = np.zeros((1, 1, layout.h * layout.w), dtype=np.float64)
@@ -48,17 +42,15 @@ def attention_heatmap(trace: SdmsaTrace, agg: str = "sum",
     acc = acc.reshape(layout.h, layout.w)
     if layout.shift:
         acc = np.roll(acc, (layout.shift, layout.shift), axis=(0, 1))
-    if not normalize:
-        return acc
     lo, hi = acc.min(), acc.max()
     if hi <= lo:
         return acc
     return (acc - lo) / (hi - lo)
 
 
-def deformation_rows(trace: SdmsaTrace, block: str, stride: int = 1,
-                     batch: int = 0) -> list[tuple]:
-    """(block, window, head, ref_y, ref_x, def_y, def_x) per sample point.
+def deformation_rows(trace: SdmsaTrace, block: str, stride: int = 1) -> list[tuple]:
+    """(block, window, head, ref_y, ref_x, def_y, def_x) per sample point
+    of image 0.
 
     Coordinates are in the shifted frame, exactly as used by the sampler;
     `stride` keeps every stride-th point per window for legibility.
@@ -66,7 +58,7 @@ def deformation_rows(trace: SdmsaTrace, block: str, stride: int = 1,
     if trace is None:
         raise ValueError("no attention trace for this block")
     ref = np.asarray(trace.reference_points)
-    defp = np.asarray(trace.deformed)[batch]
+    defp = np.asarray(trace.deformed)[0]
     nw, nh, p = defp.shape[:3]
     rows = []
     for wi in range(nw):
@@ -89,20 +81,19 @@ def points_csv_bytes(trace: SdmsaTrace, block: str, stride: int = 1) -> bytes:
     return buf.getvalue().encode()
 
 
-def deformation_field(trace: SdmsaTrace, max_offset: float | None = None,
-                      batch: int = 0) -> np.ndarray:
-    """(H, W, 3) u8 image: dy -> red, dx -> green around 128, |d| -> blue.
+def deformation_field(trace: SdmsaTrace) -> np.ndarray:
+    """(H, W, 3) u8 image of image 0: dy -> red, dx -> green around 128,
+    |d| -> blue.
 
     Offsets are averaged over heads at each reference pixel and rolled back
-    to the unshifted frame.  `max_offset` fixes the color scale (defaults
-    to ws/2, the tanh bound at gamma_off=1).
+    to the unshifted frame.  Full scale is ws/2, the tanh bound at
+    gamma_off=1.
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
     layout = trace.layout
-    if max_offset is None:
-        max_offset = max(layout.ws / 2.0, 1e-12)
-    off = np.asarray(trace.offsets, dtype=np.float64)[batch].mean(axis=1)
+    max_offset = layout.ws / 2.0
+    off = np.asarray(trace.offsets, dtype=np.float64)[0].mean(axis=1)
     ref = np.asarray(trace.reference_points).astype(np.int64)
     field = np.zeros((layout.h, layout.w, 2), dtype=np.float64)
     field[ref[..., 0], ref[..., 1]] = off
@@ -138,9 +129,10 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
         raise ValueError("roi shape does not match the image")
     if not roi.any():
         raise ValueError("empty roi")
-    cls = narrow(logits, 1, target_class, 1)
-    score = tsum(cls * Tensor(roi, dtype=cls.dtype))
-    score.backward()
+    # d(score)/d(logits) for score = the target class's logits summed over the ROI
+    seed = np.zeros(logits.shape, logits.dtype)
+    seed[:, target_class] = roi
+    logits.backward(seed)
     feat = info.outputs[block]        # (B, C, h, w)
     if feat.grad is None:
         raise RuntimeError(f"no gradient reached block {block}")

@@ -49,7 +49,8 @@ def _profile(crop: int, sigma_ratio: float) -> np.ndarray:
     """The 1-D factor of `gaussian_map`, before the peak scaling."""
     sigma = crop * sigma_ratio
     coords = np.arange(crop, dtype=np.float64) - (crop - 1) / 2.0
-    return np.exp(-0.5 * (coords / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a tiny sigma squares to inf: weight 0
+        return np.exp(-0.5 * (coords / sigma) ** 2)
 
 
 def gaussian_map(crop: int, sigma_ratio: float = 1.0 / 8.0) -> np.ndarray:

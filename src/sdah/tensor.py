@@ -519,37 +519,37 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make("softmax", out, (a,), bwd)
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5, axis: int = -1) -> Tensor:
-    """Normalize to zero mean / unit variance along `axis`, then affine.
+def layer_norm(a, gamma, beta) -> Tensor:
+    """Normalize to zero mean / unit variance (eps 1e-5) along axis 1, the
+    channel axis as in `linear`, then affine.
 
-    `gamma`/`beta` are 1-D of the normalized axis length.
+    `gamma`/`beta` are 1-D of the channel count.
     """
     a = _as_tensor(a)
     gamma = _as_tensor(gamma, like=a)
     beta = _as_tensor(beta, like=a)
-    c = a.data.shape[axis]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError(f"layer_norm affine shape mismatch: axis length {c}")
-    # reshape affines so they broadcast along the normalized axis
-    bshape = [1] * a.ndim
-    bshape[axis] = c
+    c = a.shape[1] if a.ndim > 1 else None
+    if c is None or gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ValueError(f"layer_norm: input {a.shape} does not match {gamma.shape}")
+    # reshape affines so they broadcast along the channel axis
+    bshape = (1, c) + (1,) * (a.ndim - 2)
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
 
-    mu = a.data.mean(axis=axis, keepdims=True)
+    mu = a.data.mean(axis=1, keepdims=True)
     xc = a.data - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     # an overflowed variance would make inv 0 and the output a finite beta
     _check_finite(var, "layer_norm")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = gb * xhat + bb
-    rest = tuple(i for i in range(a.ndim) if i != (axis % a.ndim))
+    rest = (0, *range(2, a.ndim))
 
     def dx(g):
         dxhat = g * gb
-        m1 = dxhat.mean(axis=axis, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
         return inv * (dxhat - m1 - xhat * m2)
 
     return _make("layer_norm", out, (a, gamma, beta), dx,

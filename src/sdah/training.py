@@ -99,8 +99,9 @@ def _as_batched_pair(logits, label):
     return lg, lab.astype(np.int64)
 
 
-def dice_loss(logits, label, eps: float = 1e-5) -> Tensor:
+def dice_loss(logits, label) -> Tensor:
     """Soft dice on softmax probabilities, averaged over foreground classes."""
+    eps = 1e-5  # smooths each class term's numerator and denominator
     lg, lab = _as_batched_pair(logits, label)
     k = lg.shape[1]
     if k < 2:
@@ -162,10 +163,9 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place on the parameter tensors."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t

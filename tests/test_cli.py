@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sdah.cli import main
 from sdah.io import load_checkpoint, load_sdt1, save_checkpoint, save_sdt1
-from sdah.network import ModelConfig, build_model, count_params, save_model
+from sdah.network import CONFIG_KEY, ModelConfig, build_model, count_params, save_model
 from sdah.training import load_dataset
 
 MICRO = {
@@ -275,6 +275,33 @@ def test_malformed_json_exits_2(target, text, workdir, capsys):
         argv = ["train", "--data", str(workdir / "data"), "--out", str(workdir / "run")]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 100_000  # ~100 KB, nested far past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("target", ["config", "checkpoint", "manifest"])
+def test_deeply_nested_json_exits_2(target, tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    ckpt, data = d / "model.sdck", d / "data"
+    sliding = ["--crop", "32", "--step", "32"]
+    if target == "config":
+        (d / "cfg.json").write_text(DEEP_JSON)
+        argvs = [["count", "--config", str(d / "cfg.json"), "--size", "32"]]
+    elif target == "checkpoint":
+        named = load_checkpoint(ckpt)
+        named[CONFIG_KEY] = np.frombuffer(DEEP_JSON.encode(), np.uint8)
+        save_checkpoint(ckpt, named)
+        argvs = [["infer", "--ckpt", str(ckpt), "--image", str(data / "img_00000.sdt"),
+                  *sliding, "--out", str(d / "mask.sdt")]]
+    else:
+        (data / "manifest.json").write_text(DEEP_JSON)
+        argvs = [["eval", "--ckpt", str(ckpt), "--data", str(data), *sliding,
+                  "--out", str(d / "eval.csv")],
+                 ["train", "--data", str(data), "--out", str(d / "run")]]
+    for argv in argvs:
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,code,word", [

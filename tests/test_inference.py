@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +36,16 @@ def test_config_validation(kw):
         SlidingConfig(**kw)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tiny_ratio_raises_its_value_error_with_warnings_as_errors():
+    # (x / sigma) ** 2 overflows at this ratio; the profile takes it as weight 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="underflows"):
+            SlidingConfig(crop=32, step=16, sigma_ratio=1e-300)
+
+
+# gaussian_map at 1e-300 divides its all-zero map by its zero peak
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("crop", [32, 64, 224])
 def test_config_rejects_exactly_the_ratios_whose_map_has_no_weight_somewhere(crop):
     """A ratio is accepted iff every entry of its map is positive; a zero

@@ -1,4 +1,6 @@
 import csv
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +175,48 @@ def test_hd95_random_pairs_match_reference():
             assert got == pytest.approx(want, abs=1e-9)
             checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize("na,nb", [(10, 7), (500, 300), (2000, 1500)])
+def test_hd95_equals_the_cdist_oracle_bit_for_bit(na, nb):
+    """Isolated pixels are all boundary, so each mask holds exactly na (nb)
+    boundary points; their distances equal scipy's cdist exactly."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(na)
+    spacing = (0.7, 1.3)
+    masks = []
+    for n in (na, nb):
+        m = np.zeros((128, 128), bool)
+        spots = rng.choice(64 * 64, n, replace=False)
+        m[2 * (spots // 64), 2 * (spots % 64)] = True
+        masks.append(m)
+    pa, pb = (boundary_points(m) * spacing for m in masks)
+    assert (len(pa), len(pb)) == (na, nb)
+    d = cdist(pa, pb)
+    want = float(max(np.percentile(d.min(1), 95), np.percentile(d.min(0), 95)))
+    assert hd95(*masks, spacing) == want
+
+
+def test_no_sdah_import_or_eval_loads_scipy_spatial(tmp_path):
+    """Nothing `sdah eval` runs needs scipy.spatial (or the linalg and
+    sparse modules it loads), so no sdah process pays for importing it."""
+    code = (
+        "import sys\n"
+        "import sdah, sdah.cli, sdah.explain\n"
+        "from sdah.cli import main\n"
+        "from sdah.network import ModelConfig, build_model, save_model\n"
+        "d = sys.argv[1]\n"
+        "save_model(d + '/m.sdck', build_model(ModelConfig(window_sizes=(4, 4, 2, 2))))\n"
+        "assert main(['synth', '--n', '2', '--size', '32', '--classes', '2',"
+        " '--out', d + '/data']) == 0\n"
+        "assert main(['eval', '--ckpt', d + '/m.sdck', '--data', d + '/data',"
+        " '--crop', '32', '--step', '16', '--out', d + '/e.csv']) == 0\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 def test_hd95_uses_boundary_not_area():

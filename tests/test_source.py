@@ -119,3 +119,68 @@ def test_requires_grad_read_is_reported():
     tree = ast.parse("t = Tensor(x, requires_grad=True)\nt.requires_grad = False\n"
                      "if t.requires_grad:\n    pass\n")
     assert _grad_flag_reads(tree) == [3]
+
+
+def _defaulted(f: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; None for keyword-only."""
+    pos = f.args.posonlyargs + f.args.args
+    first = len(pos) - len(f.args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(pos) if i >= first]
+            + [(a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+               if d is not None])
+
+
+def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether `call` passes parameter `name`: by keyword, at its position, or
+    possibly through a `*args` or `**kwargs` unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return pos is not None and (len(call.args) > pos
+                                or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_options(defs: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`module.function(param)` for each defaulted parameter of a public
+    module-level function in `defs` that no call in `callers` sets.  A call
+    matches by the callee's bare or attribute name (`f(...)`, `mod.f(...)`)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                callee = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(callee, []).append(n)
+    return [f"{module}.{f.name}({name})"
+            for module, tree in defs.items() for f in tree.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            for name, pos in _defaulted(f)
+            if not any(_sets(c, name, pos) for c in calls.get(f.name, []))]
+
+
+# Options that no code outside the tests sets, each kept for its reason.
+OPTIONS_WITHOUT_A_CALLER = {
+    "metrics.evaluate_pairs(spacing)": "pixel spacing is a property of the data",
+    "gradcheck.grad_check(seed)": "a testing tool, set by the tests",
+    "gradcheck.grad_check(name)": "a testing tool, set by the tests",
+    "explain.export_bundle(roi_mask)": "the ROI that seg_grad_cam requires",
+    "tensor.tmean(axis)": "tmean is kept for perfbench/tracing.py, which lists it",
+    "tensor.tmean(keepdims)": "tmean is kept for perfbench/tracing.py, which lists it",
+}
+
+
+def test_every_public_option_has_a_caller():
+    """An option that every caller leaves at its default is a constant."""
+    defs = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    callers = [ast.parse(p.read_text(), str(p))
+               for p in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                         *(ROOT / "perfbench").glob("*.py")]]
+    assert sorted(_unset_options(defs, callers)) == sorted(OPTIONS_WITHOUT_A_CALLER)
+
+
+def test_unset_option_is_reported():
+    defs = {"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, e=0)\n\n"
+                           "def _g(x=1):\n    pass\n\n"
+                           "class K:\n    def h(self, y=1):\n        pass\n")}
+    callers = [ast.parse("f(0, 5)\n"), ast.parse("import m\nm.f(0, d=1)\n"),
+               ast.parse("g(*xs)\n")]
+    assert _unset_options(defs, callers) == ["m.f(c)", "m.f(e)"]
+    assert _unset_options(defs, [ast.parse("f(*xs, **kw)\n")]) == []

@@ -19,7 +19,7 @@ CASES = {
     "matmul": (matmul, [(2, 3, 4), (4, 5)]),
     "linear": (linear, [(2, 3, 4, 4), (3, 5)]),
     "linear_bias": (linear, [(2, 3, 4, 4), (3, 5), (5,)]),
-    "layer_norm": (lambda a, g, b: layer_norm(a, g, b, axis=1), [(2, 6, 3, 3), (6,), (6,)]),
+    "layer_norm": (layer_norm, [(2, 6, 3, 3), (6,), (6,)]),
     "concat": (lambda *p: concat(p, axis=1), [(2, 3, 4), (2, 1, 4), (2, 2, 4)]),
     "conv2d_s1": (lambda x, w: conv2d(x, w, padding=1), [(2, 4, 6, 6), (6, 4, 3, 3)]),
     "conv2d_s1_bias": (lambda x, w, b: conv2d(x, w, b, padding=1),
