@@ -35,28 +35,24 @@ class SlidingConfig:
             raise ValueError("need 0 < step <= crop")
         if self.crop % 32:
             raise ValueError("crop must be divisible by 32")
-        if not self.sigma_ratio > 0:  # also rejects NaN
-            raise ValueError("sigma_ratio must be positive")
-        # the map's least entry is its corner, the square of the profile's
-        # end: zero there leaves pixels with no weight and a NaN blend
-        corner = _profile(self.crop, self.sigma_ratio)[0]
-        if not corner * corner > 0:
-            raise ValueError(f"sigma_ratio {self.sigma_ratio} underflows the "
-                             f"Gaussian weight of a {self.crop}-pixel crop to 0")
-
-
-def _profile(crop: int, sigma_ratio: float) -> np.ndarray:
-    """The 1-D factor of `gaussian_map`, before the peak scaling."""
-    sigma = crop * sigma_ratio
-    coords = np.arange(crop, dtype=np.float64) - (crop - 1) / 2.0
-    with np.errstate(over="ignore"):  # a tiny sigma squares to inf: weight 0
-        return np.exp(-0.5 * (coords / sigma) ** 2)
+        gaussian_map(self.crop, self.sigma_ratio)  # raises on a zero weight
 
 
 def gaussian_map(crop: int, sigma_ratio: float = 1.0 / 8.0) -> np.ndarray:
     """(crop, crop) separable Gaussian, sigma = crop * sigma_ratio,
-    centered between pixels for even crops, peak scaled to exactly 1."""
-    g = _profile(crop, sigma_ratio)
+    centered between pixels for even crops, peak scaled to exactly 1.
+    Raises ValueError when some entry would be 0, leaving pixels with no
+    weight and a NaN blend."""
+    if not sigma_ratio > 0:  # also rejects NaN
+        raise ValueError("sigma_ratio must be positive")
+    sigma = crop * sigma_ratio
+    coords = np.arange(crop, dtype=np.float64) - (crop - 1) / 2.0
+    with np.errstate(over="ignore"):  # a tiny sigma squares to inf: weight 0
+        g = np.exp(-0.5 * (coords / sigma) ** 2)
+    # the map's least entry is its corner, the square of the profile's end
+    if not g[0] * g[0] > 0:
+        raise ValueError(f"sigma_ratio {sigma_ratio} underflows the "
+                         f"Gaussian weight of a {crop}-pixel crop to 0")
     m = np.outer(g, g)
     return m / m.max()
 

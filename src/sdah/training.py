@@ -2,9 +2,11 @@
 
 The loop is deterministic end to end: parameters come from the config seed,
 every batch's sample indices are a pure function of (seed, step), and the
-optimizer is plain Adam.  Loading a checkpoint and continuing from its step
-therefore reproduces the next loss value bit-exactly; later losses drift,
-because the Adam moments are not checkpointed (see ROADMAP.md).
+optimizer is plain Adam over one parameter vector: `train()` packs the
+model's tensors into it once, leaves each tensor's data a view into it, and
+updates it as a whole array.  Loading a checkpoint and continuing from its
+step therefore reproduces the next loss value bit-exactly; later losses
+drift, because the Adam moments are not checkpointed (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -158,32 +160,25 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    m: np.ndarray   # first moment, shaped like the parameter vector
+    v: np.ndarray   # second moment
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the parameter vector `w`, in place."""
+    if g.shape != w.shape:
+        raise ValueError(f"grad shape {g.shape} != parameter shape {w.shape}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        if g.shape != p.data.shape:
-            raise ValueError(f"{name}: grad shape {g.shape} != {p.data.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 # -- synthetic data -------------------------------------------------------------
@@ -263,8 +258,14 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
         out.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_path or out / CKPT_NAME
         curve_path = curve_path or out / CURVE_NAME
-    params = model.named_parameters()
-    state = AdamState()
+    # one parameter vector: each tensor's data becomes a contiguous view
+    # into it, so Adam's in-place update of the vector updates the model
+    params = list(model.named_parameters().values())
+    w = np.concatenate([p.data for p in params], axis=None)
+    ends = np.cumsum([p.data.size for p in params])
+    for p, part in zip(params, np.split(w, ends[:-1])):
+        p.data = part.reshape(p.data.shape)
+    state = AdamState(np.zeros_like(w), np.zeros_like(w))
     rows: list[dict] = []
     t0 = time.monotonic()
 
@@ -275,7 +276,7 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
         try:
             logits, _ = forward(model, Tensor(images))
             loss, dl, cl = combined_loss(logits, labels, cfg)
-            for p in params.values():
+            for p in params:
                 p.zero_grad()
             loss.backward()
         except NumericsError as e:
@@ -292,11 +293,7 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
             rows.append(row)
             if log is not None:
                 log(row)
-        grads = {
-            n: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for n, p in params.items()
-        }
-        adam_step(params, grads, state, lr)
+        adam_step(w, np.concatenate([p.grad for p in params], axis=None), state, lr)
 
     Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
     Path(curve_path).parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,13 @@
 """Slow per-window reference implementations the attention tests check
 the batched library paths against, the op chain the fused window core
-replaces, and the block-output bump the Grad-CAM tests take finite
-differences with."""
+replaces, the block-output bump the Grad-CAM tests take finite
+differences with, and the per-tensor Adam loop the trainer's one-vector
+update replaces."""
 
 import math
 from dataclasses import replace
+
+import numpy as np
 
 import sdah.blocks
 from sdah.attention import SdmsaParams, _offset_forward
@@ -89,3 +92,24 @@ def bumped_logits(model, image, block: str, delta) -> Tensor:
         return forward(model, image)[0]
     finally:
         sdah.blocks.sdapc_block = inner
+
+
+def adam_per_tensor(params: dict, grads: dict, state: dict, lr: float) -> None:
+    """One bias-corrected Adam update tensor by tensor, in place on the
+    parameter tensors; `state` holds the step count "t" and per-name moments
+    "m" and "v", created at the first step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state["t"] = state.get("t", 0) + 1
+    c1 = 1.0 - beta1 ** state["t"]
+    c2 = 1.0 - beta2 ** state["t"]
+    for name, p in params.items():
+        g = np.asarray(grads[name])
+        if g.shape != p.data.shape:
+            raise ValueError(f"{name}: grad shape {g.shape} != {p.data.shape}")
+        m = state.setdefault("m", {}).setdefault(name, np.zeros_like(p.data))
+        v = state.setdefault("v", {}).setdefault(name, np.zeros_like(p.data))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + eps)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdah.gradcheck import grad_check
-from sdah.network import ModelConfig, build_model, load_model
+from sdah.network import ModelConfig, build_model, forward, load_model
 from sdah.rng import Stream, derive_seed
 from sdah.tensor import Tensor
 from sdah.training import (
@@ -23,6 +23,8 @@ from sdah.training import (
     synth_sample,
     train,
 )
+
+from oracles import adam_per_tensor
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -179,28 +181,28 @@ def _ref_adam(p, gs, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_adam_matches_reference_over_steps():
     rng = np.random.default_rng(0)
-    p0 = rng.normal(size=(4, 3))
-    gs = [rng.normal(size=(4, 3)) for _ in range(7)]
-    params = {"w": Tensor(p0.copy(), dtype=np.float64)}
-    state = AdamState()
+    p0 = rng.normal(size=12)
+    gs = [rng.normal(size=12) for _ in range(7)]
+    w = p0.copy()
+    state = AdamState(np.zeros_like(w), np.zeros_like(w))
     for g in gs:
-        adam_step(params, {"w": g}, state, lr=1e-2)
-    np.testing.assert_allclose(params["w"].data, _ref_adam(p0, gs, 1e-2),
-                               rtol=1e-12, atol=1e-12)
+        adam_step(w, g, state, lr=1e-2)
+    np.testing.assert_allclose(w, _ref_adam(p0, gs, 1e-2), rtol=1e-12, atol=1e-12)
     assert state.t == 7
 
 
 def test_adam_first_step_moves_by_about_lr():
     # bias correction makes |update| ~= lr on step one for any grad scale
-    params = {"w": Tensor(np.zeros(5), dtype=np.float64)}
-    adam_step(params, {"w": np.full(5, 1e-3)}, AdamState(), lr=0.01)
-    np.testing.assert_allclose(np.abs(params["w"].data), 0.01, rtol=1e-4)
+    w = np.zeros(5)
+    adam_step(w, np.full(5, 1e-3), AdamState(np.zeros(5), np.zeros(5)), lr=0.01)
+    np.testing.assert_allclose(np.abs(w), 0.01, rtol=1e-4)
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": Tensor(np.zeros((2, 2)))}
+    w = np.zeros(4, dtype=np.float32)
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(3)}, AdamState(), lr=0.1)
+        adam_step(w, np.zeros(3, dtype=np.float32), AdamState(np.zeros(4), np.zeros(4)),
+                  lr=0.1)
 
 
 # -- batching -------------------------------------------------------------------
@@ -323,6 +325,54 @@ def test_train_is_deterministic(tmp_path):
     assert rows_a == rows_b
     for (na, ta), (nb, tb) in zip(ma.named_parameters().items(),
                                   mb.named_parameters().items()):
+        assert na == nb
+        np.testing.assert_array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("over", [
+    dict(deform_flags="NNNN"), dict(deform_flags="DNDN"), dict(deform_flags="DDDD"),
+    dict(branch_mode="sdmsa_only"), dict(branch_mode="conv_only"),
+    dict(deform_flags="DNDN", fusion="sum"),
+])
+def test_every_parameter_gets_a_gradient(over):
+    # train() gathers one gradient per parameter, with no zero fallback
+    model = build_model(ModelConfig(**MICRO, **over))
+    data = synth_dataset(2, 32, 32, 2, seed=1)
+    images = np.stack([s.image.data for s in data])
+    labels = np.stack([s.label.data for s in data])
+    logits, _ = forward(model, Tensor(images))
+    combined_loss(logits, labels, TrainConfig())[0].backward()
+    assert [n for n, p in model.named_parameters().items() if p.grad is None] == []
+
+
+def test_train_matches_per_tensor_adam_bit_for_bit(tmp_path):
+    cfg = TrainConfig(batch_size=2, max_steps=3, seed=0)
+    data = synth_dataset(6, 32, 32, 2, seed=1)
+    model = build_model(ModelConfig(**MICRO))
+    rows = train(model, data, cfg, out_dir=tmp_path)
+
+    ref = build_model(ModelConfig(**MICRO))
+    params = ref.named_parameters()
+    state, want = {}, []
+    for step in range(cfg.max_steps):
+        idx = batch_indices(cfg.seed, step, cfg.batch_size, len(data))
+        images = np.stack([data[i].image.data for i in idx])
+        labels = np.stack([data[i].label.data for i in idx])
+        logits, _ = forward(ref, Tensor(images))
+        loss, dl, cl = combined_loss(logits, labels, cfg)
+        loss.backward()
+        if step in (0, cfg.max_steps - 1):
+            want.append({"step": step, "loss": loss.item(), "dice_loss": dl.item(),
+                         "ce_loss": cl.item(), "lr": lr_at(step, cfg)})
+        adam_per_tensor(params, {n: p.grad for n, p in params.items()}, state,
+                        lr_at(step, cfg))
+        for p in params.values():
+            p.zero_grad()
+
+    assert rows == want
+    curve = (tmp_path / "loss.csv").read_text().splitlines()[1:]
+    assert curve == [",".join(str(v) for v in r.values()) for r in want]
+    for (na, ta), (nb, tb) in zip(model.named_parameters().items(), params.items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
 
