@@ -341,7 +341,7 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
         # (.., (ry, rx), j) -> (.., j, ry, rx), and its rows times Hx
         g = np.ascontiguousarray(
             g.reshape(b, nw, nh, ws, ws, p).transpose(0, 1, 2, 5, 3, 4))
-        return g, g @ np.swapaxes(hxt, -1, -2)     # (.., j, ry, t)
+        return g, g @ np.ascontiguousarray(np.swapaxes(hxt, -1, -2))  # (.., j, ry, t)
 
     def dt(s):
         g_rows = s[1]

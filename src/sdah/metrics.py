@@ -9,7 +9,8 @@ aggregation reports how many were excluded rather than folding in a fake
 number.
 
 The t-test p-value comes from scipy's regularized incomplete beta
-function.
+function, imported when a p-value is asked for: `paired_t_test` is the one
+scipy user in the package, and no CLI command loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.special import betainc
 
 
 def _as_bool(mask) -> np.ndarray:
@@ -72,6 +72,8 @@ def t_sf_two_sided(t: float, dof: int) -> float:
     """P(|T| >= |t|) for Student's t with `dof` degrees of freedom."""
     if dof < 1:
         raise ValueError("dof must be >= 1")
+    from scipy.special import betainc
+
     x = dof / (dof + t * t)
     return float(betainc(dof / 2.0, 0.5, x))
 

@@ -199,11 +199,22 @@ class Model:
         return forward(self, x)[0]
 
 
-def build_model(config: ModelConfig) -> Model:
+class _Zeros:
+    """Stands in for the `Stream` when a checkpoint supplies every weight:
+    each draw is zeros of its shape, so no random number is made."""
+
+    @staticmethod
+    def uniform(shape, lo: float, hi: float) -> np.ndarray:
+        return np.zeros(shape)
+
+
+def build_model(config: ModelConfig, *, _stream=None) -> Model:
     """All parameters drawn from one seeded stream in U-Net order (stem,
-    enc1, down1, ..., bottleneck, up3, fuse3, dec3, ..., head)."""
+    enc1, down1, ..., bottleneck, up3, fuse3, dec3, ..., head).  Only
+    `load_model` passes `_stream` (a `_Zeros`): its checkpoint then
+    replaces every weight."""
     cfg = config
-    stream = Stream(cfg.seed)
+    stream = Stream(cfg.seed) if _stream is None else _stream
 
     def make_block(stage: int) -> B.SdapcBlockParams:
         return B.init_sdapc(
@@ -356,6 +367,6 @@ def load_model(path) -> tuple[Model, dict]:
         raise ValueError("checkpoint carries no embedded config")
     cfg = ModelConfig.from_dict(json.loads(bytes(named.pop(CONFIG_KEY)).decode()))
     meta = {k[len("meta."):]: named.pop(k) for k in list(named) if k.startswith("meta.")}
-    model = build_model(cfg)
+    model = build_model(cfg, _stream=_Zeros())
     model.set_parameters(named)
     return model, meta

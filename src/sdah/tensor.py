@@ -24,7 +24,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf as _erf
 
 
 class NumericsError(ArithmeticError):
@@ -480,9 +479,44 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# erf(z) ~ z * P(z^2) / Q(z^2), lowest degree first: the minimax fit in
+# relative error on [0, 4.4] that scripts/fit_erf.py prints.  Past 4.4 the
+# rational keeps rising above 1 (by 1.5e-6 at 4.9), so clamping z to +-4.9
+# and clipping the result to [-1, 1] gives exactly +-1 there.
+_ERF_P = (1.128379167845381, 0.16404144219384165, 0.0507961596695583,
+          0.0029171649218231862, 0.0003154810901650334,
+          1.6510373274518926e-06, 4.324535363288466e-08,
+          -9.893005779375002e-10, 8.349073191548022e-12)
+_ERF_Q = (1.0, 0.478711303883834, 0.10458717106275983, 0.013386558603553344,
+          0.001050599241223392, 4.512301799952093e-05)
+_ERF_CLAMP = 4.9
+
+
+def _horner(coefs, s):
+    out = s * coefs[-1]
+    out += coefs[-2]
+    for c in coefs[-3::-1]:
+        out *= s
+        out += c
+    return out
+
+
+def _erf(z):
+    """erf in z's float dtype: odd, 0 at 0 and exactly +-1 from |z| = 4.9 on;
+    within 6.5 ulp of the true erf over every float32 in [-6, 6], and within
+    7e-10 in float64."""
+    a = np.clip(z, -_ERF_CLAMP, _ERF_CLAMP)
+    s = a * a
+    p = _horner(_ERF_P, s)
+    p *= a
+    p /= _horner(_ERF_Q, s)
+    return np.clip(p, -1.0, 1.0)
+
 
 def gelu(a) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form, no tanh shortcut)."""
+    """x * Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2 with `_erf`'s rational
+    erf (no tanh shortcut).  The backward uses the exact Gaussian pdf, which
+    differs from the slope of the computed forward by under 1.1e-7 (float64)."""
     a = _as_tensor(a)
     _require_float(a, "gelu")
     x = a.data

@@ -174,11 +174,21 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     m, v = state.m, state.v
+    # w -= lr * (m / c1) / (sqrt(v / c2) + eps), step for step in two
+    # scratch vectors instead of one temporary per operation
+    s, r = np.empty_like(w), np.empty_like(w)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(g, 1.0 - beta1, out=s)
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(g, 1.0 - beta2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, c1, out=s)
+    s *= lr
+    np.divide(v, c2, out=r)
+    np.sqrt(r, out=r)
+    r += eps
+    s /= r
+    w -= s
 
 
 # -- synthetic data -------------------------------------------------------------

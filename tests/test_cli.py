@@ -1,5 +1,7 @@
 import json
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -124,6 +126,37 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "selfcheck passed" in out
     assert out.count(": ok") == 8
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """The package and every command run on numpy alone: scipy is needed
+    only by `metrics.paired_t_test`, so no sdah process pays its import."""
+    code = (
+        "import json, sys\n"
+        "import sdah, sdah.cli\n"
+        "from sdah.cli import main\n"
+        "d = sys.argv[1]\n"
+        f"open(d + '/cfg.json', 'w').write(json.dumps({{'model': {MICRO!r}, "
+        "'train': {'batch_size': 2, 'max_steps': 2}}))\n"
+        "def run(*argv):\n"
+        "    assert main(list(argv)) == 0, argv\n"
+        "run('synth', '--n', '2', '--size', '32', '--classes', '2', '--out', d + '/data')\n"
+        "run('train', '--data', d + '/data', '--config', d + '/cfg.json', '--out', d + '/m.sdck')\n"
+        "slide = ['--crop', '32', '--step', '16']\n"
+        "run('infer', '--ckpt', d + '/m.sdck', '--image', d + '/data/img_00000.sdt', *slide,"
+        " '--out', d + '/mask.sdt')\n"
+        "run('eval', '--ckpt', d + '/m.sdck', '--data', d + '/data', *slide,"
+        " '--out', d + '/e.csv')\n"
+        "run('explain', '--ckpt', d + '/m.sdck', '--image', d + '/data/img_00000.sdt',"
+        " '--block', 'enc1', '--out', d + '/x')\n"
+        "run('count', '--config', d + '/cfg.json', '--size', '32')\n"
+        "run('selfcheck')\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 def test_selfcheck_sees_per_tile_forwards(monkeypatch, capsys):

@@ -1,6 +1,4 @@
 import csv
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -196,27 +194,6 @@ def test_hd95_equals_the_cdist_oracle_bit_for_bit(na, nb):
     d = cdist(pa, pb)
     want = float(max(np.percentile(d.min(1), 95), np.percentile(d.min(0), 95)))
     assert hd95(*masks, spacing) == want
-
-
-def test_no_sdah_import_or_eval_loads_scipy_spatial(tmp_path):
-    """Nothing `sdah eval` runs needs scipy.spatial (or the linalg and
-    sparse modules it loads), so no sdah process pays for importing it."""
-    code = (
-        "import sys\n"
-        "import sdah, sdah.cli, sdah.explain\n"
-        "from sdah.cli import main\n"
-        "from sdah.network import ModelConfig, build_model, save_model\n"
-        "d = sys.argv[1]\n"
-        "save_model(d + '/m.sdck', build_model(ModelConfig(window_sizes=(4, 4, 2, 2))))\n"
-        "assert main(['synth', '--n', '2', '--size', '32', '--classes', '2',"
-        " '--out', d + '/data']) == 0\n"
-        "assert main(['eval', '--ckpt', d + '/m.sdck', '--data', d + '/data',"
-        " '--crop', '32', '--step', '16', '--out', d + '/e.csv']) == 0\n"
-        "assert 'scipy.spatial' not in sys.modules\n"
-    )
-    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                       capture_output=True, text=True, timeout=300)
-    assert r.returncode == 0, r.stderr
 
 
 def test_hd95_uses_boundary_not_area():

@@ -2,10 +2,16 @@
 to the package API cannot break them silently."""
 
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+from numpy.polynomial import polynomial as P
+
+from sdah.tensor import _ERF_P, _ERF_Q
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,3 +41,15 @@ def test_desk_benchmark_reports_and_misses_its_bars_at_two_steps(tmp_path):
     assert set(report) == {
         "train_seconds", "initial_loss", "final_loss", "loss_ratio",
         "holdout_mean_dsc", "holdout_min_dsc", "holdout_mean_hd95", "hd95_excluded"}
+
+
+def test_fit_erf_gives_the_rational_erf_in_tensor():
+    spec = importlib.util.spec_from_file_location("fit_erf", SCRIPTS / "fit_erf.py")
+    fit_erf = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_erf)
+    err, p, q = fit_erf.fit()
+    assert err < 7e-10
+    # near-minimax fits differ in their coefficients, not in their values
+    s = np.linspace(0.0, fit_erf.END, 20_001) ** 2
+    want = P.polyval(s, _ERF_P) / P.polyval(s, _ERF_Q)
+    np.testing.assert_allclose(P.polyval(s, p) / P.polyval(s, q), want, rtol=1e-10)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from sdah.tensor import (
     GradError,
     NumericsError,
     Tensor,
+    _erf,
     add,
     broadcast_to,
     clip,
@@ -155,6 +158,37 @@ def test_narrow_values_and_errors():
 def test_gelu_limits():
     y = gelu(Tensor(np.array([-20.0, 0.0, 20.0]), dtype=np.float64)).data
     np.testing.assert_allclose(y, [0.0, 0.0, 20.0], atol=1e-12)
+
+
+# _erf's error bound in float32 ulp (of the correctly rounded erf), the
+# largest over every float32 in [-6, 6]; in float64 its error is <= 7e-10
+ERF_ULP32 = 6.5
+
+
+def test_erf_matches_math_erf_within_its_bound():
+    # every 1024th float32 of [0, 6], and its negative
+    top = int(np.float32(6.0).view(np.int32))
+    pos = np.arange(0, top + 1, 1024, dtype=np.int32).view(np.float32)
+    z = np.concatenate([-pos[::-1], pos])
+    want = np.array([math.erf(v) for v in z.tolist()])
+    got = _erf(z)
+    assert got.dtype == np.float32
+    ulp = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
+    assert (np.abs(got - want) / ulp).max() <= ERF_ULP32
+    z64 = np.linspace(-6.0, 6.0, 100_001)
+    want64 = np.array([math.erf(v) for v in z64.tolist()])
+    assert np.abs(_erf(z64) - want64).max() <= 7e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_is_odd_zero_at_zero_and_saturates_to_one(dtype):
+    z = np.linspace(0.0, 8.0, 10_001, dtype=dtype)
+    assert _erf(z).dtype == dtype
+    np.testing.assert_array_equal(_erf(-z), -_erf(z))
+    assert _erf(z[:1])[0] == 0.0
+    big = np.array([4.9, 5.0, 6.0, 20.0, 1e30, np.finfo(dtype).max], dtype)
+    np.testing.assert_array_equal(_erf(big), 1.0)
+    np.testing.assert_array_equal(_erf(-big), -1.0)
 
 
 def test_gelu_rejects_uint8():
