@@ -43,9 +43,7 @@ from .training import (
     TrainConfig,
     TrainingAborted,
     adam_step,
-    ce_loss,
     combined_loss,
-    dice_loss,
     load_dataset,
     lr_at,
     save_dataset,
@@ -77,13 +75,11 @@ __all__ = [
     "WindowLayout",
     "adam_step",
     "build_model",
-    "ce_loss",
     "combined_loss",
     "count_flops",
     "count_params",
     "default_dtype",
     "derive_seed",
-    "dice_loss",
     "dsc",
     "evaluate_pairs",
     "forward",

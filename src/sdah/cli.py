@@ -192,6 +192,7 @@ def _selfcheck_grads():
     from .gradcheck import grad_check
     from .rng import Stream
     from .tensor import gelu, matmul, softmax
+    from .training import TrainConfig, combined_loss
 
     s = Stream(7)
     a = s.uniform((4, 4), -1, 1)
@@ -206,6 +207,10 @@ def _selfcheck_grads():
     for bias_shape in ((1, 2, 2, 4, 4), (1, 1, 2, 4, 4)):
         grad_check(lambda *t: _attend(*t)[0], [*qkv, s.uniform(bias_shape, -1, 1)],
                    h=1e-5, tol=1e-6)
+    # the one-node loss's hand-written VJP, both terms weighted
+    label, cfg = s.integers(32, 3).reshape(2, 4, 4), TrainConfig(lambda_dice=0.3, lambda_ce=2.0)
+    grad_check(lambda t: combined_loss(t, label, cfg)[0], [s.uniform((2, 3, 4, 4), -2, 2)],
+               h=1e-5, tol=1e-6)
 
 
 def _selfcheck_windows():

@@ -2,8 +2,8 @@
 
 HD95 uses boundary pixels (4-connectivity; pixels on the image edge count
 as boundary), exact Euclidean distances between every pair of them (plain
-numpy, equal to scipy's cdist bit for bit), and the max of the two
-directed 95th percentiles with linearly interpolated percentiles.  When
+numpy in blocks of a fixed pair count, equal to scipy's cdist bit for bit),
+and the max of the two directed 95th percentiles, linearly interpolated.  When
 either mask is empty the distance is undefined: such cases return None and
 aggregation reports how many were excluded rather than folding in a fake
 number.
@@ -19,6 +19,8 @@ import csv
 import math
 
 import numpy as np
+
+_PAIR_BUDGET = 2**20  # boundary-point pairs per HD95 distance block (~32 MiB)
 
 
 def _as_bool(mask) -> np.ndarray:
@@ -60,10 +62,14 @@ def hd95(pred, gt, spacing=(1.0, 1.0)) -> float | None:
     sp = np.asarray(spacing, dtype=np.float64)
     pa = boundary_points(a) * sp
     pb = boundary_points(b) * sp
-    d = np.sqrt(((pa[:, None] - pb[None]) ** 2).sum(-1))  # (n_a, n_b) distances
-    fwd = np.percentile(d.min(axis=1), 95)
-    bwd = np.percentile(d.min(axis=0), 95)
-    return float(max(fwd, bwd))
+    # blocks of A's rows bound the memory; exact minima fold to the full matrix's bits
+    rows = max(1, _PAIR_BUDGET // len(pb))
+    a_min, b_min = [], np.inf
+    for i in range(0, len(pa), rows):
+        d = np.sqrt(((pa[i:i + rows, None] - pb[None]) ** 2).sum(-1))
+        a_min.append(d.min(axis=1))
+        b_min = np.minimum(b_min, d.min(axis=0))
+    return float(max(np.percentile(np.concatenate(a_min), 95), np.percentile(b_min, 95)))
 
 
 # -- paired t-test --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Losses, optimizer, lr schedule, synthetic data, and the training loop.
+"""The dice+CE loss, optimizer, lr schedule, synthetic data, and the training loop.
 
 The loop is deterministic end to end: parameters come from the config seed,
 every batch's sample indices are a pure function of (seed, step), and the
@@ -22,15 +22,7 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import (
-    NumericsError,
-    Tensor,
-    _as_tensor,
-    _make,
-    narrow,
-    softmax,
-    tsum,
-)
+from .tensor import NumericsError, Tensor, _as_tensor, _make, _require_float
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
@@ -87,64 +79,60 @@ class SegSample:
             raise ValueError("label id outside [0, classes)")
 
 
-# -- losses -------------------------------------------------------------------
+# -- loss ---------------------------------------------------------------------
 
-def _as_batched_pair(logits, label):
-    """(B, K, H, W) logits and their (B, H, W) integer labels."""
+def combined_loss(logits, label, cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """λ_dice·dice + λ_ce·CE of (B, K, H, W) logits against (B, H, W)
+    integer labels, as one graph node in the logits' dtype; returns (loss,
+    dice, ce), the last two graph-less 0-d Tensors for the log.
+
+    With p the softmax over the class axis, g_c the indicator of class c and
+    sums over batch and pixels, eps = 1e-5:
+      dice = mean over c = 1..K-1 of 1 - (2·Σ p_c·g_c + eps) / (Σ p_c + Σ g_c + eps)
+      ce   = mean over pixels of log-sum-exp(logits) - logit of the true class
+    One max-shifted exp and its sum give both p and the log-sum-exp.
+    """
     lg = _as_tensor(logits)
-    lab = np.asarray(label.data if isinstance(label, Tensor) else label)
+    _require_float(lg, "combined_loss")
+    lab = np.asarray(label)
     if lg.ndim != 4 or lab.shape != (lg.shape[0],) + lg.shape[2:]:
         raise ValueError(f"logits {lg.shape} do not match labels {lab.shape}")
     k = lg.shape[1]
-    if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
-        raise ValueError(f"label ids outside [0, {k})")
-    return lg, lab.astype(np.int64)
-
-
-def dice_loss(logits, label) -> Tensor:
-    """Soft dice on softmax probabilities, averaged over foreground classes."""
-    eps = 1e-5  # smooths each class term's numerator and denominator
-    lg, lab = _as_batched_pair(logits, label)
-    k = lg.shape[1]
-    if k < 2:
-        raise ValueError("dice needs at least 2 classes")
-    p = softmax(lg, axis=1)
-    total = None
-    for c in range(1, k):
-        gc = (lab == c).astype(lg.dtype.type)[:, None]
-        pc = narrow(p, 1, c, 1)
-        inter = tsum(pc * Tensor(gc, dtype=lg.dtype))
-        denom = tsum(pc) + float(gc.sum())
-        term = 1.0 - (2.0 * inter + eps) / (denom + eps)
-        total = term if total is None else total + term
-    # keep the averaging constant in the logits dtype; a bare python float
-    # would round through the default (f32) and perturb f64 runs
-    return total * Tensor(np.asarray(1.0 / (k - 1)), dtype=lg.dtype)
-
-
-def ce_loss(logits, label) -> Tensor:
-    """Mean -log softmax at the true class; one fused, stabilized node."""
-    lg, lab = _as_batched_pair(logits, label)
+    if k < 2 or lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
+        raise ValueError(f"need 2 or more classes and label ids in [0, {k})")
+    lab = lab.astype(np.int64)[:, None]
     x = lg.data
+    dt = x.dtype.type
     m = x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(x - m).sum(axis=1, keepdims=True)) + m
-    picked = np.take_along_axis(x, lab[:, None], axis=1)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    p = e / s
+    picked = np.take_along_axis(x, lab, axis=1)
     n = picked.size
-    out = np.asarray((lse - picked).sum() / n, dtype=x.dtype)
+    ce = np.asarray(((np.log(s) + m) - picked).sum() / n, dtype=dt)
+    eps = dt(1e-5)  # smooths each class term's numerator and denominator
+    num, den = np.empty((2, 1, k - 1, 1, 1), dtype=dt)
+    for c in range(1, k):
+        gc = (lab == c).astype(dt)
+        pc = np.ascontiguousarray(p[:, c:c + 1])
+        num[0, c - 1] = dt(2.0) * (pc * gc).sum() + eps
+        den[0, c - 1] = pc.sum() + dt(gc.sum()) + eps
+    # python's sum adds the class terms one by one, in class order
+    dice = sum(dt(1.0) - num.ravel() / den.ravel()) * dt(1.0 / (k - 1))
+    loss = dice * dt(cfg.lambda_dice) + ce * dt(cfg.lambda_ce)
+    w_dice, w_ce = cfg.lambda_dice / (k - 1), cfg.lambda_ce / n
 
     def bwd(g):
-        soft = np.exp(x - lse)
-        onehot = np.zeros_like(x)
-        np.put_along_axis(onehot, lab[:, None], 1.0, axis=1)
-        return g * (soft - onehot) / n
+        onehot = (lab == np.arange(k)[:, None, None]).astype(dt)
+        gp = np.zeros_like(p)  # d dice / d p, scaled by its weight
+        gp[:, 1:] = num / (den * den) - 2.0 * onehot[:, 1:] / den
+        gp *= w_dice
+        dx = p * (gp - (gp * p).sum(axis=1, keepdims=True))  # softmax's VJP
+        dx += w_ce * (p - onehot)
+        return g * dx
 
-    return _make("ce_loss", out, (lg,), bwd)
-
-
-def combined_loss(logits, label, cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    dl = dice_loss(logits, label)
-    cl = ce_loss(logits, label)
-    return cfg.lambda_dice * dl + cfg.lambda_ce * cl, dl, cl
+    return (_make("combined_loss", np.asarray(loss), (lg,), bwd),
+            Tensor(dice, dtype=dt), Tensor(ce, dtype=dt))
 
 
 # -- schedule and optimizer ----------------------------------------------------

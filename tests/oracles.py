@@ -1,8 +1,8 @@
 """Slow per-window reference implementations the attention tests check
-the batched library paths against, the op chain the fused window core
-replaces, the block-output bump the Grad-CAM tests take finite
-differences with, and the per-tensor Adam loop the trainer's one-vector
-update replaces."""
+the batched library paths against, the op chains the fused window core and
+the one-node loss replace, the block-output bump the Grad-CAM tests take
+finite differences with, and the per-tensor Adam loop the trainer's
+one-vector update replaces."""
 
 import math
 from dataclasses import replace
@@ -13,8 +13,8 @@ import sdah.blocks
 from sdah.attention import SdmsaParams, _offset_forward
 from sdah.network import forward
 from sdah.sampling import bilinear_sample_batch
-from sdah.tensor import (Tensor, _as_tensor, add, matmul, narrow, reshape, softmax,
-                         swap_last)
+from sdah.tensor import (Tensor, _as_tensor, _make, add, matmul, narrow, reshape, softmax,
+                         swap_last, tsum)
 
 
 def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:
@@ -113,3 +113,38 @@ def adam_per_tensor(params: dict, grads: dict, state: dict, lr: float) -> None:
         v *= beta2
         v += (1.0 - beta2) * g * g
         p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def loss_chain(logits, label, lambda_dice: float, lambda_ce: float
+               ) -> tuple[Tensor, Tensor, Tensor]:
+    """(loss, dice, ce) as the op chain `training.combined_loss` replaces:
+    a softmax, then per foreground class a narrow, a product, two sums and
+    the ratio arithmetic for dice, and CE as its own stabilized node."""
+    lg = _as_tensor(logits)
+    lab = np.asarray(label).astype(np.int64)
+    k = lg.shape[1]
+    eps = 1e-5
+    p = softmax(lg, axis=1)
+    total = None
+    for c in range(1, k):
+        gc = (lab == c).astype(lg.dtype.type)[:, None]
+        pc = narrow(p, 1, c, 1)
+        inter = tsum(pc * Tensor(gc, dtype=lg.dtype))
+        denom = tsum(pc) + float(gc.sum())
+        term = 1.0 - (2.0 * inter + eps) / (denom + eps)
+        total = term if total is None else total + term
+    dice = total * Tensor(np.asarray(1.0 / (k - 1)), dtype=lg.dtype)
+
+    x = lg.data
+    m = x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(x - m).sum(axis=1, keepdims=True)) + m
+    picked = np.take_along_axis(x, lab[:, None], axis=1)
+    n = picked.size
+
+    def ce_bwd(g):
+        onehot = np.zeros_like(x)
+        np.put_along_axis(onehot, lab[:, None], 1.0, axis=1)
+        return g * (np.exp(x - lse) - onehot) / n
+
+    ce = _make("ce_loss", np.asarray((lse - picked).sum() / n, dtype=x.dtype), (lg,), ce_bwd)
+    return lambda_dice * dice + lambda_ce * ce, dice, ce

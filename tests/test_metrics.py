@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
+import sdah.metrics
 from sdah.metrics import (
     boundary_points,
     dsc,
@@ -194,6 +196,29 @@ def test_hd95_equals_the_cdist_oracle_bit_for_bit(na, nb):
     d = cdist(pa, pb)
     want = float(max(np.percentile(d.min(1), 95), np.percentile(d.min(0), 95)))
     assert hd95(*masks, spacing) == want
+
+
+@pytest.mark.parametrize("budget", [1, 50, 10**6])
+def test_hd95_blocks_give_the_full_matrix_bits(monkeypatch, budget):
+    rng = np.random.default_rng(budget)
+    a, b = _rand_mask(rng, 24, 20, 0.5), _rand_mask(rng, 24, 20, 0.5)
+    want = _ref_hd95(a, b, (0.7, 1.3))
+    monkeypatch.setattr(sdah.metrics, "_PAIR_BUDGET", budget)
+    assert hd95(a, b, (0.7, 1.3)) == want
+
+
+def test_hd95_memory_is_bounded():
+    """A speckled 128x128 pair has ~7,700 boundary points per mask, ~6e7
+    pairs: the full distance matrix would need over 1 GiB."""
+    rng = np.random.default_rng(0)
+    a, b = _rand_mask(rng, 128, 128, 0.5), _rand_mask(rng, 128, 128, 0.5)
+    tracemalloc.start()
+    try:
+        hd95(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_hd95_uses_boundary_not_area():

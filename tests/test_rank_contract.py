@@ -10,7 +10,7 @@ from sdah.convops import conv2d, deconv2d
 from sdah.network import ModelConfig, build_model, forward
 from sdah.rng import Stream
 from sdah.tensor import Tensor
-from sdah.training import ce_loss, dice_loss
+from sdah.training import TrainConfig, combined_loss
 
 LAY = WindowLayout(8, 8, 4, 2)
 MICRO = ModelConfig(window_sizes=(4, 4, 2, 2), num_heads=(2, 2, 4, 4))
@@ -29,8 +29,7 @@ CALLS = {
     "window_partition": lambda: window_partition(_x(8, 8, 8), LAY),
     "window_merge": lambda: window_merge(_x(1, LAY.n_windows, LAY.patches, 8), LAY),
     "forward": lambda: forward(build_model(MICRO), _x(1, 32, 32)),
-    "dice_loss": lambda: dice_loss(_x(2, 8, 8), LABEL),
-    "ce_loss": lambda: ce_loss(_x(2, 8, 8), LABEL),
+    "combined_loss": lambda: combined_loss(_x(2, 8, 8), LABEL, TrainConfig()),
 }
 
 

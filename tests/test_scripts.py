@@ -4,6 +4,7 @@ to the package API cannot break them silently."""
 import csv
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,18 @@ def test_fit_erf_gives_the_rational_erf_in_tensor():
     s = np.linspace(0.0, fit_erf.END, 20_001) ** 2
     want = P.polyval(s, _ERF_P) / P.polyval(s, _ERF_Q)
     np.testing.assert_allclose(P.polyval(s, p) / P.polyval(s, q), want, rtol=1e-10)
+
+
+def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
+    def run(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        r = subprocess.run([sys.executable, str(SCRIPTS / "fingerprint.py")],
+                           capture_output=True, text=True, timeout=300, env=env)
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout)
+
+    first = run("1")
+    assert sorted(first) == [f"micro_{flags}.{what}" for flags in ("DDDD", "NNNN")
+                             for what in ("grads", "logits", "loss", "train4_params")]
+    assert run("1") == first
+    assert run("2") == first

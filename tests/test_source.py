@@ -86,7 +86,7 @@ def _callerless(trees: dict[str, ast.Module], module: str) -> list[str]:
 
 # Kept without a caller only because perfbench/tracing.py lists them in
 # TENSOR_PRIMITIVES; they go when the benchmark's list drops them.
-TRACER_ONLY_PRIMITIVES = {"swap_last", "tmean", "broadcast_to"}
+TRACER_ONLY_PRIMITIVES = {"swap_last", "tmean", "broadcast_to", "narrow"}
 
 
 def test_every_tensor_primitive_has_a_src_caller():

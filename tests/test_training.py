@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from sdah.gradcheck import grad_check
 from sdah.network import ModelConfig, build_model, forward, load_model
 from sdah.rng import Stream, derive_seed
-from sdah.tensor import Tensor
+from sdah.tensor import Tensor, default_dtype
 from sdah.training import (
     AdamState,
     SegSample,
@@ -13,9 +13,7 @@ from sdah.training import (
     TrainingAborted,
     adam_step,
     batch_indices,
-    ce_loss,
     combined_loss,
-    dice_loss,
     load_dataset,
     lr_at,
     save_dataset,
@@ -24,7 +22,7 @@ from sdah.training import (
     train,
 )
 
-from oracles import adam_per_tensor
+from oracles import adam_per_tensor, loss_chain
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -104,10 +102,15 @@ def _ref_ce(logits, label):
     return float((lse - picked).mean())
 
 
+def _loss(logits, label, lambda_dice, lambda_ce):
+    cfg = TrainConfig(lambda_dice=lambda_dice, lambda_ce=lambda_ce)
+    return combined_loss(logits, label, cfg)[0]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dice_matches_reference(k):
     logits, label = _pair(2, k, 6, 5, seed=k)
-    got = dice_loss(Tensor(logits, dtype=np.float64), label)
+    got = _loss(Tensor(logits, dtype=np.float64), label, 1.0, 0.0)
     assert got.item() == pytest.approx(_ref_dice(logits, label), rel=1e-12)
 
 
@@ -115,31 +118,51 @@ def test_dice_perfect_prediction_is_near_zero():
     label = np.zeros((1, 8, 8), dtype=np.uint8)
     label[0, 2:6, 2:6] = 1
     logits = np.where(label[:, None] == 1, 50.0, -50.0) * np.array([-1.0, 1.0])[None, :, None, None]
-    assert dice_loss(Tensor(logits), label).item() < 1e-4
+    assert _loss(Tensor(logits), label, 1.0, 0.0).item() < 1e-4
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_ce_matches_reference(k):
     logits, label = _pair(3, k, 5, 4, seed=10 + k)
-    got = ce_loss(Tensor(logits, dtype=np.float64), label)
+    got = _loss(Tensor(logits, dtype=np.float64), label, 0.0, 1.0)
     assert got.item() == pytest.approx(_ref_ce(logits, label), rel=1e-12)
 
 
 def test_ce_is_shift_invariant():
     logits, label = _pair(1, 3, 4, 4)
-    a = ce_loss(Tensor(logits, dtype=np.float64), label).item()
-    b = ce_loss(Tensor(logits + 1000.0, dtype=np.float64), label).item()
+    a = _loss(Tensor(logits, dtype=np.float64), label, 0.0, 1.0).item()
+    b = _loss(Tensor(logits + 1000.0, dtype=np.float64), label, 0.0, 1.0).item()
     assert a == pytest.approx(b, rel=1e-9)
 
 
-def test_loss_gradients_match_finite_differences():
+@pytest.mark.parametrize("lambdas", [(1.0, 0.0), (0.0, 1.0), (0.3, 2.0)],
+                         ids=["dice", "ce", "weighted"])
+def test_loss_gradients_match_finite_differences(lambdas):
     logits, label = _pair(2, 3, 4, 4, seed=5)
-    r = grad_check(lambda t: dice_loss(t, label),
-                   [Tensor(logits, dtype=np.float64)], tol=1e-6, name="dice")
+    r = grad_check(lambda t: _loss(t, label, *lambdas),
+                   [Tensor(logits, dtype=np.float64)], tol=1e-6, name="combined_loss")
     assert r.max_rel_err < 1e-6
-    r = grad_check(lambda t: ce_loss(t, label),
-                   [Tensor(logits, dtype=np.float64)], tol=1e-6, name="ce")
-    assert r.max_rel_err < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_combined_loss_equals_the_op_chain_bit_for_bit(k, dtype):
+    logits, label = _pair(3, k, 9, 7, seed=20 + k)
+    with default_dtype(dtype):
+        for lambdas in ((1.0, 1.0), (0.3, 2.0), (1.0, 0.0), (0.0, 1.0)):
+            a, b = (Tensor(logits * 3.0, requires_grad=True) for _ in range(2))
+            got = combined_loss(a, label, TrainConfig(lambda_dice=lambdas[0],
+                                                      lambda_ce=lambdas[1]))
+            want = loss_chain(b, label, *lambdas)
+            for g, w in zip(got, want):
+                assert g.data.dtype == w.data.dtype == dtype
+                assert g.data.tobytes() == w.data.tobytes()
+            assert got[1]._ctx is None and got[2]._ctx is None  # values for the log
+            # the one node's VJP differs from the chain's by rounding only
+            got[0].backward()
+            want[0].backward()
+            rtol = 2e-6 if dtype is np.float32 else 1e-14
+            assert np.abs(a.grad - b.grad).max() <= rtol * np.abs(b.grad).max()
 
 
 def test_combined_loss_weights():
@@ -151,18 +174,17 @@ def test_combined_loss_weights():
 
 def test_loss_input_validation():
     logits, label = _pair(1, 2, 4, 4)
-    with pytest.raises(ValueError):
-        dice_loss(Tensor(logits), label[:, :2])        # size mismatch
-    with pytest.raises(ValueError):
-        ce_loss(Tensor(logits), label + 5)             # ids out of range
-    with pytest.raises(ValueError):
-        dice_loss(Tensor(logits[:, :1]), np.zeros((1, 4, 4), dtype=np.uint8))
-    for bad in (logits[0, 0], logits[None]):                # rank 2 and rank 5
-        for loss in (dice_loss, ce_loss):
-            with pytest.raises(ValueError):
-                loss(Tensor(bad), label)
-    with pytest.raises(ValueError):
-        ce_loss(Tensor(logits), label[0])                   # 4-D logits, 2-D labels
+    cfg = TrainConfig()
+    for bad_logits, bad_label in [
+        (logits, label[:, :2]),                                  # size mismatch
+        (logits, label + 5),                                     # ids out of range
+        (logits[:, :1], np.zeros((1, 4, 4), dtype=np.uint8)),    # one class
+        (logits[0, 0], label),                                   # rank 2
+        (logits[None], label),                                   # rank 5
+        (logits, label[0]),                                      # 4-D logits, 2-D labels
+    ]:
+        with pytest.raises(ValueError):
+            combined_loss(Tensor(bad_logits), bad_label, cfg)
 
 
 # -- optimizer ------------------------------------------------------------------
