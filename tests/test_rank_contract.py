@@ -30,6 +30,8 @@ CALLS = {
     "window_merge": lambda: window_merge(_x(1, LAY.n_windows, LAY.patches, 8), LAY),
     "forward": lambda: forward(build_model(MICRO), _x(1, 32, 32)),
     "combined_loss": lambda: combined_loss(_x(2, 8, 8), LABEL, TrainConfig()),
+    "dice_loss": lambda: combined_loss(_x(2, 8, 8), LABEL, TrainConfig(lambda_ce=0.0)),
+    "ce_loss": lambda: combined_loss(_x(2, 8, 8), LABEL, TrainConfig(lambda_dice=0.0)),
 }
 
 
