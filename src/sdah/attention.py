@@ -1,13 +1,17 @@
 """Shifted-window multi-head self-attention with learned sampling offsets.
 
 Each head projects its window patches to queries, predicts a bounded 2-D
-offset per patch from those queries (depthwise 5x5 -> GELU -> grouped 1x1),
-and gathers keys/values by bilinear sampling of the full (cyclically
-shifted) feature map at clip(reference + offset), one grouped read for all
-heads.  A continuous relative-position bias is read from a learned
-(2*ws-1)^2 table per head at each key - query displacement, clamped to the
-table and bilinearly interpolated, so at zero offset the mechanism reduces
-exactly to plain shifted-window attention with the integer-indexed bias.
+offset per patch from those queries (depthwise 5x5 -> GELU -> grouped 1x1,
+then tanh), and gathers keys/values by bilinear sampling of the full
+(cyclically shifted) feature map at clip(reference + offset), one grouped
+read for all heads.  The offset net, its bound, the shift and the clip are
+one graph node (`_deform_points`); each layout's reference grid is built
+once and shared read-only.
+
+A continuous relative-position bias is read from a learned (2*ws-1)^2
+table per head at each key - query displacement, clamped to the table and
+bilinearly interpolated, so at zero offset the mechanism reduces exactly to
+plain shifted-window attention with the integer-indexed bias.
 
 The queries sit on each window's integer grid and the clamp acts on each
 axis alone, so the read is separable: per-axis interpolation weights (two
@@ -26,26 +30,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .convops import conv2d
+from .convops import _conv_backward_w, _conv_backward_x, conv2d
 from .rng import Stream
 from .sampling import axis_corners, bilinear_sample_batch
 from .tensor import (
     Tensor,
     _as_tensor,
     _check_finite,
+    _gelu,
+    _gelu_slope,
     _make,
     _unbroadcast,
-    clip,
-    gelu,
     linear,
     matmul,
-    reshape,
+    no_grad,
     roll,
-    tanh,
-    transpose,
 )
 
 OFFSET_KERNEL = 5  # depthwise kernel of the offset net
@@ -129,22 +132,31 @@ def window_merge(wins, layout: WindowLayout) -> Tensor:
                  lambda g: _to_windows(g, layout, wins.shape[2]))
 
 
-def window_origins(layout: WindowLayout) -> np.ndarray:
-    """(n_windows, 2) top-left (y, x) of each window, row-major order."""
+@lru_cache(maxsize=64)
+def _grids(layout: WindowLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(window origins, local patch grid, reference points) of a layout:
+    float64, read-only, built once per layout and shared by every forward."""
     ny, nx = layout.h // layout.ws, layout.w // layout.ws
     wy, wx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    return np.stack([wy.ravel(), wx.ravel()], axis=-1).astype(np.float64) * layout.ws
+    org = np.stack([wy.ravel(), wx.ravel()], axis=-1).astype(np.float64) * layout.ws
+    iy, ix = np.meshgrid(np.arange(layout.ws), np.arange(layout.ws), indexing="ij")
+    local = np.stack([iy.ravel(), ix.ravel()], axis=-1).astype(np.float64)
+    ref = org[:, None, :] + local[None, :, :]
+    for a in (org, local, ref):
+        a.flags.writeable = False
+    return org, local, ref
 
 
-def _local_grid(ws: int) -> np.ndarray:
-    iy, ix = np.meshgrid(np.arange(ws), np.arange(ws), indexing="ij")
-    return np.stack([iy.ravel(), ix.ravel()], axis=-1).astype(np.float64)
+def window_origins(layout: WindowLayout) -> np.ndarray:
+    """(n_windows, 2) top-left (y, x) of each window, row-major order;
+    read-only."""
+    return _grids(layout)[0]
 
 
 def reference_points(layout: WindowLayout) -> np.ndarray:
     """(n_windows, ws*ws, 2) integer patch coordinates, (y, x), in the
-    shifted map's global frame."""
-    return window_origins(layout)[:, None, :] + _local_grid(layout.ws)[None, :, :]
+    shifted map's global frame; read-only."""
+    return _grids(layout)[2]
 
 
 @dataclass
@@ -237,7 +249,8 @@ class SdmsaTrace:
     """Forward record for the explanation exports.
 
     Arrays are the very ones used in the forward pass (no copies):
-    reference_points (n_windows, P, 2); offsets and deformed points
+    reference_points (n_windows, P, 2), the layout's shared read-only
+    float64 grid; offsets and deformed points
     (B, n_windows, n_heads, P, 2) where deformed = clip(ref + offset)
     exactly as sampled; attention (B, n_windows, n_heads, P, P), whose
     axis 2 is the head count: the probability array the fused `_attend`
@@ -252,18 +265,55 @@ class SdmsaTrace:
     attention: np.ndarray
 
 
-def _offset_forward(q_heads: Tensor, dw_w, dw_b, pw_w, pw_b,
-                    ws: int, gamma_off: float) -> Tensor:
-    """(B, n_w, n_h, P, d) queries -> (B, n_w, n_h, P, 2) bounded offsets."""
-    b, nw, nh, p, d = q_heads.shape
-    c = nh * d
-    g = transpose(q_heads, (0, 1, 2, 4, 3))
-    g = reshape(g, (b * nw, c, ws, ws))
-    hdw = conv2d(g, dw_w, dw_b, stride=1, padding=OFFSET_KERNEL // 2, groups=c)
-    hpw = conv2d(gelu(hdw), pw_w, pw_b, groups=nh)  # (B*n_w, 2*n_h, ws, ws)
-    o = reshape(hpw, (b, nw, nh, 2, p))
-    o = transpose(o, (0, 1, 2, 4, 3))
-    return tanh(o) * (gamma_off * ws / 2.0)
+def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
+                   lo, hi) -> tuple[Tensor, np.ndarray]:
+    """Sampling points clip(ref + s * tanh(net(q)), lo, hi) as one graph
+    node; returns (points, offsets), both (B, n_w, n_h, P, 2).
+
+    q holds the (B, n_w, n_h, P, d) queries; the offset net reads them in
+    (B*n_w, C, ws, ws) conv layout: the depthwise 5x5, GELU, then the
+    grouped 1x1 giving each head's (dy, dx), bounded by tanh times
+    s = gamma_off * ws / 2.  ref broadcasts to the points and lo, hi are
+    the clip's bounds.  The convs run through `conv2d` without recording.
+    The node's parents are q and the four offset weights; its `prep`
+    carries the gradient down the chain once (clip mask, times s, tanh',
+    the 1x1 conv's input gradient, GELU') and each VJP reads its step.
+    Every step runs in the order of the eleven-node chain this replaces,
+    so points, offsets and gradients equal the chain's bit for bit.
+    """
+    b, nw, nh, p, d = q.shape
+    c, k = nh * d, OFFSET_KERNEL
+    dw_w, dw_b = params.off_dw_w, params.off_dw_b
+    pw_w, pw_b = params.off_pw_w, params.off_pw_b
+    g_in = q.data.transpose(0, 1, 2, 4, 3).reshape(b * nw, c, ws, ws)
+    with no_grad():
+        hdw = conv2d(Tensor(g_in, dtype=q.dtype), dw_w, dw_b,
+                     padding=k // 2, groups=c).data
+        act, phi = _gelu(hdw)
+        _check_finite(act, "gelu")
+        hpw = conv2d(Tensor(act, dtype=act.dtype), pw_w, pw_b, groups=nh).data
+    th = np.tanh(hpw.reshape(b, nw, nh, 2, p).transpose(0, 1, 2, 4, 3))
+    scale = np.asarray(params.gamma_off * ws / 2.0, th.dtype)
+    off = th * scale
+    pts = off + ref.astype(off.dtype)
+    inside = (pts > lo) & (pts < hi)
+    pts = np.clip(pts, lo, hi)
+
+    def prep(g):  # (1x1 conv output gradient, depthwise conv output gradient)
+        g = g * inside * scale * (1.0 - th * th)
+        g_pw = g.transpose(0, 1, 2, 4, 3).reshape(hpw.shape)
+        g_act = _conv_backward_x(g_pw, pw_w.data, 1, 0, nh, (ws, ws))
+        return g_pw, g_act * _gelu_slope(hdw, phi)
+
+    def dq(s):
+        g = _conv_backward_x(s[1], dw_w.data, 1, k // 2, c, (ws, ws))
+        return g.reshape(b, nw, nh, d, p).transpose(0, 1, 2, 4, 3)
+
+    return _make("deform_points", pts, (q, dw_w, dw_b, pw_w, pw_b), dq,
+                 lambda s: _conv_backward_w(g_in, s[1], k, 1, k // 2, c),
+                 lambda s: s[1].sum(axis=(0, 2, 3)),
+                 lambda s: _conv_backward_w(act, s[0], 1, 1, 0, nh),
+                 lambda s: s[0].sum(axis=(0, 2, 3)), prep=prep), off
 
 
 def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
@@ -414,25 +464,21 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
 
     q = matmul(xh, params.wq)                      # (B, n_w, n_h, P, d)
 
-    ref = reference_points(layout)                 # (n_w, P, 2) float64
+    org, grid, ref = _grids(layout)                # float64, read-only
     if params.deformable:
-        off = _offset_forward(
-            q, params.off_dw_w, params.off_dw_b,
-            params.off_pw_w, params.off_pw_b, ws, params.gamma_off,
-        )
-        org = window_origins(layout).astype(x.dtype)
+        org = org.astype(x.dtype)
         lo, hi = np.zeros(2, x.dtype), np.array([h - 1, w - 1], x.dtype)  # the map
         if params.clamp_to_window:                 # the query's own window
             lo = org.reshape(1, nw, 1, 1, 2)
             hi = lo + (ws - 1)
-        pts = clip(off + ref.reshape(1, nw, 1, p, 2), lo, hi)
+        pts, offs = _deform_points(q, params, ws, ref.reshape(1, nw, 1, p, 2), lo, hi)
         xs = roll(x, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else x
         kv_in = bilinear_sample_batch(xs, pts)     # (B, n_w, n_h, P, d)
         bias = _relative_bias(params.bias_table, pts, org)
-        offs, defp = off.data, pts.data
+        defp = pts.data
     else:
         kv_in = xh
-        keys = np.broadcast_to(_local_grid(ws), (1, 1, nh, p, 2))
+        keys = np.broadcast_to(grid, (1, 1, nh, p, 2))
         bias = _relative_bias(params.bias_table, keys, np.zeros((1, 2)))
         offs = np.zeros((b, nw, nh, p, 2), dtype=x.dtype)
         defp = np.broadcast_to(ref[None, :, None], offs.shape).astype(x.dtype)

@@ -188,7 +188,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _selfcheck_grads():
-    from .attention import _attend
+    from .attention import SdmsaParams, WindowLayout, _attend, _deform_points, reference_points
     from .gradcheck import grad_check
     from .rng import Stream
     from .tensor import gelu, matmul, softmax
@@ -207,6 +207,15 @@ def _selfcheck_grads():
     for bias_shape in ((1, 2, 2, 4, 4), (1, 1, 2, 4, 4)):
         grad_check(lambda *t: _attend(*t)[0], [*qkv, s.uniform(bias_shape, -1, 1)],
                    h=1e-5, tol=1e-6)
+    # the one-node sampling points: offset net, tanh bound, shift and clip
+    net = SdmsaParams.init(4, 2, 2, s)
+    ref = reference_points(WindowLayout(4, 4, 2, shift=1)).reshape(1, 4, 1, 4, 2)
+    names = ("off_dw_w", "off_dw_b", "off_pw_w", "off_pw_b")
+    grad_check(lambda q, *w: _deform_points(q, replace(net, **dict(zip(names, w))),
+                                            2, ref, 0.0, 3.0)[0],
+               [s.uniform((2, 4, 2, 4, 2), -1, 1),
+                *(s.uniform(getattr(net, n).shape, -1, 1) for n in names)],
+               h=1e-5, tol=1e-6)
     # the one-node loss's hand-written VJP, both terms weighted
     label, cfg = s.integers(32, 3).reshape(2, 4, 4), TrainConfig(lambda_dice=0.3, lambda_ce=2.0)
     grad_check(lambda t: combined_loss(t, label, cfg)[0], [s.uniform((2, 3, 4, 4), -2, 2)],

@@ -223,7 +223,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return sub(_as_tensor(other, like=self), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -234,7 +234,7 @@ class Tensor:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(other, self)
+        return div(_as_tensor(other, like=self), self)
 
     def __neg__(self):
         return neg(self)
@@ -247,7 +247,7 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
     dtype = like.data.dtype if like is not None else _default_dtype
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(x, dtype=dtype)
 
 
 def _require_float(t: Tensor, op: str) -> None:
@@ -520,14 +520,20 @@ def gelu(a) -> Tensor:
     a = _as_tensor(a)
     _require_float(a, "gelu")
     x = a.data
+    out, phi = _gelu(x)
+    return _make("gelu", out, (a,), lambda g: g * _gelu_slope(x, phi))
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)) with Phi the Gaussian CDF, the first in x's dtype."""
     phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = x * phi
+    return (x * phi).astype(x.dtype, copy=False), phi
 
-    def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return g * (phi + x * pdf)
 
-    return _make("gelu", out.astype(x.dtype, copy=False), (a,), bwd)
+def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """GELU's derivative Phi(x) + x * pdf(x), given the forward's Phi(x)."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return phi + x * pdf
 
 
 def tanh(a) -> Tensor:

@@ -1,8 +1,8 @@
 """Slow per-window reference implementations the attention tests check
-the batched library paths against, the op chains the fused window core and
-the one-node loss replace, the block-output bump the Grad-CAM tests take
-finite differences with, and the per-tensor Adam loop the trainer's
-one-vector update replaces."""
+the batched library paths against, the op chains the fused window core,
+the one-node sampling points and the one-node loss replace, the
+block-output bump the Grad-CAM tests take finite differences with, and the
+per-tensor Adam loop the trainer's one-vector update replaces."""
 
 import math
 from dataclasses import replace
@@ -10,11 +10,36 @@ from dataclasses import replace
 import numpy as np
 
 import sdah.blocks
-from sdah.attention import SdmsaParams, _offset_forward
+from sdah.attention import OFFSET_KERNEL, SdmsaParams
+from sdah.convops import conv2d
 from sdah.network import forward
 from sdah.sampling import bilinear_sample_batch
-from sdah.tensor import (Tensor, _as_tensor, _make, add, matmul, narrow, reshape, softmax,
-                         swap_last, tsum)
+from sdah.tensor import (Tensor, _as_tensor, _make, add, clip, gelu, matmul, narrow, reshape,
+                         softmax, swap_last, tanh, transpose, tsum)
+
+
+def _offset_forward(q_heads: Tensor, dw_w, dw_b, pw_w, pw_b,
+                    ws: int, gamma_off: float) -> Tensor:
+    """(B, n_w, n_h, P, d) queries -> (B, n_w, n_h, P, 2) bounded offsets."""
+    b, nw, nh, p, d = q_heads.shape
+    c = nh * d
+    g = transpose(q_heads, (0, 1, 2, 4, 3))
+    g = reshape(g, (b * nw, c, ws, ws))
+    hdw = conv2d(g, dw_w, dw_b, stride=1, padding=OFFSET_KERNEL // 2, groups=c)
+    hpw = conv2d(gelu(hdw), pw_w, pw_b, groups=nh)  # (B*n_w, 2*n_h, ws, ws)
+    o = reshape(hpw, (b, nw, nh, 2, p))
+    o = transpose(o, (0, 1, 2, 4, 3))
+    return tanh(o) * (gamma_off * ws / 2.0)
+
+
+def deform_points_chain(q: Tensor, params: SdmsaParams, ws: int, ref, lo, hi
+                        ) -> tuple[Tensor, np.ndarray]:
+    """(points, offsets) as the eleven-node chain `attention._deform_points`
+    fuses: the offset net (transpose, reshape, conv2d, gelu, conv2d,
+    reshape, transpose, tanh), its scale, the reference shift and the clip."""
+    off = _offset_forward(q, params.off_dw_w, params.off_dw_b, params.off_pw_w,
+                          params.off_pw_b, ws, params.gamma_off)
+    return clip(off + ref, lo, hi), off.data
 
 
 def compute_offsets(q_win, params: SdmsaParams, head: int) -> Tensor:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sdah.attention import (
     SdmsaParams,
     _attend,
+    _deform_points,
     _relative_bias,
     WindowLayout,
     reference_points,
@@ -21,7 +23,8 @@ from sdah.rng import Stream
 from sdah.network import stage_layout
 from sdah.tensor import NumericsError, Tensor, default_dtype, matmul, reshape, transpose
 
-from oracles import attend_chain, compute_offsets, interpolated_bias, plain_twin
+from oracles import (attend_chain, compute_offsets, deform_points_chain, interpolated_bias,
+                     plain_twin)
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):
@@ -503,6 +506,78 @@ def test_grad_check_through_attention(deform):
 
     x = Stream(23).normal((1, c, 4, 4)) * 0.5
     grad_check(run, [x, p.wq.data, p.wv.data, p.bias_table.data], tol=1e-5)
+
+
+# -- sampling points ---------------------------------------------------------------
+
+_OFFSET_NAMES = ("off_dw_w", "off_dw_b", "off_pw_w", "off_pw_b")
+
+
+def _bounds(lay, clamp, dtype):
+    """The clip bounds `sdmsa` passes: the map, or each query's own window."""
+    if not clamp:
+        return np.zeros(2, dtype), np.array([lay.h - 1, lay.w - 1], dtype)
+    lo = window_origins(lay).astype(dtype).reshape(1, lay.n_windows, 1, 1, 2)
+    return lo, lo + (lay.ws - 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("clamp", [False, True], ids=["map", "window"])
+@pytest.mark.parametrize("silent", [False, True], ids=["net", "silent"])
+def test_deform_points_match_the_op_chain(dtype, clamp, silent):
+    """The one-node sampling points equal the eleven-node chain bit for bit:
+    points, offsets and the gradients of the queries and of all four offset
+    weights, on a shifted layout with B > 1 and some points clipped.  A
+    silent (zero) offset net puts the edge points exactly on the bound,
+    where the clip passes no gradient."""
+    c, nh, ws = 8, 2, 4
+    lay = WindowLayout(8, 8, ws, shift=2)
+    ref = reference_points(lay).reshape(1, lay.n_windows, 1, lay.patches, 2)
+    runs = []
+    with default_dtype(dtype):
+        lo, hi = _bounds(lay, clamp, dtype)
+        for fn in (_deform_points, deform_points_chain):
+            p = _params(c, nh, ws, seed=50, gamma_off=2.0, clamp_to_window=clamp)
+            for name in _OFFSET_NAMES:
+                t = getattr(p, name)
+                t.data[...] = 0.0 if silent else Stream(51).normal(t.shape)
+            q = Tensor(Stream(52).normal((2, lay.n_windows, nh, lay.patches, c // nh)),
+                       requires_grad=True)
+            pts, off = fn(q, p, ws, ref, lo, hi)
+            pts.backward(Stream(53).normal(pts.shape))
+            weights = [getattr(p, name) for name in _OFFSET_NAMES]
+            runs.append((pts.data, off, [q, *weights]))
+    (pts, off, grads), (ref_pts, ref_off, ref_grads) = runs
+    assert pts.dtype == off.dtype == dtype
+    clipped = (pts == lo) | (pts == hi)
+    assert clipped.any() and not clipped.all()
+    np.testing.assert_array_equal(pts, ref_pts)
+    np.testing.assert_array_equal(off, ref_off)
+    for t, want in zip(grads, ref_grads):
+        assert t.grad.dtype == dtype
+        np.testing.assert_array_equal(t.grad, want.grad)
+
+
+def test_deform_points_grad_check():
+    """float64 gradients of the queries and the four offset weights, with
+    points on both sides of the clip."""
+    c, nh, ws = 4, 2, 2
+    lay = WindowLayout(4, 4, ws, shift=1)
+    ref = reference_points(lay).reshape(1, lay.n_windows, 1, lay.patches, 2)
+    lo, hi = _bounds(lay, False, np.float64)
+    p = _params(c, nh, ws, seed=54)
+    s = Stream(55)
+    inputs = [s.normal((2, lay.n_windows, nh, lay.patches, c // nh))]
+    inputs += [s.normal(getattr(p, name).shape) for name in _OFFSET_NAMES]
+
+    def run(q, *weights):
+        return _deform_points(q, replace(p, **dict(zip(_OFFSET_NAMES, weights))),
+                              ws, ref, lo, hi)[0]
+
+    with default_dtype(np.float64):
+        pts = run(*(Tensor(a) for a in inputs)).data
+    assert np.any((pts == lo) | (pts == hi))
+    grad_check(run, inputs, tol=1e-6)
 
 
 def test_grad_check_offset_net_parameters():

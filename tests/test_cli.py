@@ -129,8 +129,8 @@ def test_selfcheck_passes(capsys):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """The package and every command run on numpy alone: scipy is needed
-    only by `metrics.paired_t_test`, so no sdah process pays its import."""
+    """The package, every command and `metrics.paired_t_test` run on numpy
+    alone, so no sdah process pays scipy's import."""
     code = (
         "import json, sys\n"
         "import sdah, sdah.cli\n"
@@ -151,6 +151,8 @@ def test_no_command_loads_scipy(tmp_path):
         " '--block', 'enc1', '--out', d + '/x')\n"
         "run('count', '--config', d + '/cfg.json', '--size', '32')\n"
         "run('selfcheck')\n"
+        "from sdah.metrics import paired_t_test\n"
+        "assert 0.0 < paired_t_test([1.0, 2.0, 4.0], [0.5, 1.0, 1.0])[1] < 1.0\n"
         "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not loaded, loaded\n"
     )

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
@@ -243,6 +244,16 @@ def test_t_sf_matches_scipy(t, dof):
     assert got == pytest.approx(want, rel=1e-10)
     if want in (0.0, 1.0):   # t = 0 and |t| -> inf hit the bounds exactly
         assert got == want
+
+
+@pytest.mark.parametrize("dof", [1, 2, 5, 30, 300, 3000])
+def test_t_sf_matches_scipy_on_a_grid(dof):
+    """The own incomplete beta on both sides of its switch to 1 - x."""
+    ts = np.linspace(0.0, 40.0, 801)
+    want = scipy.special.betainc(dof / 2.0, 0.5, dof / (dof + ts * ts))
+    got = np.array([t_sf_two_sided(t, dof) for t in ts])
+    keep = want > 1e-300
+    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-11, atol=0)
 
 
 def test_paired_t_matches_scipy():

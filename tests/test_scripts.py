@@ -65,7 +65,10 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
         return json.loads(r.stdout)
 
     first = run("1")
-    assert sorted(first) == [f"micro_{flags}.{what}" for flags in ("DDDD", "NNNN")
-                             for what in ("grads", "logits", "loss", "train4_params")]
+    assert sorted(first) == sorted(
+        [f"micro_{variant}.{what}" for variant in ("DDDD", "NNNN", "DNDN_sum", "DDDD_clamp")
+         for what in ("grads", "logits", "loss", "traces", "train4_params")]
+        + [f"explain_enc1.{name}" for name in
+           ("attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv")])
     assert run("1") == first
     assert run("2") == first

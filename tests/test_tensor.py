@@ -101,6 +101,19 @@ def test_operator_sugar_with_scalars():
     np.testing.assert_allclose((8.0 / a).data, [4.0, 2.0])
 
 
+def test_constant_takes_its_tensor_dtype_not_the_session_default():
+    """Under the float32 default, a Python constant combined with a float64
+    tensor is not rounded to float32 first: each result equals pure float64
+    numpy bit for bit."""
+    x = _rand((3, 4), 3).astype(np.float64) + 0.1
+    a = Tensor(x, dtype=np.float64)
+    for got, want in (((a + 1e-5).data, x + 1e-5), ((0.3 * a).data, 0.3 * x),
+                      ((1.0 / 3.0 - a).data, 1.0 / 3.0 - x), ((a / 0.7).data, x / 0.7),
+                      ((0.7 / a).data, 0.7 / x)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_matmul_matches_numpy():
     a, b = _rand((2, 3, 4), 3), _rand((4, 5), 4)
     got = matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))

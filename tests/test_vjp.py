@@ -2,16 +2,27 @@
 only the gradients of the operands that need one, and those equal the
 gradients it computes when every operand needs one."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sdah.attention import WindowLayout, _attend, _relative_bias, reference_points, window_origins
+from sdah.attention import (SdmsaParams, WindowLayout, _attend, _deform_points,
+                            _relative_bias, reference_points, window_origins)
 from sdah.convops import conv2d, deconv2d
 from sdah.rng import Stream
 from sdah.sampling import bilinear_sample_batch
 from sdah.tensor import Tensor, _make, concat, layer_norm, linear, matmul
 
 _LAYOUT = WindowLayout(8, 8, 4)
+_OFFSET_NET = SdmsaParams.init(6, 2, 4, Stream(4))
+
+
+def _deform_points_of(q, dw_w, dw_b, pw_w, pw_b):
+    p = replace(_OFFSET_NET, off_dw_w=dw_w, off_dw_b=dw_b, off_pw_w=pw_w, off_pw_b=pw_b)
+    ref = reference_points(_LAYOUT).reshape(1, 4, 1, 16, 2)
+    return _deform_points(q, p, 4, ref, 0.0, 7.0)[0]
+
 
 # name -> (primitive, operand shapes or arrays); operands are drawn from
 # one seeded stream, arrays are used as given
@@ -39,6 +50,8 @@ CASES = {
          + Stream(2).uniform((2, 4, 2, 16, 2), -1, 1)]),
     "attend": (lambda *a: _attend(*a)[0],
                [(2, 3, 2, 16, 4)] * 3 + [(1, 1, 2, 16, 16)]),
+    "deform_points": (_deform_points_of,
+                      [(2, 4, 2, 16, 3), (6, 1, 5, 5), (6,), (4, 3, 1, 1), (4,)]),
 }
 
 
