@@ -25,7 +25,7 @@ from .gradcheck import GradCheckError
 from .io import FormatError, load_image, save_sdt1, to_u8, write_pgm
 from .inference import SlidingConfig, predict_mask
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
-from .tensor import GradError, NumericsError
+from .tensor import GradError, NumericsError, _keep_heap
 from .training import (
     CKPT_NAME,
     CURVE_NAME,
@@ -407,6 +407,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one `sdah` command; returns its exit code.  Every command keeps
+    freed heap memory in the process (`tensor._keep_heap`: glibc's mmap and
+    trim thresholds, both set since either alone faults more), so repeated
+    tile forwards and steps reuse pages instead of faulting fresh ones in."""
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

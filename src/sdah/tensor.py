@@ -20,8 +20,10 @@ Every primitive checks its float outputs for NaN/Inf and raises
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +65,42 @@ def no_grad():
         yield
     finally:
         _grad_enabled = old
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt(3) parameters
+_HEAP_ARRAY_MAX = 32 << 20  # glibc's largest mmap threshold on 64-bit
+_HEAP_TRIM_AT = 1 << 30
+
+
+@lru_cache(maxsize=None)
+def _keep_heap() -> bool:
+    """Keep freed arrays' memory in the process (glibc only; idempotent).
+
+    By default glibc maps arrays above its mmap threshold afresh and hands
+    the free top of the heap back to the kernel, so each training step or
+    tile forward faults its arrays in again as zeroed pages (about 2,800
+    faults per 224x224 step, most of them the relative-bias hats and row
+    products).  Here arrays below 32 MiB come from the heap, and the heap is
+    trimmed only once 1 GiB of its top is free.  Both are set because any
+    explicit mallopt switches off glibc's dynamic thresholds: the mmap
+    threshold alone leaves the heap trimmed after each step, the trim
+    threshold alone maps every array above the static 128 KiB afresh, and
+    either alone faults more than the default.  A large M_TOP_PAD works as
+    well, but it leaves the mmap threshold wherever the dynamic rule had put
+    it before the call; explicit values do not depend on that history.  RSS
+    then stays at its peak until exit.  Returns whether both were set; a
+    libc without `mallopt` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no libc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc returns 0 for a refused value; the trim threshold is only worth
+    # setting once arrays come from the heap
+    return (mallopt(_M_MMAP_THRESHOLD, _HEAP_ARRAY_MAX) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_AT) == 1)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:

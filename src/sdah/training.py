@@ -22,7 +22,7 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import NumericsError, Tensor, _as_tensor, _make, _require_float
+from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make, _require_float
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
@@ -246,9 +246,22 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
           curve_path=None) -> list[dict]:
     """Run the optimization; returns the logged rows and writes the loss
     curve CSV and final checkpoint (defaults: out_dir/loss.csv and
-    out_dir/checkpoint.sdck)."""
+    out_dir/checkpoint.sdck).
+
+    Every sample must have as many classes as the model's head has output
+    channels; a mismatch raises ValueError before the first step, and no
+    file is written.  The process keeps freed heap memory from here on
+    (`tensor._keep_heap`: glibc's mmap and trim thresholds, both set since
+    either alone faults more), so each step reuses the last step's pages
+    instead of faulting fresh ones in; RSS stays at its peak until exit."""
+    _keep_heap()
     if not data:
         raise ValueError("empty dataset")
+    k = model.config.num_classes
+    wrong = sorted({s.classes for s in data} - {k})
+    if wrong:
+        raise ValueError(f"the dataset has samples with {wrong[0]} classes, but the "
+                         f"model's head outputs {k}")
     if out_dir is None and (ckpt_path is None or curve_path is None):
         raise ValueError("need out_dir or explicit ckpt_path and curve_path")
     if out_dir is not None:

@@ -1,4 +1,7 @@
+import os
+
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile(
     "pkg",
@@ -7,3 +10,14 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("pkg")
+
+
+@pytest.fixture
+def glibc():
+    """Skips a test of glibc's allocator settings on any other libc."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError):
+        version = None
+    if not version:
+        pytest.skip("mallopt's thresholds are glibc's; this libc is not glibc")

@@ -161,6 +161,46 @@ def test_no_command_loads_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_repeated_commands_reuse_freed_heap_pages(tmp_path, glibc):
+    """A process that runs `sdah infer` again reuses the heap the last call
+    freed instead of faulting in fresh zeroed pages (about 2,500 faults per
+    call otherwise).  In a subprocess: the allocator setting is process-wide."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from sdah.cli import main\n"
+        "from sdah.io import save_sdt1\n"
+        "d, ckpt = sys.argv[1:]\n"
+        "save_sdt1(d + '/img.sdt', np.random.default_rng(0).uniform(0, 1, (1, 128, 128))"
+        ".astype(np.float32))\n"
+        "argv = ['infer', '--ckpt', ckpt, '--image', d + '/img.sdt', '--crop', '32',"
+        " '--step', '16', '--out', d + '/mask.sdt']\n"
+        "assert main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(3):\n"
+        "    assert main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                        str(root / "perfbench" / "micro_desk.sdck")],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout.splitlines()[-1]) < 1000  # after the commands' own lines
+
+
+def test_train_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
+    # `sdah synth` makes 3 classes by default, the micro config's head outputs 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": MICRO, "train": {"batch_size": 2, "max_steps": 8}}))
+    assert main(["synth", "--n", "4", "--size", "32", "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 classes" in err and "outputs 2" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_selfcheck_sees_per_tile_forwards(monkeypatch, capsys):
     # a one-pixel budget forces one forward per tile: the tile check must fail
     monkeypatch.setattr("sdah.inference._TILE_PIXELS", 1)

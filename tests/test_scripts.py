@@ -68,7 +68,9 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
     assert sorted(first) == sorted(
         [f"micro_{variant}.{what}" for variant in ("DDDD", "NNNN", "DNDN_sum", "DDDD_clamp")
          for what in ("grads", "logits", "loss", "traces", "train4_params")]
+        + [f"default_224.{what}" for what in ("grads", "logits", "loss")]
         + [f"explain_enc1.{name}" for name in
-           ("attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv")])
+           ("attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv")]
+        + ["eval.csv", "infer.mask.sdt", "infer.preview.pgm"])
     assert run("1") == first
     assert run("2") == first

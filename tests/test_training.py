@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -433,3 +436,37 @@ def test_train_requires_output_target():
         train(model, data, TrainConfig(max_steps=1))
     with pytest.raises(ValueError):
         train(model, [], TrainConfig(max_steps=1), out_dir="/tmp/x")
+
+
+def test_train_rejects_a_class_count_the_head_does_not_output(tmp_path):
+    # 3-class data on a 2-class head failed inside the loss only once a batch
+    # held a class-2 pixel, several steps in, and named neither count
+    model = build_model(ModelConfig(**MICRO))
+    data = synth_dataset(4, 32, 32, 3, seed=6)
+    with pytest.raises(ValueError, match="3 classes.*outputs 2"):
+        train(model, data, TrainConfig(batch_size=2, max_steps=2), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_steps_reuse_freed_heap_pages(tmp_path, glibc):
+    """Steps after the first reuse the heap that earlier steps freed instead
+    of faulting in fresh zeroed pages (about 2,800 faults per 224x224 step
+    otherwise).  In a subprocess: the allocator setting is process-wide."""
+    code = (
+        "import resource, sys\n"
+        "from sdah.network import ModelConfig, build_model\n"
+        "from sdah.training import TrainConfig, synth_dataset, train\n"
+        "model = build_model(ModelConfig(num_classes=3))\n"
+        "data = synth_dataset(2, 224, 224, 3, seed=0)\n"
+        "def run(start, stop):\n"
+        "    train(model, data, TrainConfig(batch_size=1, max_steps=stop), out_dir=sys.argv[1],"
+        " start_step=start)\n"
+        "run(0, 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run(2, 5)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 1000
