@@ -316,6 +316,18 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
                  lambda s: s[0].sum(axis=(0, 2, 3)), prep=prep), off
 
 
+@lru_cache(maxsize=64)
+def _hat_positions(shape: tuple, t: int, transposed: bool) -> np.ndarray:
+    """Flat position of each (..., ws) entry's row in a `_hat` of that shape
+    (its first column when transposed): int64, read-only, built once per
+    (shape, t, transposed).  `_slope` reads the plain hat's positions."""
+    ws = shape[-1]
+    q = np.arange(math.prod(shape)).reshape(shape)
+    pos = (q - q % ws) * t + q % ws if transposed else q * t
+    pos.flags.writeable = False
+    return pos
+
+
 def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
     """Dense per-axis interpolation weights from `axis_corners` output.
 
@@ -324,11 +336,11 @@ def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
     in first so that where i1 == i0 (f == 0) the row keeps its weight 1.
     """
     ws = f.shape[-1]
-    q = np.arange(f.size).reshape(f.shape)
+    pos = _hat_positions(f.shape, t, transposed)
     if transposed:
-        pos, step, shape = (q - q % ws) * t + q % ws, ws, f.shape[:-1] + (t, ws)
+        step, shape = ws, f.shape[:-1] + (t, ws)
     else:
-        pos, step, shape = q * t, 1, f.shape + (t,)
+        step, shape = 1, f.shape + (t,)
     h = np.zeros(shape, f.dtype)
     flat = h.reshape(-1)
     flat[pos + i1 * step] = f
@@ -339,7 +351,7 @@ def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
 def _slope(e: np.ndarray, i0, i1, inside) -> np.ndarray:
     """Sum over the last (query) axis of e at i1 minus e at i0, where the
     displacement is strictly inside the table: the per-axis derivative."""
-    pos = np.arange(i0.size).reshape(i0.shape) * e.shape[-1]
+    pos = _hat_positions(i0.shape, e.shape[-1], False)
     e = e.reshape(-1)
     return ((np.take(e, pos + i1) - np.take(e, pos + i0)) * inside).sum(axis=-1)
 

@@ -126,8 +126,12 @@ def _cmd_eval(args) -> int:
     cfg = _sliding(args)
     if not data:
         raise ValueError(f"dataset {args.data} has no samples")
+    classes = model.config.num_classes
+    wrong = sorted({s.classes for s in data} - {classes})
+    if wrong:
+        raise ValueError(f"the dataset has samples with {wrong[0]} classes, but the "
+                         f"checkpoint's head outputs {classes}")
     preds, gts = [], []
-    classes = max(s.classes for s in data)
     for s in data:
         preds.append(predict_mask(model, s.image, cfg))
         gts.append(s.label.data)

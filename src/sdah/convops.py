@@ -4,14 +4,19 @@ Cross-correlation semantics with zero padding, lowered to matmuls in one of
 two ways picked from the conv's geometry:
 
 - Banded rows, for a depthwise conv (groups == C_in == C_out) at stride 1
-  with k > 1.  Output row y reads the k padded rows y..y+k-1 laid end to
-  end, so the map is copied k times, not k*k, into (N, C, ho, k*Wp) rows.
-  Each channel's kernel becomes a (k*Wp, wo) band holding w[c, 0, i, q] at
-  [i*Wp + j + q, j], and the conv is one broadcast matmul, rows @ band, with
-  one product per image and channel, so a batch gives each image's result
-  bit for bit.  The weight gradient is the band's gradient, taken in a
-  (C, N*ho, k*Wp) layout so that one matmul per channel sums the images,
-  and folded back to (k, k) by summing each of its k*k diagonals.
+  with k > 1.  The output width is cut into blocks of b columns
+  (`_band_width`, from geometry alone), and block row (y, m) holds the k
+  slices of b + k - 1 inputs that its outputs read, padded rows y..y+k-1 at
+  columns m*b..m*b+b+k-2, end to end.  So each output reads k*(b+k-1)
+  inputs, not the k*Wp of a whole padded row, and the map is copied about
+  k times, not k*k, into (N, C, ho*nb, k*(b+k-1)) rows.  Each channel's
+  kernel becomes one (k*(b+k-1), b) band holding w[c, 0, i, q] at
+  [i*(b+k-1) + j + q, j], shared by every block, and the conv is one
+  broadcast matmul, rows @ band, with one product per image and channel,
+  so a batch gives each image's result bit for bit.  The weight gradient
+  is the band's gradient, taken in a (C, N*ho*nb, .) layout so that one
+  matmul per channel sums the images and blocks, and folded back to
+  (k, k) by summing each of its k*k diagonals.
 - im2col, for every other conv (dense, grouped, strided, transposed, and
   1x1): a (N, C, k, k, ho, wo) patch copy and one batched matmul per group.
 
@@ -31,7 +36,6 @@ embedding stem needs for its stride-2 3x3 layers.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, _as_tensor, _make
 
@@ -57,11 +61,19 @@ def _pad(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
+def _view(a: np.ndarray, shape, strides) -> np.ndarray:
+    """A strided view of contiguous `a` from its first element, built by the
+    ndarray constructor: it checks that the view fits in a's buffer and
+    costs about a sixth of numpy's stride-tricks helper."""
+    return np.ndarray(shape, a.dtype, buffer=a, strides=strides)
+
+
 def _im2col(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
     """(N,C,Hp,Wp) -> contiguous (N, C, k, k, ho, wo) patch array."""
+    xp = np.ascontiguousarray(xp)
     n, c, _, _ = xp.shape
     s0, s1, s2, s3 = xp.strides
-    view = as_strided(xp, (n, c, k, k, ho, wo), (s0, s1, s2, s3, s2 * s, s3 * s))
+    view = _view(xp, (n, c, k, k, ho, wo), (s0, s1, s2, s3, s2 * s, s3 * s))
     return np.ascontiguousarray(view)
 
 
@@ -83,18 +95,56 @@ def _banded(cin: int, cout: int, k: int, s: int, g: int) -> bool:
     return g == cin == cout and s == 1 and k > 1
 
 
-def _rows(x: np.ndarray, k: int, p: int) -> np.ndarray:
-    """(N,C,H,W) -> (N, C, ho, k*Wp) view: row y is padded rows y..y+k-1 end to end."""
+def _band_width(wo: int, k: int) -> int:
+    """Output columns per band block: the whole row up to 32 columns, else
+    the largest divisor of wo in [k, 16], else (no such divisor) the row."""
+    if wo <= 32:
+        return wo
+    return max((b for b in range(k, 17) if wo % b == 0), default=wo)
+
+
+def _rows(x: np.ndarray, k: int, p: int, b: int) -> np.ndarray:
+    """(N,C,H,W) -> (N, C, ho, nb, k, b+k-1) view: block row (y, m) is padded
+    rows y..y+k-1 at columns m*b..m*b+b+k-2."""
     xp = np.ascontiguousarray(_pad(x, p))
     n, c, hp, wp = xp.shape
-    return as_strided(xp, (n, c, hp - k + 1, k * wp), xp.strides)
+    s0, s1, s2, s3 = xp.strides
+    return _view(xp, (n, c, hp - k + 1, (wp - k + 1) // b, k, b + k - 1),
+                 (s0, s1, s2, b * s3, s2, s3))
 
 
-def _diagonals(m: np.ndarray, k: int, wp: int) -> np.ndarray:
-    """(C, k*Wp, wo) -> the (C, k, k, wo) strided view of entries [i*Wp + j + q, j]."""
-    c, _, wo = m.shape
+def _diagonals(m: np.ndarray, k: int, transposed: bool = False) -> np.ndarray:
+    """Contiguous (C, k*L, b) band, or its (C, b, k*L) transpose, with
+    L = b + k - 1 -> the (C, k, k, b) strided view of band entries
+    [i*L + j + q, j]."""
+    c, b = m.shape[0], m.shape[1 if transposed else 2]
     s0, s1, s2 = m.strides
-    return as_strided(m, (c, k, k, wo), (s0, wp * s1, s1, s1 + s2))
+    if transposed:
+        s1, s2 = s2, s1
+    return _view(m, (c, k, k, b), (s0, (b + k - 1) * s1, s1, s1 + s2))
+
+
+def _banded_forward(x: np.ndarray, w: np.ndarray, p: int, b: int) -> np.ndarray:
+    """Stride-1 depthwise conv of (N,C,H,W) x by (C,1,k,k) w at padding p,
+    in blocks of b output columns (b divides the output width)."""
+    k = w.shape[-1]
+    rows = _rows(x, k, p, b)
+    n, c, ho, nb, _, l = rows.shape
+    band = np.zeros((c, k * l, b), w.dtype)
+    _diagonals(band, k)[...] = w.reshape(c, k, k, 1)
+    rows = np.ascontiguousarray(rows).reshape(n, c, ho * nb, k * l)
+    return (rows @ band).reshape(n, c, ho, nb * b)
+
+
+def _banded_backward_w(x: np.ndarray, dy: np.ndarray, k: int, p: int, b: int) -> np.ndarray:
+    """Weight gradient of `_banded_forward` for output gradient dy: the band's
+    gradient, transposed, summed over images and blocks inside one matmul
+    per channel (dy^T rows in a (C, N*ho*nb, .) layout)."""
+    c = x.shape[1]
+    rows = np.ascontiguousarray(_rows(x, k, p, b).transpose(1, 0, 2, 3, 4, 5))
+    dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(c, -1, b)
+    dbt = np.swapaxes(dyc, -1, -2) @ rows.reshape(c, dyc.shape[1], -1)  # (C, b, k*L)
+    return _diagonals(dbt, k, transposed=True).sum(axis=-1).reshape(c, 1, k, k)
 
 
 def _conv_forward(x, w, s, p, g, allow_floor):
@@ -103,10 +153,7 @@ def _conv_forward(x, w, s, p, g, allow_floor):
     ho = _out_size(h, k, s, p, allow_floor, "conv2d")
     wo = _out_size(wd, k, s, p, allow_floor, "conv2d")
     if _banded(cin, cout, k, s, g):
-        wp = wd + 2 * p
-        band = np.zeros((cin, k * wp, wo), w.dtype)
-        _diagonals(band, k, wp)[...] = w.reshape(cin, k, k, 1)
-        return np.ascontiguousarray(_rows(x, k, p)) @ band
+        return _banded_forward(x, w, p, _band_width(wo, k))
     cols = _im2col(_pad(x, p), k, s, ho, wo)  # (N,C,k,k,ho,wo)
     cols = cols.reshape(n, g, cg * k * k, ho * wo)
     wm = w.reshape(g, cout // g, cg * k * k)
@@ -135,18 +182,12 @@ def _conv_backward_x(dy, w, s, p, g, in_hw):
 
 
 def _conv_backward_w(x, dy, k, s, p, g):
-    n, cin, h, wd = x.shape
+    n, cin = x.shape[:2]
     cout = dy.shape[1]
     ho, wo = dy.shape[2], dy.shape[3]
     cg = cin // g
     if _banded(cin, cout, k, s, g):
-        # the band's gradient, transposed, summed over images inside one
-        # matmul per channel: dy^T rows in a (C, N*ho, .) layout
-        rows = np.ascontiguousarray(_rows(x, k, p).transpose(1, 0, 2, 3))
-        dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(cin, n * ho, wo)
-        dbt = np.swapaxes(dyc, -1, -2) @ rows.reshape(cin, n * ho, -1)  # (C, wo, k*Wp)
-        dw = _diagonals(np.swapaxes(dbt, -1, -2), k, wd + 2 * p).sum(axis=-1)
-        return dw.reshape(cout, 1, k, k)
+        return _banded_backward_w(x, dy, k, p, _band_width(wo, k))
     cols = _im2col(_pad(x, p), k, s, ho, wo).reshape(n, g, cg * k * k, ho * wo)
     dyr = dy.reshape(n, g, cout // g, ho * wo)
     dw = np.matmul(dyr, np.swapaxes(cols, -1, -2)).sum(axis=0)  # (g,cout/g,cg*k*k)

@@ -4,7 +4,10 @@ Coordinates are clamped to [0, H-1] x [0, W-1] before the 4-neighbor blend
 (border mode), so sampling at integer in-range points reproduces pixel
 values exactly and out-of-range points read the nearest border pixel.
 Differentiable with respect to both the feature map and the points; the
-point gradient is zero wherever the clamp is active.
+point gradient is zero wherever the clamp is active.  Each corner is read
+with one `np.take` from the flat map at (batch, channel) offset plus the
+flat pixel index, and scattered back with one `np.bincount` at the same
+flat index.
 """
 
 from __future__ import annotations
@@ -91,10 +94,10 @@ def bilinear_sample_batch(f, points) -> Tensor:
     pts = to_batch(points.data)
     idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
 
-    flat = f.data.reshape(bg, cg, h * w)
+    flat = f.data.reshape(-1)
+    off = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w)
     v00, v01, v10, v11 = (  # (B*G, C/G, M*P)
-        np.take_along_axis(flat, i[:, None, :], axis=2) for i in idx
-    )
+        np.take(flat, off + i[:, None, :]) for i in idx)
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
 

@@ -1,8 +1,11 @@
 """Slow per-window reference implementations the attention tests check
 the batched library paths against, the op chains the fused window core,
 the one-node sampling points and the one-node loss replace, the
-block-output bump the Grad-CAM tests take finite differences with, and the
-per-tensor Adam loop the trainer's one-vector update replaces."""
+block-output bump the Grad-CAM tests take finite differences with, the
+per-tensor Adam loop the trainer's one-vector update replaces, and the
+per-call index builds (the relative bias's hat and slope positions, the
+sampler's `take_along_axis` corner reads) that cached positions and flat
+gathers replace."""
 
 import math
 from dataclasses import replace
@@ -13,7 +16,7 @@ import sdah.blocks
 from sdah.attention import OFFSET_KERNEL, SdmsaParams
 from sdah.convops import conv2d
 from sdah.network import forward
-from sdah.sampling import bilinear_sample_batch
+from sdah.sampling import bilinear_corners, bilinear_sample_batch, bilinear_scatter
 from sdah.tensor import (Tensor, _as_tensor, _make, add, clip, gelu, matmul, narrow, reshape,
                          softmax, swap_last, tanh, transpose, tsum)
 
@@ -173,3 +176,94 @@ def loss_chain(logits, label, lambda_dice: float, lambda_ce: float
 
     ce = _make("ce_loss", np.asarray((lse - picked).sum() / n, dtype=x.dtype), (lg,), ce_bwd)
     return lambda_dice * dice + lambda_ce * ce, dice, ce
+
+
+def hat_scatter(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
+    """`attention._hat` with its scatter positions built on every call.
+
+    Dense per-axis interpolation weights from `axis_corners` output.
+
+    i0, i1, f are (..., ws); the result is (..., ws, t), or (..., t, ws)
+    when transposed, holding 1 - f at i0 and f at i1 on each row.  f goes
+    in first so that where i1 == i0 (f == 0) the row keeps its weight 1.
+    """
+    ws = f.shape[-1]
+    q = np.arange(f.size).reshape(f.shape)
+    if transposed:
+        pos, step, shape = (q - q % ws) * t + q % ws, ws, f.shape[:-1] + (t, ws)
+    else:
+        pos, step, shape = q * t, 1, f.shape + (t,)
+    h = np.zeros(shape, f.dtype)
+    flat = h.reshape(-1)
+    flat[pos + i1 * step] = f
+    flat[pos + i0 * step] = 1 - f
+    return h
+
+
+def slope_arange(e: np.ndarray, i0, i1, inside) -> np.ndarray:
+    """`attention._slope` with its positions built on every call.
+
+    Sum over the last (query) axis of e at i1 minus e at i0, where the
+    displacement is strictly inside the table: the per-axis derivative."""
+    pos = np.arange(i0.size).reshape(i0.shape) * e.shape[-1]
+    e = e.reshape(-1)
+    return ((np.take(e, pos + i1) - np.take(e, pos + i0)) * inside).sum(axis=-1)
+
+
+def bilinear_sample_take_along_axis(f, points) -> Tensor:
+    """`sampling.bilinear_sample_batch` with `take_along_axis` corner reads.
+
+    Sample f: (B, C, H, W) at points: (B, ..., G, P, 2) -> (B, ..., G, P, C/G).
+
+    Channel group g, channels g*C/G to (g+1)*C/G - 1, is read at points[..., g, :, :];
+    (B, P, 2) points are one group.  The groups go to the batch axis: (B*G, M*P)
+    points on a (B*G, C/G, H*W) map, M the product of the middle axes.
+    """
+    f = _as_tensor(f)
+    points = _as_tensor(points, like=f)
+    if f.ndim != 4 or points.ndim < 3 or points.shape[-1] != 2:
+        raise ValueError(
+            f"bilinear_sample_batch expects (B,C,H,W) and (B,...,P,2), "
+            f"got {f.shape} and {points.shape}"
+        )
+    if f.shape[0] != points.shape[0]:
+        raise ValueError("batch dims of features and points differ")
+    b, c, h, w = f.shape
+    lead = points.shape[:-1] if points.ndim > 3 else (b, 1) + points.shape[1:-1]
+    bg, cg = b * lead[-2], c // lead[-2]
+    if cg * lead[-2] != c:
+        raise ValueError(f"{lead[-2]} point groups do not divide {c} channels")
+
+    def to_batch(a):  # (B, ..., G, P, k) -> (B*G, M*P, k)
+        a = np.moveaxis(a.reshape(lead + a.shape[-1:]), -3, 1)
+        return a.reshape(bg, -1, a.shape[-1])
+
+    def from_batch(a):  # (B*G, M*P, k) -> (B, ..., G, P, k), or (B, P, k)
+        a = a.reshape((b, lead[-2]) + lead[1:-2] + lead[-1:] + a.shape[-1:])
+        return np.moveaxis(a, 1, -3).reshape(points.shape[:-1] + a.shape[-1:])
+
+    pts = to_batch(points.data)
+    idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
+
+    flat = f.data.reshape(bg, cg, h * w)
+    v00, v01, v10, v11 = (  # (B*G, C/G, M*P)
+        np.take_along_axis(flat, i[:, None, :], axis=2) for i in idx
+    )
+    w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
+    out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
+
+    def df(gt):  # gt: prep's (B*G, C/G, M*P) transposed gradient
+        acc = np.zeros_like(f.data).reshape(bg, cg, h * w)
+        bilinear_scatter(acc, idx, wts, gt)
+        return acc.reshape(f.data.shape)
+
+    def dp(gt):
+        # derivative through the blend weights; zero where clamped
+        dy = (1 - fx)[:, None, :] * (v10 - v00) + fx[:, None, :] * (v11 - v01)
+        dx = (1 - fy)[:, None, :] * (v01 - v00) + fy[:, None, :] * (v11 - v10)
+        inside = ((pts > 0.0) & (pts < [h - 1.0, w - 1.0])).astype(gt.dtype)
+        return from_batch(np.stack(
+            [(gt * dy).sum(axis=1), (gt * dx).sum(axis=1)], axis=-1) * inside)
+
+    return _make("bilinear_sample", out, (f, points), df, dp,
+                 prep=lambda g: np.ascontiguousarray(to_batch(g).transpose(0, 2, 1)))

@@ -10,7 +10,10 @@ from sdah.attention import (
     SdmsaParams,
     _attend,
     _deform_points,
+    _hat,
+    _hat_positions,
     _relative_bias,
+    _slope,
     WindowLayout,
     reference_points,
     sdmsa,
@@ -21,10 +24,11 @@ from sdah.attention import (
 from sdah.gradcheck import grad_check
 from sdah.rng import Stream
 from sdah.network import stage_layout
+from sdah.sampling import axis_corners
 from sdah.tensor import NumericsError, Tensor, default_dtype, matmul, reshape, transpose
 
-from oracles import (attend_chain, compute_offsets, deform_points_chain, interpolated_bias,
-                     plain_twin)
+from oracles import (attend_chain, compute_offsets, deform_points_chain, hat_scatter,
+                     interpolated_bias, plain_twin, slope_arange)
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):
@@ -441,6 +445,38 @@ def test_relative_bias_key_gradient_at_clamp_and_integer_displacements():
             at = _relative_bias(Tensor(table), keys, org).data
             right = ((up - at) * g).sum() / h
             np.testing.assert_allclose(dk[0, 0, 0, 2, axis], right, rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,t", [((1, 4, 2, 49, 7), 13), ((3, 1, 4, 16, 4), 7),
+                                     ((2, 2, 1, 4, 2), 3)])
+def test_hat_and_slope_equal_their_per_call_position_builds(shape, t, dtype):
+    """Cached scatter positions give the plain and transposed hats and the
+    slope bit for bit as positions built on every call did, with
+    displacements across the table and past both ends."""
+    rng = np.random.default_rng(t)
+    d = rng.uniform(-2.0, t + 1.0, size=shape).astype(dtype)
+    d.flat[::5] = np.round(d.flat[::5])             # integer displacements too
+    i0, i1, f = axis_corners(d, t)
+    inside = (d > 0.0) & (d < t - 1.0)
+    for transposed in (False, True):
+        got, want = _hat(i0, i1, f, t, transposed), hat_scatter(i0, i1, f, t, transposed)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    e = rng.normal(size=shape + (t,)).astype(dtype)
+    got, want = _slope(e, i0, i1, inside), slope_arange(e, i0, i1, inside)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_hat_positions_are_cached_read_only():
+    for transposed in (False, True):
+        pos = _hat_positions((2, 3, 4), 7, transposed)
+        assert not pos.flags.writeable and pos.dtype == np.int64
+        assert _hat_positions((2, 3, 4), 7, transposed) is pos
+        with pytest.raises(ValueError):
+            pos[0, 0, 0] = 1
+    assert _hat_positions((2, 3, 4), 7, True) is not _hat_positions((2, 3, 4), 7, False)
 
 
 def test_relative_bias_stays_in_table_dtype():

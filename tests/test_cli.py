@@ -201,6 +201,18 @@ def test_train_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
+    # `sdah synth` makes 3 classes by default, the micro checkpoint's head outputs 2
+    root = Path(__file__).resolve().parents[1]
+    assert main(["synth", "--n", "2", "--size", "64", "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval.csv"
+    assert _eval(root / "perfbench" / "micro_desk.sdck", tmp_path / "data", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 classes" in err and "outputs 2" in err
+    assert not out.exists()
+
+
 def test_selfcheck_sees_per_tile_forwards(monkeypatch, capsys):
     # a one-pixel budget forces one forward per tile: the tile check must fail
     monkeypatch.setattr("sdah.inference._TILE_PIXELS", 1)

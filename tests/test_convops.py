@@ -91,12 +91,19 @@ def test_conv_matches_loop_oracle(cin, cout, k, stride, padding, groups):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("hw", [(5, 9), (1, 1), (2, 2), (3, 3)])
-@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("k,hw", [
+    pytest.param(k, hw, id=f"{k}-hw{i}")
+    for k in (3, 5, 7) for i, hw in enumerate([(5, 9), (1, 1), (2, 2), (3, 3)])
+] + [
+    pytest.param(7, (3, 40), id="7-wide40"),   # blocks of 10 at padding 3
+    pytest.param(3, (2, 48), id="3-wide48"),   # blocks of 16 at padding 1
+    pytest.param(5, (5, 36), id="5-wide36"),   # non-square, blocks of 12 at padding 2
+])
 def test_depthwise_banded_matches_loop_oracles(k, hw, n):
-    """Stride-1 depthwise convs (the banded lowering) on non-square maps and
-    maps smaller than the kernel, at padding 0, k//2 and k-1 where the
-    output is non-empty: forward, input and weight gradients."""
+    """Stride-1 depthwise convs (the banded lowering) on non-square maps,
+    maps smaller than the kernel and maps wide enough to be cut into blocks
+    of output columns, at padding 0, k//2 and k-1 where the output is
+    non-empty: forward, input and weight gradients."""
     c = 2
     x = _rand((n, c) + hw, seed=k * 100 + hw[1] * 10 + n)
     w = _rand((c, 1, k, k), seed=k)
@@ -110,6 +117,19 @@ def test_depthwise_banded_matches_loop_oracles(k, hw, n):
         np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
         for got, ref in zip((dx, dw), _ref_conv_grads(x, w, g, 1, padding, c)):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("wo,k,b", [
+    (56, 7, 14), (28, 7, 28), (14, 7, 14), (8, 7, 8), (48, 7, 16), (7, 5, 7),
+    (37, 7, 37),    # no divisor in [k, 16]: the whole row
+    (40, 7, 10), (33, 3, 11), (34, 3, 34),
+])
+def test_band_width_follows_geometry(wo, k, b):
+    """Blocks of output columns for the depthwise band at the model's maps:
+    the whole row up to 32 columns, else the largest divisor in [k, 16]."""
+    from sdah.convops import _band_width
+
+    assert _band_width(wo, k) == b
 
 
 @pytest.mark.parametrize("k,stride,groups,banded", [

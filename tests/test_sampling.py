@@ -13,6 +13,8 @@ from sdah.sampling import (
 )
 from sdah.tensor import Tensor, tsum
 
+from oracles import bilinear_sample_take_along_axis
+
 
 def _feat(b, c, h, w, seed=0):
     return np.random.default_rng(seed).normal(size=(b, c, h, w))
@@ -99,6 +101,33 @@ def test_grouped_read_equals_one_read_per_group(dtype):
         np.testing.assert_array_equal(out.data[:, :, k], ok.data.reshape(b, 4, 5, cg))
         np.testing.assert_array_equal(ft.grad[:, k * cg:(k + 1) * cg], fk.grad)
         np.testing.assert_array_equal(pt.grad[:, :, k], pk.grad.reshape(b, 4, 5, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f_shape,p_shape,groups", [
+    ((2, 3, 5, 6), (2, 40, 2), 1),             # (B, P, 2): one group
+    ((2, 6, 5, 6), (2, 3, 2, 7, 2), 2),        # (B, M, G, P, 2): B*G = 4
+    ((1, 4, 4, 3), (1, 2, 5, 2), 2),           # (B, G, P, 2): B*G = 2
+])
+def test_flat_take_equals_take_along_axis(f_shape, p_shape, groups, dtype):
+    """Values and both gradients equal the `take_along_axis` sampler's bit
+    for bit, with points inside, on integer coordinates and past the border."""
+    rng = np.random.default_rng(groups)
+    f = rng.normal(size=f_shape)
+    h, w = f_shape[2:]
+    pts = rng.uniform([-1.5, -1.5], [h + 0.5, w + 0.5], size=p_shape)
+    pts.reshape(-1, 2)[::4] = np.round(pts.reshape(-1, 2)[::4])
+    g = rng.normal(size=p_shape[:-1] + (f_shape[1] // groups,)).astype(dtype)
+    results = []
+    for op in (bilinear_sample_batch, bilinear_sample_take_along_axis):
+        ft = Tensor(f, requires_grad=True, dtype=dtype)
+        pt = Tensor(pts, requires_grad=True, dtype=dtype)
+        out = op(ft, pt)
+        out.backward(g)
+        results.append((out.data, ft.grad, pt.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_groups_must_divide_channels():

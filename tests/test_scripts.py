@@ -74,3 +74,17 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
         + ["eval.csv", "infer.mask.sdt", "infer.preview.pgm"])
     assert run("1") == first
     assert run("2") == first
+
+
+def test_band_widths_reports_each_candidate_and_the_rule_pick():
+    r = subprocess.run([sys.executable, str(SCRIPTS / "band_widths.py"),
+                        "--only", "explain.32", "--repeat", "2"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert list(report) == ["explain.32"]
+    row = report["explain.32"]
+    assert set(row) == {"shape", "k", "ms", "pick", "fastest"}
+    assert row["shape"] == [1, 8, 32, 32] and row["k"] == 7
+    assert sorted(row["ms"], key=int) == ["8", "16", "32"]
+    assert row["pick"] == 32 and str(row["fastest"]) in row["ms"]
