@@ -7,6 +7,7 @@ sliding-window inference, overlap/boundary metrics, and explanation exports
 
 from .attention import SdmsaParams, SdmsaTrace, WindowLayout, sdmsa
 from .blocks import SdapcBlockParams, init_sdapc, sdapc_block
+from .explain import seg_grad_cam
 from .gradcheck import GradCheckError, GradReport, grad_check
 from .inference import SlidingConfig, gaussian_map, predict_mask, sliding_predict, tile_positions
 from .io import (
@@ -101,6 +102,7 @@ __all__ = [
     "save_sdt1",
     "sdapc_block",
     "sdmsa",
+    "seg_grad_cam",
     "sliding_predict",
     "splitmix64",
     "synth_dataset",

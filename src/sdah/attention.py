@@ -147,12 +147,6 @@ def _grids(layout: WindowLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return org, local, ref
 
 
-def window_origins(layout: WindowLayout) -> np.ndarray:
-    """(n_windows, 2) top-left (y, x) of each window, row-major order;
-    read-only."""
-    return _grids(layout)[0]
-
-
 def reference_points(layout: WindowLayout) -> np.ndarray:
     """(n_windows, ws*ws, 2) integer patch coordinates, (y, x), in the
     shifted map's global frame; read-only."""

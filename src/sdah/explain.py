@@ -9,8 +9,6 @@ replay test reproduce the CSV bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +36,7 @@ def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
     idx, wts, _, _ = bilinear_corners(pts[..., 0].reshape(1, -1),
                                       pts[..., 1].reshape(1, -1), layout.h, layout.w)
     acc = np.zeros((1, 1, layout.h * layout.w), dtype=np.float64)
-    bilinear_scatter(acc, idx, wts, received.reshape(1, 1, -1))
+    bilinear_scatter(acc, [i[:, None] for i in idx], wts, received.reshape(1, 1, -1))
     acc = acc.reshape(layout.h, layout.w)
     if layout.shift:
         acc = np.roll(acc, (layout.shift, layout.shift), axis=(0, 1))
@@ -48,37 +46,25 @@ def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
     return (acc - lo) / (hi - lo)
 
 
-def deformation_rows(trace: SdmsaTrace, block: str, stride: int = 1) -> list[tuple]:
-    """(block, window, head, ref_y, ref_x, def_y, def_x) per sample point
-    of image 0.
+def points_csv_bytes(trace: SdmsaTrace, block: str, stride: int = 1) -> bytes:
+    """The points table of image 0: one `block,window,head,ref_y,ref_x,
+    def_y,def_x` row per sample point, windows, then heads, then points.
 
-    Coordinates are in the shifted frame, exactly as used by the sampler;
-    `stride` keeps every stride-th point per window for legibility.
+    Coordinates are in the shifted frame, exactly as used by the sampler,
+    written with `repr` so they parse back to the same doubles; `stride`
+    keeps every stride-th point per window for legibility.
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
-    ref = np.asarray(trace.reference_points)
-    defp = np.asarray(trace.deformed)[0]
-    nw, nh, p = defp.shape[:3]
-    rows = []
-    for wi in range(nw):
-        for hi in range(nh):
-            for pi in range(0, p, stride):
-                ry, rx = ref[wi, pi]
-                dy, dx = defp[wi, hi, pi]
-                rows.append((block, wi, hi, float(ry), float(rx),
-                             float(dy), float(dx)))
-    return rows
-
-
-def points_csv_bytes(trace: SdmsaTrace, block: str, stride: int = 1) -> bytes:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["block", "window", "head", "ref_y", "ref_x", "def_y", "def_x"])
-    for row in deformation_rows(trace, block, stride):
-        w.writerow([row[0], row[1], row[2],
-                    repr(row[3]), repr(row[4]), repr(row[5]), repr(row[6])])
-    return buf.getvalue().encode()
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    defp = np.asarray(trace.deformed)[0, :, :, ::stride]      # (n_w, n_h, P', 2)
+    ref = np.asarray(trace.reference_points)[:, None, ::stride]
+    xy = np.concatenate([np.broadcast_to(ref, defp.shape), defp], axis=-1)
+    wh = np.indices(defp.shape[:3])[:2].reshape(2, -1).T      # (window, head) per row
+    rows = "".join(f"{block},{w},{h},{ry!r},{rx!r},{dy!r},{dx!r}\n" for (w, h), (ry, rx, dy, dx)
+                   in zip(wh.tolist(), xy.reshape(-1, 4).tolist()))
+    return ("block,window,head,ref_y,ref_x,def_y,def_x\n" + rows).encode()
 
 
 def deformation_field(trace: SdmsaTrace) -> np.ndarray:

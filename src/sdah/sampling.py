@@ -45,20 +45,18 @@ def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
     return idx, wts, fy, fx
 
 
-def bilinear_scatter(acc: np.ndarray, idx, wts, vals: np.ndarray) -> None:
+def bilinear_scatter(acc: np.ndarray, flat, wts, vals: np.ndarray) -> None:
     """Adjoint of the gather: add vals (B, C, P) into acc (B, C, H*W) at the
-    (B, P) corners from `bilinear_corners`, corner by corner in their order.
+    (B, C, P) flat indices of the four corners, the ones the gather read,
+    with the (B, P) weights from `bilinear_corners`, corner by corner.
 
-    Each corner is one `np.bincount` over the flat (b, c, hw) index: it sums
+    Each corner is one `np.bincount` over its flat (b, c, hw) index: it sums
     that corner's weighted values in float64 in (b, c, p) order, and the
     result is added into acc, so the reduction order is fixed.
     """
-    b, c, hw = acc.shape
-    base = np.arange(b * c).reshape(b, c, 1) * hw
-    for i, ww in zip(idx, wts):
-        flat = (base + i[:, None, :]).ravel()
-        acc += np.bincount(flat, (vals * ww[:, None, :]).ravel(),
-                           minlength=b * c * hw).reshape(acc.shape)
+    for i, ww in zip(flat, wts):
+        acc += np.bincount(i.ravel(), (vals * ww[:, None, :]).ravel(),
+                           minlength=acc.size).reshape(acc.shape)
 
 
 def bilinear_sample_batch(f, points) -> Tensor:
@@ -94,16 +92,15 @@ def bilinear_sample_batch(f, points) -> Tensor:
     pts = to_batch(points.data)
     idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
 
-    flat = f.data.reshape(-1)
-    off = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w)
-    v00, v01, v10, v11 = (  # (B*G, C/G, M*P)
-        np.take(flat, off + i[:, None, :]) for i in idx)
+    # (4, B*G, C/G, M*P): each corner's index into the flat map, kept for df
+    flat = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w) + np.stack(idx)[:, :, None]
+    v00, v01, v10, v11 = np.take(f.data.reshape(-1), flat)
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
 
     def df(gt):  # gt: prep's (B*G, C/G, M*P) transposed gradient
         acc = np.zeros_like(f.data).reshape(bg, cg, h * w)
-        bilinear_scatter(acc, idx, wts, gt)
+        bilinear_scatter(acc, flat, wts, gt)
         return acc.reshape(f.data.shape)
 
     def dp(gt):

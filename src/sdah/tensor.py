@@ -140,8 +140,8 @@ class _VJPs:
 class Tensor:
     """Shape + row-major data + optional gradient slot.
 
-    `data` is always a numpy array of float32/float64 (u8 arrays are allowed
-    as inert payloads for masks but reject every differentiable op).
+    `data` is a numpy array of float32/float64, or a u8 payload (a mask)
+    that no primitive takes: `_as_tensor` raises TypeError on it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_ctx")
@@ -282,15 +282,15 @@ class Tensor:
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """An operand of a primitive: a float Tensor as it is (any other dtype
+    raises TypeError), anything else a constant in `like`'s dtype, or the
+    session default without one."""
     if isinstance(x, Tensor):
+        if x.data.dtype.type not in _FLOAT_DTYPES:
+            raise TypeError(f"operand must be a float32/float64 tensor, got {x.data.dtype}")
         return x
     dtype = like.data.dtype if like is not None else _default_dtype
     return Tensor(x, dtype=dtype)
-
-
-def _require_float(t: Tensor, op: str) -> None:
-    if t.data.dtype.type not in _FLOAT_DTYPES:
-        raise TypeError(f"{op} requires a float tensor, got {t.data.dtype}")
 
 
 def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=None) -> Tensor:
@@ -556,7 +556,6 @@ def gelu(a) -> Tensor:
     erf (no tanh shortcut).  The backward uses the exact Gaussian pdf, which
     differs from the slope of the computed forward by under 1.1e-7 (float64)."""
     a = _as_tensor(a)
-    _require_float(a, "gelu")
     x = a.data
     out, phi = _gelu(x)
     return _make("gelu", out, (a,), lambda g: g * _gelu_slope(x, phi))
@@ -583,7 +582,6 @@ def tanh(a) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Rows along `axis` sum to one; stabilized by max subtraction."""
     a = _as_tensor(a)
-    _require_float(a, "softmax")
     if a.data.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)

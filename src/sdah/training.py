@@ -22,7 +22,7 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make, _require_float
+from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
@@ -93,7 +93,6 @@ def combined_loss(logits, label, cfg: TrainConfig) -> tuple[Tensor, Tensor, Tens
     One max-shifted exp and its sum give both p and the log-sum-exp.
     """
     lg = _as_tensor(logits)
-    _require_float(lg, "combined_loss")
     lab = np.asarray(label)
     if lg.ndim != 4 or lab.shape != (lg.shape[0],) + lg.shape[2:]:
         raise ValueError(f"logits {lg.shape} do not match labels {lab.shape}")

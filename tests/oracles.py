@@ -5,8 +5,11 @@ block-output bump the Grad-CAM tests take finite differences with, the
 per-tensor Adam loop the trainer's one-vector update replaces, and the
 per-call index builds (the relative bias's hat and slope positions, the
 sampler's `take_along_axis` corner reads) that cached positions and flat
-gathers replace."""
+gathers replace, and the per-point `csv.writer` loop that the one-pass
+points table replaces."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -254,7 +257,8 @@ def bilinear_sample_take_along_axis(f, points) -> Tensor:
 
     def df(gt):  # gt: prep's (B*G, C/G, M*P) transposed gradient
         acc = np.zeros_like(f.data).reshape(bg, cg, h * w)
-        bilinear_scatter(acc, idx, wts, gt)
+        off = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w)
+        bilinear_scatter(acc, [off + i[:, None, :] for i in idx], wts, gt)
         return acc.reshape(f.data.shape)
 
     def dp(gt):
@@ -267,3 +271,22 @@ def bilinear_sample_take_along_axis(f, points) -> Tensor:
 
     return _make("bilinear_sample", out, (f, points), df, dp,
                  prep=lambda g: np.ascontiguousarray(to_batch(g).transpose(0, 2, 1)))
+
+
+def points_csv_per_point(trace, block: str, stride: int = 1) -> bytes:
+    """`explain.points_csv_bytes` as one `csv.writer` row per sample point of
+    image 0, looped over windows, heads and every stride-th point."""
+    ref = np.asarray(trace.reference_points)
+    defp = np.asarray(trace.deformed)[0]
+    nw, nh, p = defp.shape[:3]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["block", "window", "head", "ref_y", "ref_x", "def_y", "def_x"])
+    for wi in range(nw):
+        for hi in range(nh):
+            for pi in range(0, p, stride):
+                ry, rx = ref[wi, pi]
+                dy, dx = defp[wi, hi, pi]
+                w.writerow([block, wi, hi, repr(float(ry)), repr(float(rx)),
+                            repr(float(dy)), repr(float(dx))])
+    return buf.getvalue().encode()

@@ -18,7 +18,6 @@ from sdah.attention import (
     reference_points,
     sdmsa,
     window_merge,
-    window_origins,
     window_partition,
 )
 from sdah.gradcheck import grad_check
@@ -152,7 +151,7 @@ def test_shifted_partition_rolls_before_split():
 
 def test_origins_and_reference_points():
     lay = WindowLayout(4, 6, 2)
-    org = window_origins(lay)
+    org = reference_points(lay)[:, 0]
     np.testing.assert_array_equal(
         org, [[0, 0], [0, 2], [0, 4], [2, 0], [2, 2], [2, 4]]
     )
@@ -257,7 +256,7 @@ def test_clamp_to_window_confines_samples():
     p.off_pw_w.data[...] *= 100.0
     lay = WindowLayout(8, 8, 4)
     _, trace = sdmsa(_x(1, 8, 8, 8, seed=12), p, lay)
-    org = window_origins(lay)  # (n_w, 2)
+    org = reference_points(lay)[:, 0]  # (n_w, 2)
     for wi in range(lay.n_windows):
         pts = trace.deformed[0, wi]  # (n_h, P, 2)
         assert pts[..., 0].min() >= org[wi, 0]
@@ -377,7 +376,7 @@ def test_relative_bias_matches_per_window_oracle():
     with default_dtype(np.float64):
         c, nh, ws = 8, 2, 4
         lay = WindowLayout(8, 8, ws, shift=2)
-        origins = window_origins(lay)
+        origins = reference_points(lay)[:, 0]
         cases = []
         for clamp in (False, True):
             p = _params(c, nh, ws, seed=26, gamma_off=2.0, clamp_to_window=clamp)
@@ -483,7 +482,7 @@ def test_relative_bias_stays_in_table_dtype():
     """A float32 table read at float32 keys from float64 window origins
     gives a float32 bias and float32 gradients, without upcasting."""
     lay = WindowLayout(8, 8, 4)
-    org = window_origins(lay)
+    org = reference_points(lay)[:, 0]
     assert org.dtype == np.float64
     table = Tensor(Stream(45).normal((2, 7, 7)).astype(np.float32), requires_grad=True)
     pts = reference_points(lay)[None, :, None] + Stream(46).uniform((1, 4, 2, 16, 2), -1, 1)
@@ -553,7 +552,7 @@ def _bounds(lay, clamp, dtype):
     """The clip bounds `sdmsa` passes: the map, or each query's own window."""
     if not clamp:
         return np.zeros(2, dtype), np.array([lay.h - 1, lay.w - 1], dtype)
-    lo = window_origins(lay).astype(dtype).reshape(1, lay.n_windows, 1, 1, 2)
+    lo = reference_points(lay)[:, 0].astype(dtype).reshape(1, lay.n_windows, 1, 1, 2)
     return lo, lo + (lay.ws - 1)
 
 

@@ -6,7 +6,6 @@ from sdah.explain import (
     _cam_pass,
     attention_heatmap,
     deformation_field,
-    deformation_rows,
     export_bundle,
     points_csv_bytes,
     seg_grad_cam,
@@ -16,7 +15,7 @@ from sdah.network import ModelConfig, build_model, forward
 from sdah.rng import Stream
 from sdah.tensor import Tensor
 
-from oracles import bumped_logits
+from oracles import bumped_logits, points_csv_per_point
 
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
@@ -101,9 +100,17 @@ def test_heatmap_from_real_forward():
 
 # -- deformation tables ------------------------------------------------------------
 
+def _rows(trace, block, stride=1):
+    """The points table's data rows, parsed back to (block, window, head,
+    ref_y, ref_x, def_y, def_x) tuples."""
+    lines = points_csv_bytes(trace, block, stride).decode().splitlines()[1:]
+    return [(f[0], int(f[1]), int(f[2]), *map(float, f[3:]))
+            for f in (line.split(",") for line in lines)]
+
+
 def test_rows_list_every_point_in_order():
     tr = _toy_trace()
-    rows = deformation_rows(tr, "enc1")
+    rows = _rows(tr, "enc1")
     assert len(rows) == 4 * 1 * 4
     assert rows[0] == ("enc1", 0, 0, 0.0, 0.0, 0.0, 0.0)
     block, wi, hi, ry, rx, dy, dx = rows[6]
@@ -112,9 +119,23 @@ def test_rows_list_every_point_in_order():
 
 
 def test_rows_stride_subsamples_per_window():
-    rows = deformation_rows(_toy_trace(), "b", stride=2)
+    rows = _rows(_toy_trace(), "b", stride=2)
     assert len(rows) == 4 * 2
     assert all(r[1] in range(4) for r in rows)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_points_csv_rejects_a_stride_below_one(stride):
+    with pytest.raises(ValueError, match="stride"):
+        points_csv_bytes(_toy_trace(), "b", stride)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_points_csv_matches_the_per_point_loop(stride):
+    _, info = forward(_micro_model(), _image())
+    for bid in ["enc1", "enc2", "bottleneck", "dec2", "dec1"]:
+        tr = info.traces[bid]
+        assert points_csv_bytes(tr, bid, stride) == points_csv_per_point(tr, bid, stride), bid
 
 
 def test_points_csv_is_byte_stable_and_replayable():

@@ -194,7 +194,8 @@ def test_scatter_matches_add_at_oracle(b, c, h, w):
     idx, wts, _, _ = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
     vals = rng.normal(size=(b, c, pts.shape[1]))
     acc = np.zeros((b, c, h * w))
-    bilinear_scatter(acc, idx, wts, vals)
+    off = np.arange(b * c).reshape(b, c, 1) * (h * w)
+    bilinear_scatter(acc, [off + i[:, None, :] for i in idx], wts, vals)
     np.testing.assert_allclose(acc, _add_at_scatter(acc.shape, idx, wts, vals),
                                rtol=0, atol=1e-12)
 

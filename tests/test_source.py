@@ -70,17 +70,43 @@ def test_unread_constant_is_reported():
     assert {"C", "_D"} <= _reads(tree) and "A_B" not in _reads(tree)
 
 
-def _callerless(trees: dict[str, ast.Module], module: str) -> list[str]:
-    """Public functions of `module` whose bare name no code in `trees`
-    loads, their own bodies aside."""
-    loads = [n for t in trees.values() for n in ast.walk(t)
-             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local names bound to a package module (`import sdah.tensor as T`,
+    `from . import blocks as B`, `from sdah import io`), mapped to its stem."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update((a.asname, a.name.split(".")[-1]) for a in n.names
+                       if a.asname and a.name.startswith("sdah."))
+        elif isinstance(n, ast.ImportFrom) and n.module in (None, "sdah"):  # None: `from .`
+            out.update((a.asname or a.name, a.name) for a in n.names)
+    return out
+
+
+def _callerless(defs: dict[str, ast.Module], callers: list[ast.Module],
+                exported: set[str]) -> list[str]:
+    """`module.function` for each public function of `defs` that `exported`
+    does not list and no code in `callers` loads, its own body aside: by
+    its bare name (`f`), or as an attribute of an alias bound to its module
+    (`mod.f`)."""
+    loads: dict[str, list] = {}  # name -> (module, or None for a bare name; node id)
+    for tree in callers:
+        alias = _module_aliases(tree)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loads.setdefault(n.id, []).append((None, id(n)))
+            elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and isinstance(n.value, ast.Name) and n.value.id in alias):
+                loads.setdefault(n.attr, []).append((alias[n.value.id], id(n)))
     out = []
-    for f in trees[module].body:
-        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
-            own = {id(n) for n in ast.walk(f)}
-            if not any(n.id == f.name and id(n) not in own for n in loads):
-                out.append(f.name)
+    for module, tree in defs.items():
+        for f in tree.body:
+            if (isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                    and f.name not in exported):
+                own = {id(n) for n in ast.walk(f)}
+                if not any(mod in (None, module) and i not in own
+                           for mod, i in loads.get(f.name, ())):
+                    out.append(f"{module}.{f.name}")
     return out
 
 
@@ -90,16 +116,38 @@ TRACER_ONLY_PRIMITIVES = {"swap_last", "tmean", "broadcast_to", "narrow", "tanh"
                           "reshape"}
 
 
-def test_every_tensor_primitive_has_a_src_caller():
-    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    assert set(_callerless(trees, "tensor.py")) == TRACER_ONLY_PRIMITIVES
+def _all(init: ast.Module) -> set[str]:
+    """The names a package `__init__` lists in `__all__`."""
+    return {name for n in init.body if isinstance(n, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+            for name in ast.literal_eval(n.value)}
+
+
+def test_every_public_function_has_a_caller():
+    """A public function is called from the package, a script or the
+    benchmark, or is exported; test-only helpers live in the tests."""
+    defs = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    callers = [ast.parse(p.read_text(), str(p))
+               for p in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                         *(ROOT / "perfbench").glob("*.py")]]
+    exported = _all(ast.parse((SRC / "__init__.py").read_text()))
+    assert set(_callerless(defs, callers, exported)) == {
+        f"tensor.{name}" for name in TRACER_ONLY_PRIMITIVES}
 
 
 def test_callerless_function_is_reported():
-    trees = {"m": ast.parse("def a():\n    return a()\n\ndef b():\n    return 1\n\n"
-                            "def _c():\n    return b\n"),
-             "n": ast.parse("from m import a\nx = 'a'\n")}
-    assert _callerless(trees, "m") == ["a"]
+    defs = {"m": ast.parse("def a():\n    return a()\n\ndef b():\n    return 1\n\n"
+                           "def _c():\n    return b\n\ndef d():\n    pass\n\n"
+                           "def e():\n    pass\n\ndef f():\n    pass\n"),
+            "n": ast.parse("def e():\n    pass\n\ndef g():\n    pass\n")}
+    callers = [*defs.values(), ast.parse("from m import a\nx = 'a'\n"),
+               ast.parse("import sdah.m as M\nimport sdah.n as N\nM.d()\nN.e()\n")]
+    assert _callerless(defs, callers, {"f"}) == ["m.a", "m.e", "n.g"]
+    assert _module_aliases(ast.parse("from . import blocks as B\nfrom sdah import io\n"
+                                     "import sdah.tensor as T\nimport numpy as np\n"
+                                     "from .tensor import add\n")) == {
+        "B": "blocks", "io": "io", "T": "tensor"}
+    assert _all(ast.parse("__all__ = ['f', 'g']\nx = 1\n")) == {"f", "g"}
 
 
 def _grad_flag_reads(tree: ast.Module) -> list[int]:

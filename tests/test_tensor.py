@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sdah.convops import conv2d
 from sdah.gradcheck import grad_check
 from sdah.tensor import (
     GradError,
@@ -35,6 +36,7 @@ from sdah.tensor import (
     transpose,
     tsum,
 )
+from sdah.training import TrainConfig, combined_loss
 
 
 def _rand(shape, seed=0, dtype=np.float64):
@@ -204,9 +206,25 @@ def test_erf_is_odd_zero_at_zero_and_saturates_to_one(dtype):
     np.testing.assert_array_equal(_erf(-big), -1.0)
 
 
-def test_gelu_rejects_uint8():
-    with pytest.raises(TypeError):
-        gelu(Tensor(np.zeros(3, dtype=np.uint8)))
+# each primitive on a (1, 2, 3, 3) uint8 tensor `t`, float operands beside it
+_ON_U8 = {
+    "gelu": gelu,
+    "add": lambda t: add(t, t),
+    "matmul": lambda t: matmul(t, t),
+    "linear": lambda t: linear(t, np.ones((2, 2))),
+    "conv2d": lambda t: conv2d(t, np.ones((2, 2, 1, 1))),
+    "layer_norm": lambda t: layer_norm(t, np.ones(2), np.zeros(2)),
+    "tanh": tanh,
+    "softmax": lambda t: softmax(t, axis=1),
+    "combined_loss": lambda t: combined_loss(t, np.zeros((1, 3, 3), np.uint8), TrainConfig()),
+}
+
+
+@pytest.mark.parametrize("op", _ON_U8.values(), ids=_ON_U8.keys())
+def test_primitives_reject_uint8(op):
+    """A u8 payload is not an operand: no primitive computes on it."""
+    with pytest.raises(TypeError, match="uint8"):
+        op(Tensor(np.zeros((1, 2, 3, 3), dtype=np.uint8)))
 
 
 # -- gradients -----------------------------------------------------------------
