@@ -4,7 +4,8 @@
 Axis 1 turns deformation on stage by stage (NNNN, DNNN, DDDD); axis 2 picks
 the block's second division (sdmsa_only, conv_only, dual).  Every variant
 trains briefly on the same synthetic data and reports params, final loss,
-and held-out foreground DSC in one table.
+held-out foreground DSC, and the paired t-test p-value of its per-case DSCs
+against the DDDD/dual model's on the same cases, in one table.
 """
 
 import argparse
@@ -18,17 +19,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sdah.inference import SlidingConfig, predict_mask
-from sdah.metrics import dsc
-from sdah.network import ModelConfig, build_model, count_params
+from sdah.metrics import dsc, paired_t_test
+from sdah.network import build_model, count_params, micro_config
 from sdah.training import TrainConfig, synth_dataset, train
-
-BASE = dict(in_channels=1, num_classes=2, stem_width=8,
-            stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
-            num_heads=(2, 2, 4, 4))
 
 
 def run_variant(flags, mode, data, held_out, steps, out_dir, seed):
-    model = build_model(ModelConfig(**BASE, deform_flags=flags, branch_mode=mode))
+    """Train one variant; returns its table row and its per-case held-out DSCs."""
+    model = build_model(micro_config(deform_flags=flags, branch_mode=mode))
     cfg = TrainConfig(batch_size=8, max_steps=steps,
                       decay_start_step=max(1, steps // 2),
                       decay_every=max(1, steps // 4), seed=seed)
@@ -46,7 +44,16 @@ def run_variant(flags, mode, data, held_out, steps, out_dir, seed):
         "final_loss": round(rows[-1]["loss"], 4),
         "holdout_dsc": round(float(np.mean(scores)), 4),
         "seconds": round(elapsed, 1),
-    }
+    }, scores
+
+
+def p_value(scores, ref) -> str:
+    """The paired t-test p against the reference's DSCs; blank where t is
+    undefined (the reference itself, equal scores, fewer than 2 cases)."""
+    try:
+        return f"{paired_t_test(scores, ref)[1]:.4g}"
+    except ValueError:
+        return ""
 
 
 def main() -> int:
@@ -73,12 +80,13 @@ def main() -> int:
         grid = [(f, "dual") for f in flags_axis]
         grid += [("DDDD", b) for b in branch_axis if b != "dual"]
 
-    results = []
+    runs = []
     for i, (flags, mode) in enumerate(grid):
         print(f"[{i + 1}/{len(grid)}] {flags} / {mode} ...", flush=True)
-        results.append(run_variant(flags, mode, train_set, held_out,
-                                   args.steps, out / f"{flags}_{mode}",
-                                   args.seed))
+        runs.append(run_variant(flags, mode, train_set, held_out,
+                                args.steps, out / f"{flags}_{mode}", args.seed))
+    ref = runs[grid.index(("DDDD", "dual"))][1]
+    results = [{**row, "p_vs_DDDD_dual": p_value(scores, ref)} for row, scores in runs]
 
     cols = list(results[0])
     with open(out / "sweep.csv", "w", newline="") as f:

@@ -37,6 +37,8 @@ from sdah.network import ModelConfig, build_model, forward
 from sdah.tensor import Tensor
 from sdah.training import TrainConfig, combined_loss, save_dataset, synth_dataset, train
 
+# Spelled out rather than read from `network.micro_config()`: CI also runs
+# this file against the parent commit's package, which may predate it.
 MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
              stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
              num_heads=(2, 2, 4, 4))

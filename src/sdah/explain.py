@@ -118,7 +118,13 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     # d(score)/d(logits) for score = the target class's logits summed over the ROI
     seed = np.zeros(logits.shape, logits.dtype)
     seed[:, target_class] = roi
-    logits.backward(seed)
+    params = model.named_parameters().values()
+    saved = [t.grad for t in params]
+    try:
+        logits.backward(seed)
+    finally:  # the weights' .grad stay as the caller left them
+        for t, g in zip(params, saved):
+            t.grad = g
     feat = info.outputs[block]        # (B, C, h, w)
     if feat.grad is None:
         raise RuntimeError(f"no gradient reached block {block}")

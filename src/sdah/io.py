@@ -82,8 +82,8 @@ def load_image(path) -> np.ndarray:
     """A float32 (C, H, W) image from an SDT1 file; a 2-D file gets one channel."""
     image = load_sdt1(path)
     image = image[None] if image.ndim == 2 else image
-    if image.ndim != 3:
-        raise FormatError(f"{path}: an image must be 2-D or (C, H, W), got {image.shape}")
+    if image.ndim != 3 or 0 in image.shape:
+        raise FormatError(f"{path}: need a non-empty 2-D or (C, H, W) image, got {image.shape}")
     return image.astype(np.float32)
 
 

@@ -42,17 +42,6 @@ LAYER_IDS = ("stem", *BLOCK_IDS, "down1", "down2", "down3",
 CONFIG_KEY = "meta.config_json"
 
 
-def _parse_flags(v) -> tuple[bool, bool, bool, bool]:
-    if isinstance(v, str):
-        if len(v) != 4 or set(v) - {"D", "N"}:
-            raise ValueError(f"deform_flags string must be 4 of D/N, got {v!r}")
-        return tuple(ch == "D" for ch in v)
-    t = tuple(bool(x) for x in v)
-    if len(t) != 4:
-        raise ValueError("deform_flags needs exactly 4 entries")
-    return t
-
-
 def _same_kind(value, default) -> bool:
     """Whether a parsed JSON value may stand where the config default does."""
     if type(default) is list:
@@ -92,7 +81,7 @@ class ModelConfig:
     stage_widths: tuple = (8, 16, 32, 64)
     window_sizes: tuple = (7, 7, 7, 7)
     num_heads: tuple = (2, 2, 4, 4)
-    deform_flags: tuple = "DDDD"
+    deform_flags: str = "DDDD"    # one D (deformable) or N (plain) per stage
     branch_mode: str = "dual"
     gamma_off: float = 1.0
     mlp_ratio: int = 4
@@ -104,7 +93,9 @@ class ModelConfig:
         self.stage_widths = tuple(int(w) for w in self.stage_widths)
         self.window_sizes = tuple(int(w) for w in self.window_sizes)
         self.num_heads = tuple(int(h) for h in self.num_heads)
-        self.deform_flags = _parse_flags(self.deform_flags)
+        if (not isinstance(self.deform_flags, str) or len(self.deform_flags) != 4
+                or set(self.deform_flags) - {"D", "N"}):
+            raise ValueError(f"deform_flags must be 4 of D/N, got {self.deform_flags!r}")
         if self.in_channels < 1 or self.stem_width < 1 or self.mlp_ratio < 1:
             raise ValueError("config counts must be positive")
         if self.num_classes < 2:
@@ -133,13 +124,8 @@ class ModelConfig:
         if self.gamma_off <= 0:
             raise ValueError("gamma_off must be positive")
 
-    @property
-    def flags_string(self) -> str:
-        return "".join("D" if f else "N" for f in self.deform_flags)
-
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        d["deform_flags"] = self.flags_string
         for k in ("stage_widths", "window_sizes", "num_heads"):
             d[k] = list(d[k])
         return d
@@ -147,6 +133,12 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return config_from_dict(cls, d, "model")
+
+
+def micro_config(**overrides) -> ModelConfig:
+    """The desk-scale model the desk benchmark and ablation sweep train at
+    32x32: the defaults with (4, 4, 2, 2) windows, fresh on every call."""
+    return ModelConfig(**{"window_sizes": (4, 4, 2, 2), **overrides})
 
 
 @dataclass
@@ -220,7 +212,7 @@ def build_model(config: ModelConfig, *, _stream=None) -> Model:
         return B.init_sdapc(
             cfg.stage_widths[stage], cfg.num_heads[stage],
             cfg.window_sizes[stage], stream,
-            deform=cfg.deform_flags[stage], branch_mode=cfg.branch_mode,
+            deform=cfg.deform_flags[stage] == "D", branch_mode=cfg.branch_mode,
             fusion=cfg.fusion, mlp_ratio=cfg.mlp_ratio,
             gamma_off=cfg.gamma_off, clamp_to_window=cfg.clamp_to_window,
         )

@@ -12,14 +12,10 @@ from hypothesis import strategies as st
 
 from sdah.cli import main
 from sdah.io import load_checkpoint, load_sdt1, save_checkpoint, save_sdt1
-from sdah.network import CONFIG_KEY, ModelConfig, build_model, count_params, save_model
+from sdah.network import CONFIG_KEY, build_model, count_params, micro_config, save_model
 from sdah.training import load_dataset
 
-MICRO = {
-    "in_channels": 1, "num_classes": 2, "stem_width": 8,
-    "stage_widths": [8, 16, 32, 64], "window_sizes": [4, 4, 2, 2],
-    "num_heads": [2, 2, 4, 4],
-}
+MICRO = micro_config().to_dict()
 
 
 @pytest.fixture
@@ -115,8 +111,7 @@ def test_count_matches_library(workdir, capsys):
     assert main(["count", "--config", str(workdir / "cfg.json"),
                  "--size", "32"]) == 0
     stdout = capsys.readouterr().out
-    want = count_params(build_model(ModelConfig(**{
-        k: tuple(v) if isinstance(v, list) else v for k, v in MICRO.items()})))
+    want = count_params(build_model(micro_config()))
     assert f"params: {want}" in stdout
     assert "flops@32x32:" in stdout
 
@@ -318,9 +313,7 @@ def test_conv_only_count_ignores_window_sizes(tmp_path, capsys):
 
 def _micro_files(d: Path) -> Path:
     """An untrained micro checkpoint plus one 32x32 image under d."""
-    cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
-                         for k, v in MICRO.items()})
-    save_model(d / "model.sdck", build_model(cfg))
+    save_model(d / "model.sdck", build_model(micro_config()))
     assert main(["synth", "--n", "1", "--size", "32", "--classes", "2",
                  "--out", str(d / "data")]) == 0
     return d
@@ -410,15 +403,20 @@ def test_deeply_nested_json_exits_2(target, tmp_path, capsys):
       "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
     (["eval", "--ckpt", "CKPT", "--data", "DATA", "--crop", "32", "--step", "16",
       "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
+    (["infer", "--ckpt", "CKPT", "--image", "EMPTYIMG", "--crop", "32", "--step", "32",
+      "--out", "OUT"], 2, "non-empty"),
+    (["explain", "--ckpt", "CKPT", "--image", "EMPTYIMG", "--block", "enc1",
+      "--out", "OUT"], 2, "non-empty"),
 ])
 def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     d = _micro_files(tmp_path)
     (d / "big.json").write_text(json.dumps({"model": {"seed": 2**64}}))
     (d / "empty").mkdir()
     (d / "empty" / "manifest.json").write_text("[]")
+    save_sdt1(d / "empty.sdt", np.zeros((1, 0, 64), dtype=np.float32))
     paths = {"CKPT": d / "model.sdck", "IMG": d / "data" / "img_00000.sdt",
              "OUT": d / "out", "BIGSEED": d / "big.json", "EMPTY": d / "empty",
-             "DATA": d / "data"}
+             "DATA": d / "data", "EMPTYIMG": d / "empty.sdt"}
     assert main([str(paths.get(a, a)) for a in argv]) == code
     assert word in capsys.readouterr().err
     assert not (d / "out").exists()

@@ -11,19 +11,14 @@ from sdah.explain import (
     seg_grad_cam,
 )
 import sdah.explain
-from sdah.network import ModelConfig, build_model, forward
+from sdah.network import build_model, forward, micro_config
 from sdah.rng import Stream
 from sdah.tensor import Tensor
 
 from oracles import bumped_logits, points_csv_per_point
 
-MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
-             stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
-             num_heads=(2, 2, 4, 4))
-
-
 def _micro_model(**over):
-    return build_model(ModelConfig(**{**MICRO, **over}))
+    return build_model(micro_config(**over))
 
 
 def _image(seed=3):
@@ -230,6 +225,27 @@ def test_gradcam_roi_errors_name_the_fault(shape, fill, message):
     roi = np.full(shape, fill, dtype=bool)
     with pytest.raises(ValueError, match=message):
         seg_grad_cam(_micro_model(), _image(), 1, "dec1", roi)
+
+
+@pytest.mark.parametrize("preset", [False, True])
+def test_gradcam_leaves_weight_grads_as_it_found_them(preset, tmp_path):
+    """Neither seg_grad_cam nor export_bundle leaves its backward's
+    gradients on the weights: no .grad stays None, a preset .grad keeps
+    its values, and a second call changes nothing either."""
+    m = _micro_model()
+    params = m.named_parameters()
+    for i, t in enumerate(params.values()):
+        t.grad = np.full(t.shape, float(i), t.data.dtype) if preset else None
+    before = {name: None if t.grad is None else t.grad.copy() for name, t in params.items()}
+    roi = np.ones((32, 32), dtype=bool)
+    for _ in range(2):
+        seg_grad_cam(m, _image(), 1, "dec1", roi)
+        export_bundle(m, _image(), "enc1", 1, tmp_path, roi_mask=roi)
+        for name, t in params.items():
+            if before[name] is None:
+                assert t.grad is None, name
+            else:
+                np.testing.assert_array_equal(t.grad, before[name], err_msg=name)
 
 
 @pytest.mark.parametrize("block,ch,hw", [("dec1", 8, 8), ("dec2", 16, 4)])

@@ -251,13 +251,10 @@ def test_model_output_can_be_plain_array():
 
 
 def test_network_tiles_run_without_grad_history():
-    from sdah.network import ModelConfig, build_model
+    from sdah.network import build_model, micro_config
     from sdah.tensor import GradError
 
-    m = build_model(ModelConfig(in_channels=1, num_classes=2, stem_width=8,
-                                stage_widths=(8, 16, 32, 64),
-                                window_sizes=(4, 4, 2, 2),
-                                num_heads=(2, 2, 4, 4)))
+    m = build_model(micro_config())
     probs = sliding_predict(m, np.zeros((1, 32, 32), dtype=np.float32), _cfg(32, 32))
     assert probs.shape == (2, 32, 32)
     with pytest.raises(GradError):
@@ -273,12 +270,9 @@ def test_network_tiles_run_without_grad_history():
 def test_batched_network_matches_per_tile_oracle(h, w, crop, step, ys, xs):
     """A real network: batched forwards give the probabilities of one
     forward per tile blended in raster order, bit for bit."""
-    from sdah.network import ModelConfig, build_model
+    from sdah.network import build_model, micro_config
 
-    m = build_model(ModelConfig(in_channels=1, num_classes=2, stem_width=8,
-                                stage_widths=(8, 16, 32, 64),
-                                window_sizes=(4, 4, 2, 2),
-                                num_heads=(2, 2, 4, 4), seed=3))
+    m = build_model(micro_config(seed=3))
     image = np.random.default_rng(4).uniform(size=(1, h, w)).astype(np.float32)
     cfg = _cfg(crop=crop, step=step)
 

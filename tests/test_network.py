@@ -11,6 +11,7 @@ from sdah.network import (
     count_params,
     forward,
     load_model,
+    micro_config,
     save_model,
     stage_layout,
 )
@@ -19,15 +20,6 @@ from sdah.rng import Stream
 from sdah.tensor import NumericsError, Tensor, tsum
 
 from oracles import bumped_logits
-
-MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
-             stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
-             num_heads=(2, 2, 4, 4))
-
-
-def micro(**over) -> ModelConfig:
-    return ModelConfig(**{**MICRO, **over})
-
 
 def _img(b=1, h=32, w=32, seed=0):
     return Stream(seed).normal((b, 1, h, w)).astype(np.float32)
@@ -38,17 +30,22 @@ def _img(b=1, h=32, w=32, seed=0):
 def test_defaults_are_valid():
     cfg = ModelConfig()
     assert cfg.window_sizes == (7, 7, 7, 7)
-    assert cfg.deform_flags == (True, True, True, True)
-    assert cfg.flags_string == "DDDD"
+    assert cfg.deform_flags == "DDDD"
+    assert cfg.to_dict()["deform_flags"] == "DDDD"
+
+
+def test_micro_config_is_the_defaults_with_small_windows():
+    cfg = micro_config(seed=3)
+    assert cfg == ModelConfig(window_sizes=(4, 4, 2, 2), seed=3)
+    assert micro_config(window_sizes=(3, 3, 3, 3)).window_sizes == (3, 3, 3, 3)
+    assert micro_config() is not micro_config()
 
 
 def test_flag_string_parsing():
-    assert micro(deform_flags="DNND").deform_flags == (True, False, False, True)
-    assert micro(deform_flags=[1, 0, 1, 0]).deform_flags == (True, False, True, False)
-    with pytest.raises(ValueError):
-        micro(deform_flags="DDX")
-    with pytest.raises(ValueError):
-        micro(deform_flags="DDXN")
+    assert micro_config(deform_flags="DNND").deform_flags == "DNND"
+    for bad in ("DDX", "DDXN", "dddd", [1, 0, 1, 0], ("D", "N", "N", "D")):
+        with pytest.raises(ValueError):
+            micro_config(deform_flags=bad)
 
 
 @pytest.mark.parametrize(
@@ -70,11 +67,11 @@ def test_flag_string_parsing():
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError):
-        micro(**bad)
+        micro_config(**bad)
 
 
 def test_config_round_trips_through_dict():
-    cfg = micro(deform_flags="DNDN", fusion="sum", gamma_off=0.5)
+    cfg = micro_config(deform_flags="DNDN", fusion="sum", gamma_off=0.5)
     back = ModelConfig.from_dict(cfg.to_dict())
     assert back == cfg
     with pytest.raises(ValueError):
@@ -84,8 +81,8 @@ def test_config_round_trips_through_dict():
 # -- build ----------------------------------------------------------------------
 
 def test_build_is_deterministic():
-    a = build_model(micro(seed=5))
-    b = build_model(micro(seed=5))
+    a = build_model(micro_config(seed=5))
+    b = build_model(micro_config(seed=5))
     for (ka, ta), (kb, tb) in zip(a.named_parameters().items(),
                                   b.named_parameters().items()):
         assert ka == kb
@@ -93,14 +90,14 @@ def test_build_is_deterministic():
 
 
 def test_different_seeds_differ():
-    a = build_model(micro(seed=0))
-    b = build_model(micro(seed=1))
+    a = build_model(micro_config(seed=0))
+    b = build_model(micro_config(seed=1))
     assert not np.array_equal(a.blocks["enc1"].dw1_w.data,
                               b.blocks["enc1"].dw1_w.data)
 
 
 def test_named_parameters_order_is_stable():
-    names = list(build_model(micro()).named_parameters())
+    names = list(build_model(micro_config()).named_parameters())
     assert names[0].startswith("stem.")
     assert names[-1].startswith("head.")
     first_of = {bid: next(i for i, n in enumerate(names) if n.startswith(bid + "."))
@@ -112,14 +109,14 @@ def test_named_parameters_order_is_stable():
 
 def test_init_checkpoint_bytes_are_pinned():
     """Parameter names, their order and the seeded init draws, byte for byte."""
-    m = build_model(micro(seed=0))
+    m = build_model(micro_config(seed=0))
     named = {k: t.data for k, t in m.named_parameters().items()}
     assert hashlib.sha256(checkpoint_bytes(named)).hexdigest() == (
         "7ab1d820837e64aaafc824cc587c2cd921041d68c5b1180eae6c563f5554b101")
 
 
 def test_deform_flags_select_offset_nets():
-    m = build_model(micro(deform_flags="DNND"))
+    m = build_model(micro_config(deform_flags="DNND"))
     names = set(m.named_parameters())
     assert "enc1.sdmsa.off_dw_w" in names
     assert "enc2.sdmsa.off_dw_w" not in names
@@ -133,14 +130,14 @@ def test_deform_flags_select_offset_nets():
 # -- forward --------------------------------------------------------------------
 
 def test_forward_shapes_and_traces():
-    m = build_model(micro())
+    m = build_model(micro_config())
     logits, info = forward(m, _img(2))
     assert logits.shape == (2, 2, 32, 32)
     assert set(info.traces) == set(BLOCK_IDS)
 
 
 def test_forward_rejects_bad_inputs():
-    m = build_model(micro())
+    m = build_model(micro_config())
     with pytest.raises(ValueError):
         forward(m, np.zeros((1, 2, 32, 32), dtype=np.float32))  # channels
     with pytest.raises(ValueError):
@@ -153,14 +150,14 @@ def test_input_geometry_is_checked_before_the_stem(monkeypatch):
         raise AssertionError("the stem ran")
 
     monkeypatch.setattr("sdah.blocks.conv_embed", stem)
-    m = build_model(micro())
+    m = build_model(micro_config())
     for run in (lambda: count_flops(m, 64, 96), lambda: forward(m, _img(1, 64, 96))):
         with pytest.raises(ValueError, match=r"^bottleneck: .* 2x3 .*\(input 64x96\)"):
             run()
 
 
 def test_nonfinite_image_is_named():
-    m = build_model(micro())
+    m = build_model(micro_config())
     img = _img(2)
     img[1, 0, 3, 5] = np.nan
     with pytest.raises(NumericsError, match="input image has non-finite values"):
@@ -168,7 +165,7 @@ def test_nonfinite_image_is_named():
 
 
 def test_shift_alternates_with_stage_parity():
-    m = build_model(micro())
+    m = build_model(micro_config())
     _, info = forward(m, _img())
     shifts = {bid: info.traces[bid].layout.shift for bid in BLOCK_IDS}
     # stages 0..3 at 32x32 run windows 4,4,2,1
@@ -181,23 +178,23 @@ def test_shift_alternates_with_stage_parity():
 def test_conv_only_ignores_window_sizes():
     """Windows are laid out only for blocks with attention, so a conv_only
     model runs with windows that divide no stage map."""
-    m = build_model(micro(branch_mode="conv_only", window_sizes=(3, 3, 3, 3)))
+    m = build_model(micro_config(branch_mode="conv_only", window_sizes=(3, 3, 3, 3)))
     logits, info = forward(m, _img())
     assert logits.shape == (1, 2, 32, 32)
     assert all(info.traces[bid] is None for bid in BLOCK_IDS)
-    plain = build_model(micro(branch_mode="conv_only"))
+    plain = build_model(micro_config(branch_mode="conv_only"))
     assert count_flops(m, 32, 32) == count_flops(plain, 32, 32)
 
 
 def test_stage_layout_validates_divisibility():
-    cfg = micro(window_sizes=(4, 3, 2, 2))
+    cfg = micro_config(window_sizes=(4, 3, 2, 2))
     with pytest.raises(ValueError):
         stage_layout(cfg.window_sizes[1], 1, 16, 16)
 
 
 def test_taps_expose_block_outputs_with_grads():
     """Every block's output is kept, attached to the graph."""
-    m = build_model(micro())
+    m = build_model(micro_config())
     logits, info = forward(m, _img())
     assert tuple(info.outputs) == BLOCK_IDS
     assert info.outputs["enc2"].shape == (1, 16, 4, 4)
@@ -207,7 +204,7 @@ def test_taps_expose_block_outputs_with_grads():
 
 
 def test_inject_shifts_downstream_output():
-    m = build_model(micro())
+    m = build_model(micro_config())
     base, _ = forward(m, _img())
     eps = np.zeros((1, 16, 4, 4), dtype=np.float32)
     np.testing.assert_array_equal(bumped_logits(m, _img(), "enc2", eps).data, base.data)
@@ -219,7 +216,7 @@ def test_inject_shifts_downstream_output():
 def test_every_parameter_receives_finite_grad():
     from sdah.training import TrainConfig, combined_loss
 
-    m = build_model(micro())
+    m = build_model(micro_config())
     rng = np.random.default_rng(3)
     lab = rng.integers(0, 2, size=(1, 32, 32)).astype(np.uint8)
     logits, _ = forward(m, _img(seed=4))
@@ -237,7 +234,7 @@ def test_micro_step_graph_size():
     from sdah.training import TrainConfig, combined_loss
 
     lab = np.random.default_rng(5).integers(0, 2, size=(8, 32, 32)).astype(np.uint8)
-    logits, _ = forward(build_model(micro()), _img(b=8, seed=6))
+    logits, _ = forward(build_model(micro_config()), _img(b=8, seed=6))
     loss, _, _ = combined_loss(logits, lab, TrainConfig())
     seen, todo = set(), [loss]
     while todo:
@@ -249,7 +246,7 @@ def test_micro_step_graph_size():
 
 
 def test_model_call_returns_logits():
-    m = build_model(micro())
+    m = build_model(micro_config())
     out = m(Tensor(_img()))
     assert out.shape == (1, 2, 32, 32)
 
@@ -257,7 +254,7 @@ def test_model_call_returns_logits():
 # -- save / load ----------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
-    m = build_model(micro(seed=9, deform_flags="DNDN", fusion="sum"))
+    m = build_model(micro_config(seed=9, deform_flags="DNDN", fusion="sum"))
     p = tmp_path / "m.sdck"
     save_model(p, m, extra={"step": np.float64(17)})
     m2, meta = load_model(p)
@@ -269,7 +266,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_checkpoint_bytes_are_stable(tmp_path):
-    m = build_model(micro(seed=2))
+    m = build_model(micro_config(seed=2))
     p1, p2 = tmp_path / "a.sdck", tmp_path / "b.sdck"
     save_model(p1, m)
     save_model(p2, m)
@@ -277,7 +274,7 @@ def test_checkpoint_bytes_are_stable(tmp_path):
 
 
 def test_set_parameters_rejects_mismatches(tmp_path):
-    m = build_model(micro())
+    m = build_model(micro_config())
     named = {k: t.data for k, t in m.named_parameters().items()}
     bad = dict(named)
     bad.pop("head.w")
@@ -295,9 +292,9 @@ def test_set_parameters_rejects_mismatches(tmp_path):
 
 def test_set_parameters_is_all_or_nothing():
     """A load that fails on its last tensor leaves every tensor as it was."""
-    m = build_model(micro(seed=0))
+    m = build_model(micro_config(seed=0))
     before = {k: t.data.copy() for k, t in m.named_parameters().items()}
-    other = build_model(micro(seed=1))
+    other = build_model(micro_config(seed=1))
     named = {k: t.data.copy() for k, t in other.named_parameters().items()}
     named["head.b"][0] = np.nan
     with pytest.raises(NumericsError, match="head.b has non-finite values"):
@@ -309,7 +306,7 @@ def test_set_parameters_is_all_or_nothing():
 @pytest.mark.parametrize("name,value", [("enc2.sdmsa.bias_table", np.nan),
                                         ("dec1.fc2.b", np.inf)])
 def test_nonfinite_checkpoint_tensor_is_named(name, value, tmp_path):
-    m = build_model(micro())
+    m = build_model(micro_config())
     m.named_parameters()[name].data.flat[0] = value
     save_model(tmp_path / "m.sdck", m)
     with pytest.raises(NumericsError, match=f"{name} has non-finite values"):
@@ -328,7 +325,7 @@ def test_load_model_requires_config(tmp_path):
 # -- accounting -----------------------------------------------------------------
 
 def test_count_params_is_sum_of_sizes():
-    m = build_model(micro())
+    m = build_model(micro_config())
     want = sum(t.data.size for t in m.named_parameters().values())
     assert count_params(m) == want
 
@@ -359,6 +356,7 @@ def test_count_params_micro_hand_count():
         n += (2 * c) * c + c      # fc_out (dual concat)
         return n
 
+    # the micro config written out, not read from micro_config(): this is the oracle
     widths, heads, wss = (8, 16, 32, 64), (2, 2, 4, 4), (4, 4, 2, 2)
     want = stem(1, 8)
     for st in range(4):
@@ -372,12 +370,12 @@ def test_count_params_micro_hand_count():
     for st in (2, 1, 0):                     # decoder blocks
         want += block(widths[st], heads[st], wss[st], True)
     want += 8 * 2 * 16 + 2                   # head deconv
-    assert count_params(build_model(micro())) == want
+    assert count_params(build_model(micro_config())) == want
 
 
 def test_flops_spot_checks():
     """2mkn matmul accounting on hand-computable pieces."""
-    m = build_model(micro(branch_mode="conv_only"))
+    m = build_model(micro_config(branch_mode="conv_only"))
     got = count_flops(m, 32, 32)
     c = 8
 
@@ -406,7 +404,7 @@ def test_flops_spot_checks():
 
 
 def test_flops_grow_with_resolution():
-    m = build_model(micro())
+    m = build_model(micro_config())
     assert count_flops(m, 64, 64) > 3.5 * count_flops(m, 32, 32)
     with pytest.raises(ValueError):
         count_flops(m, 33, 32)

@@ -31,6 +31,11 @@ def test_ablation_sweep_writes_one_row_per_variant(tmp_path):
     assert [(row["flags"], row["branch"]) for row in rows] == [
         ("NNNN", "dual"), ("DNNN", "dual"), ("DDDD", "dual"),
         ("DDDD", "sdmsa_only"), ("DDDD", "conv_only")]
+    # the paired t-test against DDDD/dual: blank for the reference itself,
+    # and blank or a p-value for every other variant
+    p = [row["p_vs_DDDD_dual"] for row in rows]
+    assert p[2] == ""
+    assert all(v == "" or 0.0 <= float(v) <= 1.0 for v in p)
 
 
 def test_desk_benchmark_reports_and_misses_its_bars_at_two_steps(tmp_path):

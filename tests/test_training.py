@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdah.gradcheck import grad_check
-from sdah.network import ModelConfig, build_model, forward, load_model
+from sdah.network import build_model, forward, load_model, micro_config
 from sdah.rng import Stream, derive_seed
 from sdah.tensor import Tensor, default_dtype
 from sdah.training import (
@@ -26,11 +26,6 @@ from sdah.training import (
 )
 
 from oracles import adam_per_tensor, loss_chain
-
-MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
-             stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
-             num_heads=(2, 2, 4, 4))
-
 
 def _pair(b, k, h, w, seed=0):
     rng = np.random.default_rng(seed)
@@ -319,7 +314,7 @@ def test_dataset_directory_round_trip(tmp_path):
 
 def _tiny_run(tmp_path, **cfg_over):
     cfg = TrainConfig(batch_size=2, max_steps=3, seed=0, **cfg_over)
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     data = synth_dataset(6, 32, 32, 2, seed=1)
     rows = train(model, data, cfg, out_dir=tmp_path / "run")
     return model, rows, cfg
@@ -361,7 +356,7 @@ def test_train_is_deterministic(tmp_path):
 ])
 def test_every_parameter_gets_a_gradient(over):
     # train() gathers one gradient per parameter, with no zero fallback
-    model = build_model(ModelConfig(**MICRO, **over))
+    model = build_model(micro_config(**over))
     data = synth_dataset(2, 32, 32, 2, seed=1)
     images = np.stack([s.image.data for s in data])
     labels = np.stack([s.label.data for s in data])
@@ -373,10 +368,10 @@ def test_every_parameter_gets_a_gradient(over):
 def test_train_matches_per_tensor_adam_bit_for_bit(tmp_path):
     cfg = TrainConfig(batch_size=2, max_steps=3, seed=0)
     data = synth_dataset(6, 32, 32, 2, seed=1)
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     rows = train(model, data, cfg, out_dir=tmp_path)
 
-    ref = build_model(ModelConfig(**MICRO))
+    ref = build_model(micro_config())
     params = ref.named_parameters()
     state, want = {}, []
     for step in range(cfg.max_steps):
@@ -405,7 +400,7 @@ def test_train_matches_per_tensor_adam_bit_for_bit(tmp_path):
 def test_train_log_callback(tmp_path):
     seen = []
     cfg = TrainConfig(batch_size=2, max_steps=2, seed=0)
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     data = synth_dataset(4, 32, 32, 2, seed=2)
     train(model, data, cfg, out_dir=tmp_path, log=seen.append)
     assert [r["step"] for r in seen] == [0, 1]
@@ -413,7 +408,7 @@ def test_train_log_callback(tmp_path):
 
 def test_train_start_step_runs_tail_only(tmp_path):
     cfg = TrainConfig(batch_size=2, max_steps=4, seed=0)
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     data = synth_dataset(4, 32, 32, 2, seed=3)
     rows = train(model, data, cfg, out_dir=tmp_path, start_step=3)
     assert [r["step"] for r in rows] == [3]
@@ -421,7 +416,7 @@ def test_train_start_step_runs_tail_only(tmp_path):
 
 def test_train_aborts_on_poisoned_params(tmp_path):
     cfg = TrainConfig(batch_size=2, max_steps=2, seed=0)
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     params = model.named_parameters()
     next(iter(params.values())).data[...] = np.nan
     data = synth_dataset(4, 32, 32, 2, seed=4)
@@ -430,7 +425,7 @@ def test_train_aborts_on_poisoned_params(tmp_path):
 
 
 def test_train_requires_output_target():
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     data = synth_dataset(2, 32, 32, 2, seed=5)
     with pytest.raises(ValueError):
         train(model, data, TrainConfig(max_steps=1))
@@ -441,7 +436,7 @@ def test_train_requires_output_target():
 def test_train_rejects_a_class_count_the_head_does_not_output(tmp_path):
     # 3-class data on a 2-class head failed inside the loss only once a batch
     # held a class-2 pixel, several steps in, and named neither count
-    model = build_model(ModelConfig(**MICRO))
+    model = build_model(micro_config())
     data = synth_dataset(4, 32, 32, 3, seed=6)
     with pytest.raises(ValueError, match="3 classes.*outputs 2"):
         train(model, data, TrainConfig(batch_size=2, max_steps=2), out_dir=tmp_path / "run")
