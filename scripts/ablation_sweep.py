@@ -14,12 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sdah.inference import SlidingConfig, predict_mask
-from sdah.metrics import dsc, paired_t_test
+from sdah.metrics import evaluate_pairs, paired_t_test
 from sdah.network import build_model, count_params, micro_config
 from sdah.training import TrainConfig, synth_dataset, train
 
@@ -34,17 +32,17 @@ def run_variant(flags, mode, data, held_out, steps, out_dir, seed):
     rows = train(model, data, cfg, out_dir=out_dir)
     elapsed = time.monotonic() - t0
     scfg = SlidingConfig(crop=32, step=32, sigma_ratio=1 / 8)
-    scores = [dsc(predict_mask(model, s.image.data, scfg) == 1,
-                  s.label.data == 1) for s in held_out]
+    preds = [predict_mask(model, s.image.data, scfg) for s in held_out]
+    ev_rows, summary = evaluate_pairs(preds, [s.label.data for s in held_out], classes=2)
     return {
         "flags": flags,
         "branch": mode,
         "params": count_params(model),
         "initial_loss": round(rows[0]["loss"], 4),
         "final_loss": round(rows[-1]["loss"], 4),
-        "holdout_dsc": round(float(np.mean(scores)), 4),
+        "holdout_dsc": round(summary[1]["mean_dsc"], 4),
         "seconds": round(elapsed, 1),
-    }, scores
+    }, [r["dsc"] for r in ev_rows if r["class"] == 1]
 
 
 def p_value(scores, ref) -> str:
@@ -66,6 +64,8 @@ def main() -> int:
     ap.add_argument("--full-grid", action="store_true",
                     help="cross both axes instead of varying one at a time")
     args = ap.parse_args()
+    if args.holdout < 1:
+        ap.error("--holdout must be at least 1: the held-out DSC needs a case")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -33,15 +33,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sdah.cli import main as sdah_main
 from sdah.io import save_sdt1
-from sdah.network import ModelConfig, build_model, forward
+from sdah.network import ModelConfig, build_model, forward, micro_config
 from sdah.tensor import Tensor
 from sdah.training import TrainConfig, combined_loss, save_dataset, synth_dataset, train
 
-# Spelled out rather than read from `network.micro_config()`: CI also runs
-# this file against the parent commit's package, which may predate it.
-MICRO = dict(in_channels=1, num_classes=2, stem_width=8,
-             stage_widths=(8, 16, 32, 64), window_sizes=(4, 4, 2, 2),
-             num_heads=(2, 2, 4, 4))
 CONFIGS = {
     "micro_DDDD": dict(deform_flags="DDDD"),
     "micro_NNNN": dict(deform_flags="NNNN"),
@@ -114,7 +109,7 @@ def fingerprint() -> dict:
     cfg = TrainConfig(batch_size=BATCH, max_steps=TRAIN_STEPS, seed=0)
     out = {}
     for name, variant in CONFIGS.items():
-        model = build_model(ModelConfig(**MICRO, **variant))
+        model = build_model(micro_config(**variant))
         logits, info = forward(model, Tensor(images))
         loss = combined_loss(logits, labels, cfg)[0]
         loss.backward()
@@ -125,7 +120,7 @@ def fingerprint() -> dict:
         out[f"{name}.loss"] = sha(loss.data)
         out[f"{name}.grads"] = sha(*(p.grad for p in params))
 
-        model = build_model(ModelConfig(**MICRO, **variant))
+        model = build_model(micro_config(**variant))
         with tempfile.TemporaryDirectory() as tmp:
             train(model, data, cfg, out_dir=tmp)
         out[f"{name}.train{TRAIN_STEPS}_params"] = sha(

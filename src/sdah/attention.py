@@ -250,6 +250,7 @@ class SdmsaTrace:
     axis 2 is the head count: the probability array the fused `_attend`
     node keeps for its backward.  Coordinates live in the shifted map's
     frame; `layout.shift` tells the consumer how to roll them back.
+    max_offset is the offsets' tanh bound s = gamma_off * layout.ws / 2.
     """
 
     layout: WindowLayout
@@ -257,6 +258,7 @@ class SdmsaTrace:
     offsets: np.ndarray
     deformed: np.ndarray
     attention: np.ndarray
+    max_offset: float
 
 
 def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
@@ -500,5 +502,6 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
         offsets=offs,
         deformed=defp,
         attention=probs,
+        max_offset=params.gamma_off * ws / 2.0,  # the s of `_deform_points`
     )
     return out, trace

@@ -31,6 +31,7 @@ from .training import (
     CURVE_NAME,
     TrainConfig,
     TrainingAborted,
+    check_dataset,
     load_dataset,
     save_dataset,
     synth_dataset,
@@ -124,16 +125,11 @@ def _cmd_eval(args) -> int:
     model, _ = load_model(args.ckpt)
     data = load_dataset(args.data)
     cfg = _sliding(args)
-    if not data:
-        raise ValueError(f"dataset {args.data} has no samples")
     classes = model.config.num_classes
-    wrong = sorted({s.classes for s in data} - {classes})
-    if wrong:
-        raise ValueError(f"the dataset has samples with {wrong[0]} classes, but the "
-                         f"checkpoint's head outputs {classes}")
+    check_dataset(data, classes)
     preds, gts = [], []
     for s in data:
-        preds.append(predict_mask(model, s.image, cfg))
+        preds.append(predict_mask(model, s.image.data, cfg))
         gts.append(s.label.data)
     rows, summary = evaluate_pairs(preds, gts, classes)
     write_eval_csv(args.out, rows, summary)
@@ -314,7 +310,7 @@ def _selfcheck_tiles():
     if calls != [9]:
         raise AssertionError(f"expected 9 tiles in one forward, got {calls}")
     want = np.exp(logits) / np.exp(logits).sum()
-    gap = np.abs(probs.data - want[:, None, None]).max()
+    gap = np.abs(probs - want[:, None, None]).max()
     if gap > 1e-6:
         raise AssertionError(f"constant logits blended off by {gap:.2e}")
 
@@ -371,9 +367,9 @@ def build_parser() -> _Parser:
     s.set_defaults(func=_cmd_train)
 
     def add_sliding(sp):
-        sp.add_argument("--crop", type=int, default=224)
-        sp.add_argument("--step", type=int, default=112)
-        sp.add_argument("--sigma-ratio", type=float, default=1.0 / 8.0)
+        sp.add_argument("--crop", type=int, default=SlidingConfig.crop)
+        sp.add_argument("--step", type=int, default=SlidingConfig.step)
+        sp.add_argument("--sigma-ratio", type=float, default=SlidingConfig.sigma_ratio)
 
     s = sub.add_parser("infer", help="sliding-window inference on one image")
     s.add_argument("--ckpt", required=True)

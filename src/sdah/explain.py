@@ -72,13 +72,12 @@ def deformation_field(trace: SdmsaTrace) -> np.ndarray:
     |d| -> blue.
 
     Offsets are averaged over heads at each reference pixel and rolled back
-    to the unshifted frame.  Full scale is ws/2, the tanh bound at
-    gamma_off=1.
+    to the unshifted frame.  Full scale is the layer's bound,
+    `trace.max_offset`.
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
-    layout = trace.layout
-    max_offset = layout.ws / 2.0
+    layout, max_offset = trace.layout, trace.max_offset
     off = np.asarray(trace.offsets, dtype=np.float64)[0].mean(axis=1)
     ref = np.asarray(trace.reference_points).astype(np.int64)
     field = np.zeros((layout.h, layout.w, 2), dtype=np.float64)

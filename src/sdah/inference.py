@@ -38,7 +38,7 @@ class SlidingConfig:
         gaussian_map(self.crop, self.sigma_ratio)  # raises on a zero weight
 
 
-def gaussian_map(crop: int, sigma_ratio: float = 1.0 / 8.0) -> np.ndarray:
+def gaussian_map(crop: int, sigma_ratio: float) -> np.ndarray:
     """(crop, crop) separable Gaussian, sigma = crop * sigma_ratio,
     centered between pixels for even crops, peak scaled to exactly 1.
     Raises ValueError when some entry would be 0, leaving pixels with no
@@ -67,8 +67,8 @@ def tile_positions(length: int, crop: int, step: int) -> list[int]:
     return pos
 
 
-def sliding_predict(model, image, cfg: SlidingConfig) -> Tensor:
-    """(C, H, W) image -> (K, H, W) class probabilities.
+def sliding_predict(model, image, cfg: SlidingConfig) -> np.ndarray:
+    """(C, H, W) image -> (K, H, W) float64 class probabilities.
 
     `model` is any callable mapping an (N, C, crop, crop) Tensor of tiles to
     logits (N, K, crop, crop), as a Tensor or an array.  It is called once
@@ -107,12 +107,9 @@ def sliding_predict(model, image, cfg: SlidingConfig) -> Tensor:
             for (y, x), p in zip(chunk, probs):
                 accum[:, y:y + crop, x:x + crop] += p * gmap
                 wsum[y:y + crop, x:x + crop] += gmap
-    out = accum / wsum
-    # keep the f64 accumulation; the default dtype would round it to f32
-    return Tensor(out[:, :h, :w], dtype=np.float64)
+    return (accum / wsum)[:, :h, :w]
 
 
 def predict_mask(model, image, cfg: SlidingConfig) -> np.ndarray:
     """Argmax class map as uint8."""
-    probs = sliding_predict(model, image, cfg)
-    return np.argmax(probs.data, axis=0).astype(np.uint8)
+    return np.argmax(sliding_predict(model, image, cfg), axis=0).astype(np.uint8)

@@ -240,6 +240,17 @@ CKPT_NAME = "checkpoint.sdck"
 CURVE_NAME = "loss.csv"
 
 
+def check_dataset(data: list, classes: int) -> None:
+    """Raise ValueError for an empty dataset, or for samples whose class
+    count is not the head's `classes`."""
+    if not data:
+        raise ValueError("the dataset has no samples")
+    wrong = sorted({s.classes for s in data} - {classes})
+    if wrong:
+        raise ValueError(f"the dataset has samples with {wrong[0]} classes, but the "
+                         f"model's head outputs {classes}")
+
+
 def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
           start_step: int = 0, log=None, ckpt_path=None,
           curve_path=None) -> list[dict]:
@@ -247,20 +258,14 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     curve CSV and final checkpoint (defaults: out_dir/loss.csv and
     out_dir/checkpoint.sdck).
 
-    Every sample must have as many classes as the model's head has output
-    channels; a mismatch raises ValueError before the first step, and no
-    file is written.  The process keeps freed heap memory from here on
-    (`tensor._keep_heap`: glibc's mmap and trim thresholds, both set since
-    either alone faults more), so each step reuses the last step's pages
-    instead of faulting fresh ones in; RSS stays at its peak until exit."""
+    A dataset `check_dataset` rejects raises its ValueError before the
+    first step, and no file is written.  The process keeps freed heap
+    memory from here on (`tensor._keep_heap`: glibc's mmap and trim
+    thresholds, both set since either alone faults more), so each step
+    reuses the last step's pages instead of faulting fresh ones in; RSS
+    stays at its peak until exit."""
     _keep_heap()
-    if not data:
-        raise ValueError("empty dataset")
-    k = model.config.num_classes
-    wrong = sorted({s.classes for s in data} - {k})
-    if wrong:
-        raise ValueError(f"the dataset has samples with {wrong[0]} classes, but the "
-                         f"model's head outputs {k}")
+    check_dataset(data, model.config.num_classes)
     if out_dir is None and (ckpt_path is None or curve_path is None):
         raise ValueError("need out_dir or explicit ckpt_path and curve_path")
     if out_dir is not None:

@@ -5,6 +5,7 @@ capture so the module doubles as a release checklist.  Tolerances here are
 the contract; loosening them is an API change, not a test fix.
 """
 
+import csv
 import importlib.util
 import json
 import sys
@@ -61,7 +62,7 @@ from sdah.tensor import (
     transpose,
     tsum,
 )
-from sdah.training import TrainConfig, synth_dataset, train
+from sdah.training import TrainConfig
 
 from oracles import bumped_logits, plain_twin
 
@@ -320,7 +321,7 @@ def test_c06_sliding_window(capsys):
 
         cfg = SlidingConfig(crop=32, step=16, sigma_ratio=1 / 8)
         img = Stream(6).uniform((1, 64, 64)).astype(np.float32)
-        probs = sliding_predict(model, img, cfg).data
+        probs = sliding_predict(model, img, cfg)
         assert sum(calls) == 9
         assert len(calls) == 1
         assert tile_positions(64, 32, 16) == [0, 16, 32]
@@ -356,19 +357,24 @@ def test_c07_lr_schedule(capsys):
 
 # -- 08 -----------------------------------------------------------------------
 
+def _load_script(name, monkeypatch, *argv):
+    """scripts/<name>.py as a module, its `main()` to run in this process
+    with `argv`, so the suite's warning filters hold for it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script prepends src/
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    return module
+
+
 def test_c08_desk_benchmark(capsys, tmp_path, monkeypatch):
     """`scripts/run_desk_benchmark.py` with its defaults -- the micro model
     (all-deformable, dual branch) on 200 synthetic 32x32 samples, 2000
     steps, batch 8 -- passes: held-out foreground DSC >= 0.90, final loss
-    under 25% of the initial loss, well inside 30 minutes.  The script runs
-    in this process, so the suite's warning filters hold for it."""
+    under 25% of the initial loss, well inside 30 minutes."""
     with criterion(capsys, 8, "desk training benchmark") as detail:
-        spec = importlib.util.spec_from_file_location(
-            "run_desk_benchmark", ROOT / "scripts" / "run_desk_benchmark.py")
-        desk = importlib.util.module_from_spec(spec)
-        monkeypatch.setattr(sys, "path", list(sys.path))   # the script prepends src/
-        spec.loader.exec_module(desk)
-        monkeypatch.setattr(sys, "argv", ["run_desk_benchmark.py", "--out", str(tmp_path)])
+        desk = _load_script("run_desk_benchmark", monkeypatch, "--out", str(tmp_path))
         t0 = time.monotonic()
         code = desk.main()
         elapsed = time.monotonic() - t0
@@ -389,23 +395,25 @@ def _offset_keys(blocks):
             for t in ("off_dw_w", "off_dw_b", "off_pw_w", "off_pw_b")}
 
 
-def test_c09_ablation_reachability(capsys, tmp_path):
-    """Deformation-flag and branch-mode ablations all build and train 200
-    steps cleanly, and their parameter sets differ exactly where the
-    switches say they should."""
+def test_c09_ablation_reachability(capsys, tmp_path, monkeypatch):
+    """`scripts/ablation_sweep.py` on 32 samples: the deformation-flag and
+    branch-mode ablations all build and train 200 steps cleanly, and their
+    parameter sets differ exactly where the switches say they should."""
     with criterion(capsys, 9, "ablation reachability") as detail:
-        data = synth_dataset(32, 32, 32, 2, seed=3)
+        sweep = _load_script("ablation_sweep", monkeypatch, "--out", str(tmp_path),
+                             "--samples", "32", "--holdout", "2")
+        assert sweep.main() == 0
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
         grid = [("NNNN", "dual"), ("DNNN", "dual"), ("DDDD", "dual"),
                 ("DDDD", "sdmsa_only"), ("DDDD", "conv_only")]
+        assert [(r["flags"], r["branch"]) for r in rows] == grid
+        for r in rows:
+            assert np.isfinite([float(r["initial_loss"]), float(r["final_loss"])]).all(), r
         keysets = {}
-        for i, (flags, mode) in enumerate(grid):
-            cfg = micro_config(deform_flags=flags, branch_mode=mode)
-            model = build_model(cfg)
+        for flags, mode in grid:
+            model = build_model(micro_config(deform_flags=flags, branch_mode=mode))
             keysets[(flags, mode)] = set(model.named_parameters())
-            rows = train(model, data,
-                         TrainConfig(batch_size=8, max_steps=200, seed=0),
-                         out_dir=tmp_path / f"run{i}")
-            assert all(np.isfinite(r["loss"]) for r in rows), (flags, mode)
 
         nnnn, dnnn, dddd = (keysets[(f, "dual")] for f in ("NNNN", "DNNN", "DDDD"))
         assert dnnn - nnnn == _offset_keys({"enc1", "dec1"})

@@ -26,7 +26,7 @@ def _image(seed=3):
 
 
 def _toy_trace(shift=0, attention=None, deformed=None, offsets=None):
-    """4x4 map, ws 2 -> 4 windows of 4 points, one head."""
+    """4x4 map, ws 2 -> 4 windows of 4 points, one head, offset bound 1."""
     layout = WindowLayout(4, 4, 2, shift)
     origins = np.array([(0, 0), (0, 2), (2, 0), (2, 2)], dtype=np.float64)
     local = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.float64)
@@ -38,8 +38,8 @@ def _toy_trace(shift=0, attention=None, deformed=None, offsets=None):
         offsets = deformed - refs[None, :, None]
     if attention is None:
         attention = np.full((1, 4, 1, 4, 4), 0.25)
-    return SdmsaTrace(layout=layout, reference_points=refs,
-                      offsets=offsets, deformed=deformed, attention=attention)
+    return SdmsaTrace(layout=layout, reference_points=refs, offsets=offsets,
+                      deformed=deformed, attention=attention, max_offset=1.0)
 
 
 # -- heatmaps -------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_field_zero_offsets_are_neutral_gray():
 def test_field_encodes_offset_direction_and_magnitude():
     tr = _toy_trace()
     off = tr.offsets.copy()
-    off[0, 0, 0, 0] = (1.0, -1.0)   # full scale is ws/2 = 1
+    off[0, 0, 0, 0] = (1.0, -1.0)   # full scale is the bound, 1
     img = deformation_field(_toy_trace(offsets=off))
     assert tuple(img[0, 0]) == (255, 1, 255)
     assert tuple(img[1, 1]) == (128, 128, 0)
@@ -189,6 +189,29 @@ def test_field_averages_heads_and_rolls_back():
     img = deformation_field(_toy_trace(shift=layout_shift, offsets=off))
     # ref (0,0) in the shifted frame lands at (1,1) after roll-back
     assert img[1, 1, 0] == 255 and img[0, 0, 0] == 128
+
+
+@pytest.mark.parametrize("gamma_off", [0.5, 1.0, 2.0])
+def test_field_full_scale_is_the_layers_offset_bound(gamma_off):
+    """enc1 (ws 4) bounds its offsets by gamma_off * 2: offsets pinned at
+    the bound read full scale, and at half the bound mid-scale."""
+    model = _micro_model(gamma_off=gamma_off)
+    w = model.named_parameters()["enc1.sdmsa.off_pw_w"]
+    b = model.named_parameters()["enc1.sdmsa.off_pw_b"]
+    b.data[...] = 50.0                       # tanh saturates: every offset at +bound
+    trace = forward(model, _image())[1].traces["enc1"]
+    assert trace.max_offset == gamma_off * 2.0
+    np.testing.assert_allclose(trace.offsets, gamma_off * 2.0)
+    img = deformation_field(trace)
+    assert (img == 255).all()
+
+    w.data[...] = 0.0
+    b.data[...] = np.arctanh(0.5)            # every offset at half the bound
+    trace = forward(model, _image())[1].traces["enc1"]
+    np.testing.assert_allclose(trace.offsets, gamma_off, rtol=1e-6)
+    img = deformation_field(trace).astype(int)
+    assert (np.abs(img[..., :2] - 191.5) <= 1).all()   # 128 + 127 / 2
+    assert (np.abs(img[..., 2] - 180) <= 1).all()      # |(s/2, s/2)| / s = 0.707
 
 
 # -- grad-cam -------------------------------------------------------------------

@@ -38,6 +38,12 @@ def test_ablation_sweep_writes_one_row_per_variant(tmp_path):
     assert all(v == "" or 0.0 <= float(v) <= 1.0 for v in p)
 
 
+def test_ablation_sweep_refuses_an_empty_holdout(tmp_path):
+    r = _run("ablation_sweep.py", tmp_path / "abl", "--samples", "8", "--holdout", "0")
+    assert r.returncode == 2 and "--holdout must be at least 1" in r.stderr
+    assert not (tmp_path / "abl").exists()
+
+
 def test_desk_benchmark_reports_and_misses_its_bars_at_two_steps(tmp_path):
     r = _run("run_desk_benchmark.py", tmp_path / "desk", "--samples", "10",
              "--holdout", "2", "--batch", "2")
