@@ -32,6 +32,8 @@ def main() -> int:
     ap.add_argument("--data-seed", type=int, default=7)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.holdout < 1:
+        ap.error("--holdout must be at least 1: the held-out DSC needs a case")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

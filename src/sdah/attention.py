@@ -271,6 +271,8 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
     grouped 1x1 giving each head's (dy, dx), bounded by tanh times
     s = gamma_off * ws / 2.  ref broadcasts to the points and lo, hi are
     the clip's bounds.  The convs run through `conv2d` without recording.
+    GELU's output and the 1x1 conv's are checked even inside
+    `tensor._unchecked()`, since tanh and the clip would hide an inf.
     The node's parents are q and the four offset weights; its `prep`
     carries the gradient down the chain once (clip mask, times s, tanh',
     the 1x1 conv's input gradient, GELU') and each VJP reads its step.
@@ -288,6 +290,7 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
         act, phi = _gelu(hdw)
         _check_finite(act, "gelu")
         hpw = conv2d(Tensor(act, dtype=act.dtype), pw_w, pw_b, groups=nh).data
+    _check_finite(hpw, "conv2d")
     th = np.tanh(hpw.reshape(b, nw, nh, 2, p).transpose(0, 1, 2, 4, 3))
     scale = np.asarray(params.gamma_off * ws / 2.0, th.dtype)
     off = th * scale
@@ -422,9 +425,10 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
 
     q, k, v (B, n_w, n_h, P, d); bias broadcasts to the (B, n_w, n_h, P, P)
     scores, which are scaled, biased and softmaxed in place.  The biased
-    scores get the one finite check, so a -inf score raises like a NaN or
-    +inf one, and finite scores always give finite probabilities.  The
-    probabilities are the one array the backward keeps; its `prep` computes
+    scores get the one finite check, kept even inside `tensor._unchecked()`,
+    so a -inf score raises like a NaN or +inf one, and finite scores always
+    give finite probabilities.  The probabilities are the one array the
+    backward keeps; its `prep` computes
     dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.  Each
     step runs in the order of the six-node chain this replaces, so values
     and gradients equal the chain's bit for bit.

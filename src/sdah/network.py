@@ -28,7 +28,7 @@ from . import blocks as B
 from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import NumericsError, Tensor, _as_tensor
+from .tensor import NumericsError, Tensor, _as_tensor, _scope, _unchecked
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -261,32 +261,55 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     keeps each block's attention trace and its output tensor (still
     attached to the graph, so its .grad fills in on backward).  A
     non-finite pixel raises NumericsError naming the input image.
+
+    The layers run without per-op finite checks and with numpy's float
+    warnings off, and the logits are checked once.  If they are not finite,
+    or a check that stays on raised, the forward runs again with every
+    check on and the caller's warning settings; being deterministic, it
+    then raises the first failing op's NumericsError, prefixed by its layer
+    id (`enc2: layer_norm produced non-finite values`).
     """
     x = _as_tensor(image)
     if not np.isfinite(x.data).all():
         raise NumericsError("input image has non-finite values")
-    layers = model.layers
-    in_channels = layers["stem"].ws[0].shape[1]
+    in_channels = model.layers["stem"].ws[0].shape[1]
     if x.ndim != 4 or x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     layouts = block_layouts(model, x.shape[2], x.shape[3])
+    try:
+        with _unchecked(), np.errstate(all="ignore"):
+            logits, info = _run_layers(model.layers, x, layouts)
+        if np.isfinite(logits.data).all():
+            return logits, info
+    except NumericsError:
+        pass
+    return _run_layers(model.layers, x, layouts)
+
+
+def _run_layers(layers: dict, x: Tensor, layouts: dict) -> tuple[Tensor, ForwardInfo]:
+    """The U-Net on an input `forward` has checked, each layer in its `_scope`."""
     info = ForwardInfo()
 
+    def run(lid: str, layer, *args) -> Tensor:
+        with _scope(lid):
+            return layer(*args, layers[lid])
+
     def run_block(bid: str, t: Tensor) -> Tensor:
-        out, info.traces[bid] = B.sdapc_block(t, layers[bid], layouts[bid])
+        with _scope(bid):
+            out, info.traces[bid] = B.sdapc_block(t, layers[bid], layouts[bid])
         info.outputs[bid] = out
         return out
 
-    t = B.conv_embed(x, layers["stem"])
+    t = run("stem", B.conv_embed, x)
     skips = {}
     for i in (1, 2, 3):
         skips[i] = run_block(f"enc{i}", t)
-        t = B.downsample(skips[i], layers[f"down{i}"])
+        t = run(f"down{i}", B.downsample, skips[i])
     t = run_block("bottleneck", t)
     for i in (3, 2, 1):
-        t = B.skip_fuse(B.upsample(t, layers[f"up{i}"]), skips[i], layers[f"fuse{i}"])
+        t = run(f"fuse{i}", B.skip_fuse, run(f"up{i}", B.upsample, t), skips[i])
         t = run_block(f"dec{i}", t)
-    return B.deconv_expand(t, layers["head"]), info
+    return run("head", B.deconv_expand, t), info
 
 
 # -- accounting ---------------------------------------------------------------

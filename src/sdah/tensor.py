@@ -14,8 +14,18 @@ gradient.  The node runs only the VJPs whose operand needs a gradient, so no
 primitive checks `requires_grad` itself.  Ops whose VJPs share work pass a
 `prep` that maps the output gradient once to what they all read.
 
-Every primitive checks its float outputs for NaN/Inf and raises
-`NumericsError` instead of propagating them.
+Every primitive checks its float outputs for NaN/Inf, and `backward` each
+gradient it pushes, and raises `NumericsError` instead of propagating them.
+These per-op checks are on by default, so a primitive called on its own
+always checks.  Inside `_unchecked()` they are off: `network.forward` runs
+that way and checks only its logits, and `train()` checks only the gathered
+gradient vector; on a failure either re-runs the work with the checks on to
+name the op.  A few checks stay on regardless, wherever a later op can turn
+a non-finite value back into a finite one (layer_norm's variance, the
+attention scores, the offset net's GELU and 1x1 conv outputs before tanh):
+there a check of the result would miss the failure.  Inside `_scope(name)`
+every error starts with that layer id, and each graph node keeps the id it
+was made under, so backward errors read `enc2: conv2d backward produced ...`.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ class GradError(RuntimeError):
 _FLOAT_DTYPES = (np.float32, np.float64)
 _default_dtype = np.float32
 _grad_enabled = True
+_checks = True  # per-op finite checks in `_make` and `backward`
+_layer = ""     # the layer id that prefixes NumericsError messages
 
 
 @contextmanager
@@ -65,6 +77,28 @@ def no_grad():
         yield
     finally:
         _grad_enabled = old
+
+
+@contextmanager
+def _unchecked():
+    """Skip the per-op finite checks; the caller checks the result once."""
+    global _checks
+    old, _checks = _checks, False
+    try:
+        yield
+    finally:
+        _checks = old
+
+
+@contextmanager
+def _scope(name: str):
+    """Name the layer that errors and graph nodes made inside belong to."""
+    global _layer
+    old, _layer = _layer, name
+    try:
+        yield
+    finally:
+        _layer = old
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt(3) parameters
@@ -103,21 +137,25 @@ def _keep_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_AT) == 1)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr: np.ndarray, op: str, scope: str | None = None) -> None:
+    """Raise NumericsError when a float `arr` holds NaN or Inf, naming `op`
+    and the layer `scope` (by default the current one)."""
     if arr.dtype.type in _FLOAT_DTYPES and not np.isfinite(arr).all():
-        raise NumericsError(f"{op} produced non-finite values")
+        where = _layer if scope is None else scope
+        raise NumericsError(f"{where + ': ' if where else ''}{op} produced non-finite values")
 
 
 _SPENT = object()  # sentinel replacing a context once its backward ran
 
 
 class _Ctx:
-    __slots__ = ("op", "parents", "bwd")
+    __slots__ = ("op", "parents", "bwd", "scope")
 
-    def __init__(self, op, parents, bwd):
+    def __init__(self, op, parents, bwd, scope):
         self.op = op
         self.parents = parents
         self.bwd = bwd  # a _VJPs: grad_out -> grads aligned with parents
+        self.scope = scope  # the layer id the node was made in, or ""
 
 
 class _VJPs:
@@ -217,6 +255,7 @@ class Tensor:
 
         order = self._topo()
         self.grad = grad if self.grad is None else self.grad + grad
+        check = _checks
         for node in reversed(order):
             ctx = node._ctx
             if ctx is None or ctx is _SPENT or node.grad is None:
@@ -225,7 +264,8 @@ class Tensor:
             for parent, g in zip(ctx.parents, grads):
                 if g is None:
                     continue
-                _check_finite(g, f"{ctx.op} backward")
+                if check:
+                    _check_finite(g, f"{ctx.op} backward", ctx.scope)
                 if g.dtype != parent.data.dtype:
                     g = g.astype(parent.data.dtype)
                 parent.grad = g if parent.grad is None else parent.grad + g
@@ -298,15 +338,17 @@ def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=Non
 
     Each VJP maps the output gradient, or `prep(grad)` when `prep` is given,
     to its parent's gradient; backward runs only those whose parent needs one.
+    `out` is checked for NaN/Inf unless inside `_unchecked()`.
     """
     if len(vjps) != len(parents):
         raise TypeError(f"{op}: {len(vjps)} VJPs for {len(parents)} parents")
-    _check_finite(out, op)
+    if _checks:
+        _check_finite(out, op)
     out = np.asarray(out)
-    result = Tensor(out, dtype=out.dtype)  # checked above: no second pass
+    result = Tensor(out, dtype=out.dtype)  # no requires_grad: no init check
     if _grad_enabled and any(p.requires_grad for p in parents):
         result.requires_grad = True
-        result._ctx = _Ctx(op, parents, _VJPs(parents, vjps, prep))
+        result._ctx = _Ctx(op, parents, _VJPs(parents, vjps, prep), _layer)
     return result
 
 
@@ -615,7 +657,8 @@ def layer_norm(a, gamma, beta) -> Tensor:
     mu = a.data.mean(axis=1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    # an overflowed variance would make inv 0 and the output a finite beta
+    # an overflowed variance would make inv 0 and the output a finite beta,
+    # so this check stays on inside `_unchecked()`
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv

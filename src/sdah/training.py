@@ -22,13 +22,14 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make
+from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make, _unchecked
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
 
 class TrainingAborted(RuntimeError):
-    """Loss went non-finite; message carries the failing step."""
+    """A value went non-finite; the message names the step, and the layer
+    and op where one produced it."""
 
 
 @dataclass
@@ -259,7 +260,13 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     out_dir/checkpoint.sdck).
 
     A dataset `check_dataset` rejects raises its ValueError before the
-    first step, and no file is written.  The process keeps freed heap
+    first step, and no file is written.  A non-finite value raises
+    TrainingAborted naming the step, the layer and the op: the forward
+    checks its logits once (see `network.forward`), and the backward runs
+    without per-op checks or numpy float warnings, so one check of the
+    gathered gradient vector covers it; when that check fails, the step's
+    forward, loss and backward run again with every check on to name the
+    op.  The process keeps freed heap
     memory from here on (`tensor._keep_heap`: glibc's mmap and trim
     thresholds, both set since either alone faults more), so each step
     reuses the last step's pages instead of faulting fresh ones in; RSS
@@ -293,7 +300,15 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
             loss, dl, cl = combined_loss(logits, labels, cfg)
             for p in params:
                 p.zero_grad()
-            loss.backward()
+            with _unchecked(), np.errstate(all="ignore"):
+                loss.backward()
+            g = np.concatenate([p.grad for p in params], axis=None)
+            if not np.isfinite(g).all():  # the step again, checked, names the op
+                for p in params:
+                    p.zero_grad()
+                logits, _ = forward(model, Tensor(images))
+                combined_loss(logits, labels, cfg)[0].backward()
+                raise NumericsError("the gradient vector has non-finite values")
         except NumericsError as e:
             raise TrainingAborted(f"non-finite value at step {step}: {e}") from e
         lr = lr_at(step, cfg)
@@ -308,7 +323,7 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
             rows.append(row)
             if log is not None:
                 log(row)
-        adam_step(w, np.concatenate([p.grad for p in params], axis=None), state, lr)
+        adam_step(w, g, state, lr)
 
     Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
     Path(curve_path).parent.mkdir(parents=True, exist_ok=True)

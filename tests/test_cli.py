@@ -454,8 +454,8 @@ def test_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
 
 
 def test_overflowing_checkpoint_is_a_numerical_failure(tmp_path, capsys):
-    """A weight of 1e20 overflows the stem's layer-norm variance: exit 3,
-    not a mask of LN offsets and a numpy warning."""
+    """A weight of 1e20 overflows the stem's layer-norm variance: exit 3
+    naming the layer and op, not a mask of LN offsets and a numpy warning."""
     root = Path(__file__).resolve().parents[1]
     named = load_checkpoint(root / "perfbench" / "micro_desk.sdck")
     named["stem.conv0.w"] = named["stem.conv0.w"] * np.float32(1e20)
@@ -468,6 +468,7 @@ def test_overflowing_checkpoint_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err and "Warning" not in err
+    assert "stem: layer_norm produced" in err
     assert not (tmp_path / "mask.sdt").exists()
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sdah.network import (
     BLOCK_IDS,
+    LAYER_IDS,
     ModelConfig,
     build_model,
     count_flops,
@@ -17,7 +19,8 @@ from sdah.network import (
 )
 from sdah.io import checkpoint_bytes
 from sdah.rng import Stream
-from sdah.tensor import NumericsError, Tensor, tsum
+from sdah.tensor import NumericsError, Tensor, add, no_grad, tsum
+from sdah.training import TrainConfig, TrainingAborted, synth_dataset, train
 
 from oracles import bumped_logits
 
@@ -162,6 +165,102 @@ def test_nonfinite_image_is_named():
     img[1, 0, 3, 5] = np.nan
     with pytest.raises(NumericsError, match="input image has non-finite values"):
         forward(m, img)
+
+
+# -- numerics: every error names the layer and the op -----------------------------
+
+def _conv_weight(m, lid: str) -> Tensor:
+    """The layer's first conv or deconv weight whose input-gradient VJP
+    reads it (the stem's first conv sees only the image, so its second)."""
+    name = "conv1.w" if lid == "stem" else "dw1.w" if lid in BLOCK_IDS else "w"
+    return m.named_parameters()[f"{lid}.{name}"]
+
+
+def _conv_op(lid: str) -> str:
+    return "deconv2d" if lid == "head" or lid.startswith("up") else "conv2d"
+
+
+@pytest.mark.parametrize("recording", [contextlib.nullcontext, no_grad])
+@pytest.mark.parametrize("lid", LAYER_IDS)
+def test_nan_weight_names_its_layer_and_the_op_a_checked_run_names(lid, recording,
+                                                                   monkeypatch):
+    """The forward checks only its logits, then replays with every per-op
+    check on: the error is a fully checked forward's, prefixed by the layer."""
+    m = build_model(micro_config())
+    _conv_weight(m, lid).data.flat[0] = np.nan
+    with monkeypatch.context() as mp:
+        mp.setattr("sdah.network._unchecked", contextlib.nullcontext)
+        with recording(), pytest.raises(NumericsError) as checked:
+            forward(m, _img(2))
+    with recording(), pytest.raises(NumericsError) as deferred:
+        forward(m, _img(2))
+    assert str(deferred.value) == str(checked.value)
+    assert str(deferred.value) == f"{lid}: {_conv_op(lid)} produced non-finite values"
+
+
+@pytest.mark.parametrize("lid", LAYER_IDS)
+def test_nan_weight_after_the_forward_names_its_layer_in_backward(lid):
+    m = build_model(micro_config())
+    logits, _ = forward(m, _img(2))
+    _conv_weight(m, lid).data.flat[0] = np.nan
+    with pytest.raises(NumericsError, match=f"^{lid}: {_conv_op(lid)} backward produced "
+                                            "non-finite values$"):
+        tsum(logits).backward()
+
+
+@pytest.mark.parametrize("lid", LAYER_IDS)
+def test_train_abort_names_the_step_layer_and_op(lid, tmp_path):
+    m = build_model(micro_config())
+    _conv_weight(m, lid).data.flat[0] = np.nan
+    with pytest.raises(TrainingAborted, match=f"^non-finite value at step 0: {lid}: "
+                                              f"{_conv_op(lid)} produced non-finite"):
+        train(m, synth_dataset(4, 32, 32, 2, seed=4), TrainConfig(batch_size=2, max_steps=2),
+              out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("lid", LAYER_IDS)
+def test_train_abort_in_the_backward_names_the_step_layer_and_op(lid, tmp_path,
+                                                                 monkeypatch):
+    """A weight that is NaN only while the backward runs: the one check of
+    the gradient vector fails, and the checked replay of the step names
+    the op."""
+    m = build_model(micro_config())
+    w = _conv_weight(m, lid)
+    clean = w.data.flat[0]
+
+    def forward_then_poison(model, image):
+        w.data.flat[0] = clean
+        out = forward(model, image)
+        w.data.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr("sdah.training.forward", forward_then_poison)
+    with pytest.raises(TrainingAborted, match=f"^non-finite value at step 0: {lid}: "
+                                              f"{_conv_op(lid)} backward produced"):
+        train(m, synth_dataset(4, 32, 32, 2, seed=4), TrainConfig(batch_size=2, max_steps=2),
+              out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("recording", [contextlib.nullcontext, no_grad])
+def test_inf_offset_bias_still_raises_though_tanh_would_bound_it(recording):
+    """The offset net's 1x1 conv output is checked even where conv2d's own
+    check is off, since tanh(inf) = 1 would give finite logits."""
+    m = build_model(micro_config())
+    m.named_parameters()["enc1.sdmsa.off_pw_b"].data[0] = np.inf
+    with recording(), pytest.raises(NumericsError,
+                                    match="^enc1: conv2d produced non-finite values$"):
+        forward(m, _img(2))
+
+
+def test_a_failed_forward_leaves_the_checks_on_and_no_layer_named():
+    """The offset net's check raises inside the unchecked pass: the checks
+    and the layer name are restored for a primitive called on its own."""
+    m = build_model(micro_config())
+    m.named_parameters()["enc1.sdmsa.off_pw_b"].data[0] = np.inf
+    with pytest.raises(NumericsError, match="^enc1: "):
+        forward(m, _img())
+    with pytest.raises(NumericsError, match="^add produced non-finite values$"):
+        add(Tensor(np.array([np.inf], np.float32)), 1.0)
 
 
 def test_shift_alternates_with_stage_parity():

@@ -44,6 +44,13 @@ def test_ablation_sweep_refuses_an_empty_holdout(tmp_path):
     assert not (tmp_path / "abl").exists()
 
 
+def test_desk_benchmark_refuses_an_empty_holdout(tmp_path):
+    r = _run("run_desk_benchmark.py", tmp_path / "desk", "--samples", "4",
+             "--holdout", "0", "--batch", "2")
+    assert r.returncode == 2 and "--holdout must be at least 1" in r.stderr
+    assert not (tmp_path / "desk").exists()
+
+
 def test_desk_benchmark_reports_and_misses_its_bars_at_two_steps(tmp_path):
     r = _run("run_desk_benchmark.py", tmp_path / "desk", "--samples", "10",
              "--holdout", "2", "--batch", "2")

@@ -424,6 +424,21 @@ def test_train_aborts_on_poisoned_params(tmp_path):
         train(model, data, cfg, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("name,value", [("stem.conv1.b", np.inf), ("enc2.dw2.w", np.nan)])
+def test_train_names_the_first_bad_op_not_a_later_one(name, value, tmp_path):
+    """Under the suite's error::RuntimeWarning filter: the unchecked pass
+    runs with float warnings off, so the stem's layer_norm on an inf gives
+    no RuntimeWarning, and the checked replay names conv2d, not the
+    layer_norm whose variance check raised first in that pass."""
+    model = build_model(micro_config())
+    model.named_parameters()[name].data.flat[0] = value
+    layer = name.split(".")[0]
+    with pytest.raises(TrainingAborted, match=f"^non-finite value at step 0: {layer}: "
+                                              "conv2d produced non-finite values$"):
+        train(model, synth_dataset(4, 32, 32, 2, seed=4),
+              TrainConfig(batch_size=2, max_steps=2, seed=0), out_dir=tmp_path)
+
+
 def test_train_requires_output_target():
     model = build_model(micro_config())
     data = synth_dataset(2, 32, 32, 2, seed=5)
