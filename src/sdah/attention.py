@@ -427,8 +427,12 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
     scores, which are scaled, biased and softmaxed in place.  The biased
     scores get the one finite check, kept even inside `tensor._unchecked()`,
     so a -inf score raises like a NaN or +inf one, and finite scores always
-    give finite probabilities.  The probabilities are the one array the
-    backward keeps; its `prep` computes
+    give finite probabilities.  The softmax's row max is one elementwise
+    maximum over a contiguous keys-leading copy of the scores, which is
+    faster than a reduction along the short last axis of a window's keys;
+    a max is exact in any order (a row's +0.0 and -0.0 shift every score
+    to the same exp), so the probabilities keep their bits.  The
+    probabilities are the one array the backward keeps; its `prep` computes
     dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.  Each
     step runs in the order of the six-node chain this replaces, so values
     and gradients equal the chain's bit for bit.
@@ -438,7 +442,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
     probs *= scale
     probs += bias.data
     _check_finite(probs, "attend")
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(np.moveaxis(probs, -1, 0).copy(), axis=0)[..., None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 

@@ -11,6 +11,7 @@ preserved so checkpoints are byte-stable for a fixed parameter registry.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -47,8 +48,9 @@ def sdt1_bytes(arr: np.ndarray) -> bytes:
     return head + arr.astype(dt, copy=False).tobytes()
 
 
-def sdt1_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor; returns (array, offset past the blob)."""
+def _sdt1_view(buf, offset: int) -> tuple[np.ndarray, int]:
+    """One SDT1 blob as a view into `buf` (writable when `buf` is) and the
+    offset past it; magic, dtype code and every bound are checked first."""
     if buf[offset:offset + 4] != SDT1_MAGIC:
         raise FormatError("bad SDT1 magic")
     code, ndim = _unpack("<BBxx", buf, offset + 4, "SDT1 header")
@@ -58,12 +60,18 @@ def sdt1_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     dims = _unpack(f"<{ndim}I", buf, pos, "SDT1 dims")
     pos += 4 * ndim
     dtype = _DTYPE_OF_CODE[code]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    nbytes = count * dtype.itemsize
-    if pos + nbytes > len(buf):
+    count = math.prod(dims)
+    end = pos + count * dtype.itemsize
+    if end > len(buf):
         raise FormatError("SDT1 payload truncated")
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(dims)
-    return arr.copy(), pos + nbytes
+    return np.frombuffer(buf, dtype, count, pos).reshape(dims), end
+
+
+def sdt1_from_bytes(buf: bytes) -> tuple[np.ndarray, int]:
+    """Decode the tensor at the start of `buf`; returns (a copy of its
+    array, offset past the blob)."""
+    arr, end = _sdt1_view(buf, 0)
+    return arr.copy(), end
 
 
 def save_sdt1(path, arr: np.ndarray) -> None:
@@ -104,7 +112,9 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    buf = Path(path).read_bytes()
+    """The named arrays in entry order, each a writable view into one buffer
+    holding the file: no array is copied, and no two overlap."""
+    buf = bytearray(Path(path).read_bytes())
     if buf[:4] != SDCK_MAGIC:
         raise FormatError("bad SDCK magic")
     (count,) = _unpack("<I", buf, 4, "SDCK tensor count")
@@ -114,8 +124,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (nlen,) = _unpack("<H", buf, pos, "SDCK name length")
         pos += 2
         name = _unpack(f"<{nlen}s", buf, pos, "SDCK tensor name")[0].decode("utf-8")
-        pos += nlen
-        arr, pos = sdt1_from_bytes(buf, pos)
+        arr, pos = _sdt1_view(buf, pos + nlen)
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}")
         out[name] = arr

@@ -162,8 +162,9 @@ class Model:
                 for k, v in p.named_tensors().items()}
 
     def set_parameters(self, named: dict[str, np.ndarray]) -> None:
-        """Replace every tensor, or none: names, shapes and finite values
-        are all checked before the first assignment."""
+        """Replace every tensor, or none: names and shapes are checked, the
+        arrays are copied into one new vector (`_pack`), and that vector is
+        checked for finite values before the first assignment."""
         mine = self.named_parameters()
         missing = set(mine) - set(named)
         extra = set(named) - set(mine)
@@ -172,23 +173,38 @@ class Model:
                 f"parameter names differ: missing {sorted(missing)[:4]}, "
                 f"unexpected {sorted(extra)[:4]}"
             )
-        new = {}
-        for name, t in mine.items():
-            arr = np.asarray(named[name])
+        arrays = [np.asarray(named[name]) for name in mine]
+        for (name, t), arr in zip(mine.items(), arrays):
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"{name}: shape {arr.shape} != expected {t.data.shape}"
                 )
-            new[name] = arr.astype(t.data.dtype, copy=True)
-            if not np.isfinite(new[name]).all():
-                raise NumericsError(f"{name} has non-finite values")
-        for name, t in mine.items():
-            t.data = new[name]
+        w, views = _pack(arrays, [t.data.dtype for t in mine.values()])
+        if not np.isfinite(w).all():
+            for name, view in zip(mine, views):
+                if not np.isfinite(view).all():
+                    raise NumericsError(f"{name} has non-finite values")
+        for t, view in zip(mine.values(), views):
+            t.data = view
             t.grad = None
             t._ctx = None
 
     def __call__(self, x) -> Tensor:
         return forward(self, x)[0]
+
+
+def _pack(arrays: list, dtypes: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One new vector holding `arrays` back to back, each cast as it is
+    copied in, and each array's contiguous view into it, of its shape.  The
+    vector's dtype is the common type of `dtypes`, the tensors' own."""
+    w = np.empty(sum(a.size for a in arrays), np.result_type(*dtypes))
+    views, pos = [], 0
+    for a in arrays:
+        view = w[pos:pos + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        pos += a.size
+    return w, views
 
 
 class _Zeros:
@@ -381,7 +397,9 @@ def load_model(path) -> tuple[Model, dict]:
     if CONFIG_KEY not in named:
         raise ValueError("checkpoint carries no embedded config")
     cfg = ModelConfig.from_dict(json.loads(bytes(named.pop(CONFIG_KEY)).decode()))
-    meta = {k[len("meta."):]: named.pop(k) for k in list(named) if k.startswith("meta.")}
+    # copies, so the metadata does not keep the file's buffer alive
+    meta = {k[len("meta."):]: named.pop(k).copy() for k in list(named)
+            if k.startswith("meta.")}
     model = build_model(cfg, _stream=_Zeros())
     model.set_parameters(named)
     return model, meta

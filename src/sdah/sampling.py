@@ -5,9 +5,9 @@ Coordinates are clamped to [0, H-1] x [0, W-1] before the 4-neighbor blend
 values exactly and out-of-range points read the nearest border pixel.
 Differentiable with respect to both the feature map and the points; the
 point gradient is zero wherever the clamp is active.  Each corner is read
-with one `np.take` from the flat map at (batch, channel) offset plus the
-flat pixel index, and scattered back with one `np.bincount` at the same
-flat index.
+with one `np.take` of whole pixel rows (all of a group's channels) from a
+pixel-major copy of the map, and scattered back with one `np.bincount` at
+its flat (batch, channel, pixel) index.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def bilinear_corners(ys: np.ndarray, xs: np.ndarray, h: int, w: int):
 
 def bilinear_scatter(acc: np.ndarray, flat, wts, vals: np.ndarray) -> None:
     """Adjoint of the gather: add vals (B, C, P) into acc (B, C, H*W) at the
-    (B, C, P) flat indices of the four corners, the ones the gather read,
+    (B, C, P) flat indices of the four corners, the pixels the gather read,
     with the (B, P) weights from `bilinear_corners`, corner by corner.
 
     Each corner is one `np.bincount` over its flat (b, c, hw) index: it sums
@@ -92,15 +92,20 @@ def bilinear_sample_batch(f, points) -> Tensor:
     pts = to_batch(points.data)
     idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
 
-    # (4, B*G, C/G, M*P): each corner's index into the flat map, kept for df
-    flat = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w) + np.stack(idx)[:, :, None]
-    v00, v01, v10, v11 = np.take(f.data.reshape(-1), flat)
+    # each corner read as (B*G, M*P) rows of a pixel-major copy of the map,
+    # one index per point instead of one per point and channel, then laid
+    # out (B*G, C/G, M*P); the backward builds the flat indices it scatters at
+    rows = f.data.reshape(bg, cg, h * w).transpose(0, 2, 1).reshape(bg * h * w, cg)
+    base = np.arange(bg).reshape(bg, 1) * (h * w)
+    v00, v01, v10, v11 = (np.take(rows, base + i, axis=0).transpose(0, 2, 1).copy()
+                          for i in idx)
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))
 
     def df(gt):  # gt: prep's (B*G, C/G, M*P) transposed gradient
         acc = np.zeros_like(f.data).reshape(bg, cg, h * w)
-        bilinear_scatter(acc, flat, wts, gt)
+        off = np.arange(bg * cg).reshape(bg, cg, 1) * (h * w)
+        bilinear_scatter(acc, (off + i[:, None, :] for i in idx), wts, gt)
         return acc.reshape(f.data.shape)
 
     def dp(gt):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import FormatError, load_image, load_sdt1, save_sdt1
-from .network import Model, config_from_dict, forward, save_model
+from .network import Model, _pack, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
 from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make, _unchecked
 
@@ -154,7 +154,15 @@ class AdamState:
 
 
 def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update of the parameter vector `w`, in place."""
+    """One bias-corrected Adam update of the parameter vector `w`, in place.
+
+    A finite gradient can still overflow the second moment (in float32,
+    once |g| passes about 1.8e19, where sqrt(v / c2) is inf on the first
+    step): each such element's update would be m / inf = 0, so training
+    would stop moving without an error.  The update is therefore computed
+    with overflow warnings off and raises NumericsError, before `w` is
+    touched, when the largest sqrt(v / c2) is not finite; the moments and
+    step count have advanced by then."""
     if g.shape != w.shape:
         raise ValueError(f"grad shape {g.shape} != parameter shape {w.shape}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -165,15 +173,18 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
     # w -= lr * (m / c1) / (sqrt(v / c2) + eps), step for step in two
     # scratch vectors instead of one temporary per operation
     s, r = np.empty_like(w), np.empty_like(w)
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=s)
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=s)
-    v += np.multiply(s, g, out=s)
-    np.divide(m, c1, out=s)
-    s *= lr
-    np.divide(v, c2, out=r)
+    with np.errstate(over="ignore"):
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=s)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=r)
     np.sqrt(r, out=r)
+    if not np.isfinite(r.max()):
+        raise NumericsError("adam: the second moment overflowed")
     r += eps
     s /= r
     w -= s
@@ -266,7 +277,8 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     without per-op checks or numpy float warnings, so one check of the
     gathered gradient vector covers it; when that check fails, the step's
     forward, loss and backward run again with every check on to name the
-    op.  The process keeps freed heap
+    op.  A finite gradient that overflows Adam's second moment aborts the
+    step too (see `adam_step`).  The process keeps freed heap
     memory from here on (`tensor._keep_heap`: glibc's mmap and trim
     thresholds, both set since either alone faults more), so each step
     reuses the last step's pages instead of faulting fresh ones in; RSS
@@ -283,10 +295,9 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     # one parameter vector: each tensor's data becomes a contiguous view
     # into it, so Adam's in-place update of the vector updates the model
     params = list(model.named_parameters().values())
-    w = np.concatenate([p.data for p in params], axis=None)
-    ends = np.cumsum([p.data.size for p in params])
-    for p, part in zip(params, np.split(w, ends[:-1])):
-        p.data = part.reshape(p.data.shape)
+    w, views = _pack([p.data for p in params], [p.data.dtype for p in params])
+    for p, view in zip(params, views):
+        p.data = view
     state = AdamState(np.zeros_like(w), np.zeros_like(w))
     rows: list[dict] = []
     t0 = time.monotonic()
@@ -309,21 +320,21 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
                 logits, _ = forward(model, Tensor(images))
                 combined_loss(logits, labels, cfg)[0].backward()
                 raise NumericsError("the gradient vector has non-finite values")
+            lr = lr_at(step, cfg)
+            if step % LOG_EVERY == 0 or step == cfg.max_steps - 1:
+                row = {
+                    "step": step,
+                    "loss": loss.item(),
+                    "dice_loss": dl.item(),
+                    "ce_loss": cl.item(),
+                    "lr": lr,
+                }
+                rows.append(row)
+                if log is not None:
+                    log(row)
+            adam_step(w, g, state, lr)
         except NumericsError as e:
             raise TrainingAborted(f"non-finite value at step {step}: {e}") from e
-        lr = lr_at(step, cfg)
-        if step % LOG_EVERY == 0 or step == cfg.max_steps - 1:
-            row = {
-                "step": step,
-                "loss": loss.item(),
-                "dice_loss": dl.item(),
-                "ce_loss": cl.item(),
-                "lr": lr,
-            }
-            rows.append(row)
-            if log is not None:
-                log(row)
-        adam_step(w, g, state, lr)
 
     Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
     Path(curve_path).parent.mkdir(parents=True, exist_ok=True)

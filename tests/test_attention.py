@@ -665,6 +665,50 @@ def test_attend_matches_the_op_chain(dtype, bias_shape):
         np.testing.assert_array_equal(t.grad, ref.grad)
 
 
+def _scores(q, k, bias):
+    """The biased scores as `_attend` forms them."""
+    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    s *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    return s + bias.data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1, 4, 16, 49])
+def test_attend_row_max_keeps_the_chain_bits_on_ties_and_signed_zeros(dtype, p):
+    """The row max over a keys-leading copy gives the six-node chain's
+    output, probabilities and gradients bit for bit at every window size,
+    also for rows whose maximum is tied and for rows whose maximum is held
+    by both +0.0 and -0.0.  The smallest subnormal key times the 1/2 scale
+    of d = 4 makes the -0.0 score."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    with default_dtype(dtype):
+        fused, chain = (_qkvb(dtype, (2, 3, 2, p, p), shape=(2, 3, 2, p, 4))
+                        for _ in range(2))
+        for q, k, v, bias in (fused, chain):
+            q.data[0, 0, 0], k.data[0, 0, 0] = 0.0, 0.0   # scores = bias: a tie
+            bias.data[0, 0, 0] = np.where(np.arange(p) % 2, 2.5, -1.0)
+            if p > 1:   # one row's max held by -0.0 (key 0) and +0.0 (key 1)
+                q.data[0, 0, 1] = [1.0, 0.0, 0.0, 0.0]
+                k.data[0, 0, 1] = 0.0
+                k.data[0, 0, 1, 0, 0] = -tiny
+                bias.data[0, 0, 1] = -1.0
+                bias.data[0, 0, 1, :, :2] = [-0.0, 0.0]
+        s = _scores(*fused[:2], fused[3])
+        if p > 1:
+            assert (s[0, 0, 0].max(axis=-1) == 2.5).all()
+            assert (s[0, 0, 1].max(axis=-1) == 0.0).all()
+            assert np.signbit(s[0, 0, 1, :, 0]).all() and not np.signbit(s[0, 0, 1, :, 1]).any()
+        out, probs = _attend(*fused)
+        ref_out, ref_probs = attend_chain(*chain)
+        g = Stream(41).normal(out.shape).astype(dtype)
+        out.backward(g)
+        ref_out.backward(g)
+    np.testing.assert_array_equal(out.data, ref_out.data)
+    np.testing.assert_array_equal(probs, ref_probs.data)
+    for t, ref in zip(fused, chain):
+        np.testing.assert_array_equal(t.grad, ref.grad)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_attend_score_overflow_raises():
     """q kᵀ past float32 range makes +inf scores: the check on the biased

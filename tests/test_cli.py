@@ -196,6 +196,17 @@ def test_train_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_whose_adam_moment_overflows_exits_3(workdir, capsys):
+    cfg = {"model": MICRO, "train": {"batch_size": 2, "max_steps": 3, "lambda_ce": 1e30}}
+    (workdir / "big.json").write_text(json.dumps(cfg))
+    assert main(["train", "--data", str(workdir / "data"), "--config",
+                 str(workdir / "big.json"), "--out", str(workdir / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite value at step 0: adam: "
+                          "the second moment overflowed")
+    assert not (workdir / "run" / "checkpoint.sdck").exists()
+
+
 def test_eval_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
     # `sdah synth` makes 3 classes by default, the micro checkpoint's head outputs 2
     root = Path(__file__).resolve().parents[1]

@@ -142,6 +142,32 @@ def test_checkpoint_trailing_bytes(tmp_path):
         load_checkpoint(p)
 
 
+def test_loaded_arrays_are_writable_and_disjoint(tmp_path):
+    """Each loaded array is a writable view of its own bytes: writing one
+    changes no other, and the file on disk stays as it was."""
+    rng = np.random.default_rng(3)
+    named = {"a": rng.normal(size=(3, 5)).astype(np.float32),
+             "b": np.arange(7, dtype=np.float64),
+             "c": np.array([1, 2, 3], dtype=np.uint8),
+             "d": np.float64(2.5) * np.ones(()),
+             "e": rng.normal(size=(2, 2, 2)).astype(np.float32)}
+    p = tmp_path / "m.sdck"
+    save_checkpoint(p, named)
+    back = load_checkpoint(p)
+    arrays = list(back.values())
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for name, arr in back.items():
+        arr[...] = 0
+        for other, want in named.items():
+            if other != name:
+                np.testing.assert_array_equal(back[other], want, err_msg=other)
+        arr[...] = named[name]
+    assert p.read_bytes() == checkpoint_bytes(named)
+
+
 def test_pgm_header_and_payload(tmp_path):
     img = np.arange(6, dtype=np.uint8).reshape(2, 3)
     p = tmp_path / "i.pgm"

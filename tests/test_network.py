@@ -412,6 +412,64 @@ def test_nonfinite_checkpoint_tensor_is_named(name, value, tmp_path):
         load_model(tmp_path / "m.sdck")
 
 
+def test_loaded_parameters_are_views_into_one_packed_vector(tmp_path):
+    """`load_model` copies each tensor once, into its slice of one
+    contiguous float32 vector, in `named_parameters()` order."""
+    m = build_model(micro_config(seed=4))
+    save_model(tmp_path / "m.sdck", m)
+    loaded, _ = load_model(tmp_path / "m.sdck")
+    params = loaded.named_parameters()
+    w = next(iter(params.values())).data.base
+    assert w.ndim == 1 and w.dtype == np.float32 and w.flags.c_contiguous
+    assert w.size == count_params(loaded)
+    addr = w.__array_interface__["data"][0]
+    for name, t in params.items():
+        assert t.data.base is w and t.data.flags.c_contiguous, name
+        assert t.data.__array_interface__["data"][0] == addr, name
+        addr += t.data.nbytes
+        np.testing.assert_array_equal(t.data, m.named_parameters()[name].data)
+
+
+def test_set_parameters_names_the_first_nonfinite_tensor_and_keeps_the_packed_views(tmp_path):
+    """On a loaded model: of two non-finite tensors the one first in
+    `named_parameters()` order is named, and every tensor keeps its array."""
+    save_model(tmp_path / "m.sdck", build_model(micro_config(seed=0)))
+    loaded, _ = load_model(tmp_path / "m.sdck")
+    before = {k: (t.data, t.data.copy()) for k, t in loaded.named_parameters().items()}
+    named = {k: t.data.copy()
+             for k, t in build_model(micro_config(seed=1)).named_parameters().items()}
+    named["dec1.fc2.b"][0] = np.nan
+    named["enc2.sdmsa.bias_table"].flat[3] = np.inf
+    with pytest.raises(NumericsError, match="^enc2.sdmsa.bias_table has non-finite values$"):
+        loaded.set_parameters(named)
+    for k, t in loaded.named_parameters().items():
+        assert t.data is before[k][0]
+        np.testing.assert_array_equal(t.data, before[k][1], err_msg=k)
+
+
+def test_train_on_a_loaded_model_logs_the_losses_of_set_parameters(tmp_path):
+    """The same weights reached by `load_model`, by `set_parameters` on a
+    model of another seed, and by the build itself train to the same logged
+    losses and final weights."""
+    m = build_model(micro_config(seed=6))
+    save_model(tmp_path / "m.sdck", m)
+    loaded, _ = load_model(tmp_path / "m.sdck")
+    given = build_model(micro_config(seed=7))
+    given.set_parameters({k: t.data for k, t in m.named_parameters().items()})
+    data = synth_dataset(4, 32, 32, 2, seed=2)
+    cfg = TrainConfig(batch_size=2, max_steps=3, seed=0)
+    runs = []
+    for i, model in enumerate((loaded, given, m)):
+        seen = []
+        train(model, data, cfg, out_dir=tmp_path / str(i), log=seen.append)
+        runs.append((seen, {k: t.data for k, t in model.named_parameters().items()}))
+    assert [r["step"] for r in runs[0][0]] == [0, 2]
+    for seen, weights in runs[1:]:
+        assert seen == runs[0][0]
+        for k, want in runs[0][1].items():
+            np.testing.assert_array_equal(weights[k], want, err_msg=k)
+
+
 def test_load_model_requires_config(tmp_path):
     from sdah.io import save_checkpoint
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from sdah.gradcheck import grad_check
 from sdah.network import build_model, forward, load_model, micro_config
 from sdah.rng import Stream, derive_seed
-from sdah.tensor import Tensor, default_dtype
+from sdah.tensor import NumericsError, Tensor, default_dtype
 from sdah.training import (
     AdamState,
     SegSample,
@@ -223,6 +223,37 @@ def test_adam_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step(w, np.zeros(3, dtype=np.float32), AdamState(np.zeros(4), np.zeros(4)),
                   lr=0.1)
+
+
+@pytest.mark.parametrize("big", [2e19, 1e21], ids=["v_over_c2", "v"])
+def test_adam_second_moment_overflow_raises_before_w_moves(big):
+    """A finite float32 gradient of 2e19 leaves v finite but makes
+    sqrt(v / c2) inf on the first step; one of 1e21 overflows v itself.
+    Either raises instead of freezing those weights, and `w` is untouched."""
+    w = np.ones(4, np.float32)
+    g = np.array([0.5, -big, 3.0, 0.0], np.float32)
+    with pytest.raises(NumericsError, match="^adam: the second moment overflowed$"):
+        adam_step(w, g, AdamState(np.zeros_like(w), np.zeros_like(w)), lr=1e-3)
+    np.testing.assert_array_equal(w, 1.0)
+
+
+def test_adam_just_below_the_overflow_still_steps():
+    w = np.zeros(2, np.float32)
+    adam_step(w, np.array([1e19, -1e19], np.float32),
+              AdamState(np.zeros_like(w), np.zeros_like(w)), lr=1e-3)
+    np.testing.assert_allclose(w, [-1e-3, 1e-3], rtol=1e-4)
+
+
+def test_train_aborts_when_adams_second_moment_overflows(tmp_path):
+    """lambda_ce = 1e30 gives finite but huge gradients; training used to
+    run on with every weight frozen (m / inf = 0), now step 0 aborts."""
+    model = build_model(micro_config())
+    with pytest.raises(TrainingAborted, match="^non-finite value at step 0: adam: "
+                                              "the second moment overflowed$"):
+        train(model, synth_dataset(4, 32, 32, 2, seed=4),
+              TrainConfig(batch_size=2, max_steps=3, seed=0, lambda_ce=1e30),
+              out_dir=tmp_path)
+    assert not (tmp_path / "checkpoint.sdck").exists()
 
 
 # -- batching -------------------------------------------------------------------
