@@ -31,7 +31,7 @@ def run_variant(flags, mode, data, held_out, steps, out_dir, seed):
     t0 = time.monotonic()
     rows = train(model, data, cfg, out_dir=out_dir)
     elapsed = time.monotonic() - t0
-    scfg = SlidingConfig(crop=32, step=32, sigma_ratio=1 / 8)
+    scfg = SlidingConfig(crop=32, step=32)
     preds = [predict_mask(model, s.image.data, scfg) for s in held_out]
     ev_rows, summary = evaluate_pairs(preds, [s.label.data for s in held_out], classes=2)
     return {

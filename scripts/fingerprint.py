@@ -7,9 +7,13 @@ logits of one forward, every block's attention-trace offsets and deformed
 points, its loss, the concatenated parameter gradients of one backward,
 and the parameters after 4 `train()` steps; for the default config (3
 classes, 224x224, B=1) the logits, loss and gradients of one forward and
-backward.  On perfbench/micro_desk.sdck it hashes the five
-`sdah explain --block enc1` artifacts and the `sdah infer` mask and preview
-of a synthetic 128x128 image, and the `sdah eval` CSV of two such cases.
+backward.  For each of these five configs it also hashes the file
+`save_model` writes for the freshly built model (`<config>.ckpt`), so a
+renamed, reordered or redrawn checkpoint entry moves an entry; these
+depend on the random stream alone, not on BLAS.  On
+perfbench/micro_desk.sdck it hashes the five `sdah explain --block enc1`
+artifacts and the `sdah infer` mask and preview of a synthetic 128x128
+image, and the `sdah eval` CSV of two such cases.
 Two trees give the same entry exactly when that output is the same bit for
 bit, so running the script on a change and on its parent shows what moved:
 
@@ -33,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sdah.cli import main as sdah_main
 from sdah.io import save_sdt1
-from sdah.network import ModelConfig, build_model, forward, micro_config
+from sdah.network import ModelConfig, build_model, forward, micro_config, save_model
 from sdah.tensor import Tensor
 from sdah.training import TrainConfig, combined_loss, save_dataset, synth_dataset, train
 
@@ -70,6 +74,14 @@ def file_sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def ckpt_sha(model) -> str:
+    """sha256 of the checkpoint `save_model` writes for `model`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.sdck"
+        save_model(path, model)
+        return file_sha(path)
+
+
 def cli_artifacts(tmp: Path) -> dict:
     """sha256 of each file `sdah explain` writes for one block, of the
     `sdah infer` mask and preview, and of the `sdah eval` CSV."""
@@ -95,11 +107,13 @@ def default_224() -> dict:
     """One forward and backward of the default config at the paper's crop."""
     sample = synth_dataset(1, DEFAULT_SIZE, DEFAULT_SIZE, DEFAULT_CLASSES, seed=4)[0]
     model = build_model(ModelConfig(num_classes=DEFAULT_CLASSES))
+    ckpt = ckpt_sha(model)
     logits, _ = forward(model, Tensor(sample.image.data[None]))
     loss = combined_loss(logits, sample.label.data[None], TrainConfig())[0]
     loss.backward()
     return {"default_224.logits": sha(logits.data), "default_224.loss": sha(loss.data),
-            "default_224.grads": sha(*(p.grad for p in model.named_parameters().values()))}
+            "default_224.grads": sha(*(p.grad for p in model.named_parameters().values())),
+            "default_224.ckpt": ckpt}
 
 
 def fingerprint() -> dict:
@@ -110,6 +124,7 @@ def fingerprint() -> dict:
     out = {}
     for name, variant in CONFIGS.items():
         model = build_model(micro_config(**variant))
+        out[f"{name}.ckpt"] = ckpt_sha(model)
         logits, info = forward(model, Tensor(images))
         loss = combined_loss(logits, labels, cfg)[0]
         loss.backward()

@@ -55,7 +55,7 @@ def main() -> int:
                                      f"lr {r['lr']:.2e}"))
     train_s = time.monotonic() - t0
 
-    scfg = SlidingConfig(crop=32, step=32, sigma_ratio=1 / 8)
+    scfg = SlidingConfig(crop=32, step=32)
     preds = [predict_mask(model, s.image.data, scfg) for s in held_out]
     gts = [s.label.data for s in held_out]
     ev_rows, summary = evaluate_pairs(preds, gts, classes=2)

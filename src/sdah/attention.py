@@ -38,6 +38,7 @@ from .convops import _conv_backward_w, _conv_backward_x, conv2d
 from .rng import Stream
 from .sampling import axis_corners, bilinear_sample_batch
 from .tensor import (
+    Params,
     Tensor,
     _as_tensor,
     _check_finite,
@@ -154,7 +155,7 @@ def reference_points(layout: WindowLayout) -> np.ndarray:
 
 
 @dataclass
-class SdmsaParams:
+class SdmsaParams(Params):
     """Learned state of one attention layer: its tensors plus the two
     settings no tensor carries (`gamma_off`, `clamp_to_window`).
 
@@ -224,18 +225,6 @@ class SdmsaParams:
             off_pw_b=off_pw_b,
             clamp_to_window=clamp_to_window,
         )
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out = {
-            "wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-            "bias_table": self.bias_table,
-        }
-        if self.deformable:
-            out.update(
-                off_dw_w=self.off_dw_w, off_dw_b=self.off_dw_b,
-                off_pw_w=self.off_pw_w, off_pw_b=self.off_pw_b,
-            )
-        return out
 
 
 @dataclass

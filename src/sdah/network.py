@@ -28,7 +28,7 @@ from . import blocks as B
 from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import NumericsError, Tensor, _as_tensor, _scope, _unchecked
+from .tensor import NumericsError, Tensor, _as_tensor, _collect_tensors, _scope, _unchecked
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -158,13 +158,17 @@ class Model:
         return {bid: self.layers[bid] for bid in BLOCK_IDS}
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return {f"{lid}.{k}": v for lid, p in self.layers.items()
-                for k, v in p.named_tensors().items()}
+        """Every layer's tensors, named `<layer id>.<field path>`."""
+        out: dict[str, Tensor] = {}
+        for lid, p in self.layers.items():
+            _collect_tensors(p, lid + ".", out)
+        return out
 
     def set_parameters(self, named: dict[str, np.ndarray]) -> None:
-        """Replace every tensor, or none: names and shapes are checked, the
-        arrays are copied into one new vector (`_pack`), and that vector is
-        checked for finite values before the first assignment."""
+        """Replace every tensor, or none: names, shapes and float dtypes are
+        checked, the arrays are copied into one new vector (`_pack`, which
+        casts them to the tensors' dtype), and that vector is checked for
+        finite values before the first assignment."""
         mine = self.named_parameters()
         missing = set(mine) - set(named)
         extra = set(named) - set(mine)
@@ -179,6 +183,8 @@ class Model:
                 raise ValueError(
                     f"{name}: shape {arr.shape} != expected {t.data.shape}"
                 )
+            if arr.dtype.kind != "f":
+                raise ValueError(f"{name}: dtype {arr.dtype} is not a float")
         w, views = _pack(arrays, [t.data.dtype for t in mine.values()])
         if not np.isfinite(w).all():
             for name, view in zip(mine, views):
@@ -261,7 +267,7 @@ def block_layouts(model: Model, h: int, w: int) -> dict:
         raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
     layouts = {}
     for bid in BLOCK_IDS:
-        st, a = STAGE_OF_BLOCK[bid], model.layers[bid].attn
+        st, a = STAGE_OF_BLOCK[bid], model.layers[bid].sdmsa
         sh, sw = h // (4 << st), w // (4 << st)
         try:
             layouts[bid] = None if a is None else stage_layout(a.ws, st, sh, sw)
@@ -288,7 +294,7 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     x = _as_tensor(image)
     if not np.isfinite(x.data).all():
         raise NumericsError("input image has non-finite values")
-    in_channels = model.layers["stem"].ws[0].shape[1]
+    in_channels = model.layers["stem"].conv[0].w.shape[1]
     if x.ndim != 4 or x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     layouts = block_layouts(model, x.shape[2], x.shape[3])
@@ -341,10 +347,10 @@ def _flops(weight: Tensor, pixels: int) -> int:
 
 def _block_flops(p: B.SdapcBlockParams, pos: int,
                  layout: WindowLayout | None) -> int:
-    total = sum(_flops(t, pos) for t in (p.dw1_w, p.fc1_w, p.fc2_w, p.fc_out_w))
-    if p.dw2_w is not None:
-        total += _flops(p.dw2_w, pos)
-    a = p.attn
+    total = sum(_flops(g.w, pos) for g in (p.dw1, p.fc1, p.fc2, p.fc_out))
+    if p.dw2 is not None:
+        total += _flops(p.dw2.w, pos)
+    a = p.sdmsa
     if a is not None:
         c, nh, pp = p.channels, a.n_heads, layout.ws ** 2
         total += sum(_flops(t, pos) for t in (a.wq, a.wk, a.wv, a.wo))
@@ -363,9 +369,9 @@ def count_flops(model: Model, h: int, w: int) -> int:
     """FLOPs of one single-image forward at input size (h, w)."""
     layouts = block_layouts(model, h, w)
     layers, total, s = model.layers, 0, 1
-    for wt, stride in zip(layers["stem"].ws, B._STEM_STRIDES):
+    for conv, stride in zip(layers["stem"].conv, B._STEM_STRIDES):
         s *= stride
-        total += _flops(wt, (h // s) * (w // s))
+        total += _flops(conv.w, (h // s) * (w // s))
     pixels = [(h // (4 << st)) * (w // (4 << st)) for st in range(4)]
     for bid in BLOCK_IDS:
         total += _block_flops(layers[bid], pixels[STAGE_OF_BLOCK[bid]], layouts[bid])

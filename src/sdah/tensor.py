@@ -333,6 +333,35 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(x, dtype=dtype)
 
 
+class Params:
+    """Base of the dataclasses that hold a layer's learned tensors.
+
+    A tensor's name is its field path, in field order: a Tensor field by its
+    name (`wq`), a nested `Params` with its name as a dotted prefix
+    (`sdmsa.wq`), the items of a list of `Params` numbered after the field
+    (`conv0.w`).  `None` and plain settings (`gamma_off`) are skipped.  So a
+    container's field order is its checkpoint order.
+    """
+
+    def named_tensors(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        _collect_tensors(self, "", out)
+        return out
+
+
+def _collect_tensors(p: Params, prefix: str, out: dict) -> None:
+    """Add `p`'s tensors to `out` under `prefix` + their field paths."""
+    for name in type(p).__dataclass_fields__:
+        v = getattr(p, name)
+        if isinstance(v, Tensor):
+            out[prefix + name] = v
+        elif isinstance(v, Params):
+            _collect_tensors(v, f"{prefix}{name}.", out)
+        elif isinstance(v, list):
+            for i, item in enumerate(v):
+                _collect_tensors(item, f"{prefix}{name}{i}.", out)
+
+
 def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=None) -> Tensor:
     """Wrap `out` as the result of `op` on `parents`, one VJP per parent.
 

@@ -151,14 +151,14 @@ def test_c01_gradient_suite(capsys):
             xs = s.uniform((1, 8, 4, 4), -0.5, 0.5)
 
             def block_fn(x, wq, opw, fw):
-                swapped = replace(p, attn=replace(p.attn, wq=wq, off_pw_w=opw),
-                                  fc_out_w=fw)
+                swapped = replace(p, sdmsa=replace(p.sdmsa, wq=wq, off_pw_w=opw),
+                                  fc_out=replace(p.fc_out, w=fw))
                 return sdapc_block(x, swapped, lay)[0]
 
             r = grad_check(
                 block_fn,
-                [xs, p.attn.wq.data.copy(), p.attn.off_pw_w.data.copy(),
-                 p.fc_out_w.data.copy()],
+                [xs, p.sdmsa.wq.data.copy(), p.sdmsa.off_pw_w.data.copy(),
+                 p.fc_out.w.data.copy()],
                 seed=seed, name="sdapc_block")
             assert r.max_rel_err < 1e-4, f"block seed {seed}: {r}"
         elapsed = time.monotonic() - t0

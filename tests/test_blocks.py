@@ -22,7 +22,7 @@ from sdah.blocks import (
 )
 from sdah.gradcheck import grad_check
 from sdah.rng import Stream
-from sdah.tensor import Tensor
+from sdah.tensor import Params, Tensor
 
 
 def _x(b, c, h, w, seed=0):
@@ -43,19 +43,31 @@ def test_block_preserves_shape(branch_mode, fusion):
     assert (trace is None) == (branch_mode == "conv_only")
 
 
+def _assert_holds_only_tensors(obj: Params) -> None:
+    """Each field is a Tensor, a nested `Params`, a list of them, None, or
+    one of the two settings no tensor carries."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        items = v if isinstance(v, list) else [v]
+        for item in items:
+            if isinstance(item, Params):
+                _assert_holds_only_tensors(item)
+            else:
+                assert not isinstance(v, list), f.name
+                assert (f.name in ("gamma_off", "clamp_to_window") or item is None
+                        or isinstance(item, Tensor)), f.name
+
+
 @pytest.mark.parametrize("branch_mode", ["dual", "sdmsa_only", "conv_only"])
 @pytest.mark.parametrize("deform", [True, False])
 def test_containers_hold_only_tensors(branch_mode, deform):
     """Every fact a tensor encodes is read off it, never stored beside it."""
     p = init_sdapc(8, 2, 4, Stream(0), deform=deform, branch_mode=branch_mode)
-    config = {"attn", "gamma_off", "clamp_to_window"}
-    for obj in (p, p.attn) if p.attn is not None else (p,):
-        for f in fields(obj):
-            v = getattr(obj, f.name)
-            assert f.name in config or v is None or isinstance(v, Tensor), f.name
+    _assert_holds_only_tensors(p)
+    _assert_holds_only_tensors(init_conv_embed(1, 8, Stream(0)))
     assert p.channels == 8
-    if p.attn is not None:
-        assert (p.attn.channels, p.attn.n_heads, p.attn.ws) == (8, 2, 4)
+    if p.sdmsa is not None:
+        assert (p.sdmsa.channels, p.sdmsa.n_heads, p.sdmsa.ws) == (8, 2, 4)
 
 
 def test_branch_mode_controls_parameter_sets():
@@ -74,22 +86,22 @@ def test_branch_mode_controls_parameter_sets():
 
 def test_non_deform_block_has_no_offset_net():
     p = init_sdapc(8, 2, 4, Stream(0), deform=False)
-    assert not p.attn.deformable
+    assert not p.sdmsa.deformable
     assert "sdmsa.off_dw_w" not in p.named_tensors()
 
 
 def test_conv_only_ignores_deform_flag():
     p = init_sdapc(8, 2, 4, Stream(0), deform=True, branch_mode="conv_only")
-    assert p.attn is None
+    assert p.sdmsa is None
 
 
 def test_fused_width_doubles_only_for_dual_concat():
-    assert init_sdapc(8, 2, 4, Stream(0)).fc_out_w.shape == (16, 8)
-    assert init_sdapc(8, 2, 4, Stream(0), fusion="sum").fc_out_w.shape == (8, 8)
+    assert init_sdapc(8, 2, 4, Stream(0)).fc_out.w.shape == (16, 8)
+    assert init_sdapc(8, 2, 4, Stream(0), fusion="sum").fc_out.w.shape == (8, 8)
     assert init_sdapc(8, 2, 4, Stream(0),
-                      branch_mode="sdmsa_only").fc_out_w.shape == (8, 8)
+                      branch_mode="sdmsa_only").fc_out.w.shape == (8, 8)
     assert init_sdapc(8, 2, 4, Stream(0),
-                      branch_mode="conv_only").fc_out_w.shape == (8, 8)
+                      branch_mode="conv_only").fc_out.w.shape == (8, 8)
 
 
 def test_invalid_modes_rejected():
@@ -118,8 +130,8 @@ def test_sum_fusion_equals_concat_with_stacked_fc():
     for k, v in ps.named_tensors().items():
         if k not in ("fc_out.w", "fc_out.b"):
             pc.named_tensors()[k].data[...] = v.data
-    pc.fc_out_w.data[...] = np.concatenate([ps.fc_out_w.data, ps.fc_out_w.data])
-    pc.fc_out_b.data[...] = ps.fc_out_b.data
+    pc.fc_out.w.data[...] = np.concatenate([ps.fc_out.w.data, ps.fc_out.w.data])
+    pc.fc_out.b.data[...] = ps.fc_out.b.data
     x = _x(1, 4, 4, 4, seed=4)
     lay = WindowLayout(4, 4, 2)
     a, _ = sdapc_block(x, ps, lay)
@@ -134,8 +146,9 @@ def test_block_grad_check():
     keys = ["dw1.w", "fc1.w", "ln2.g", "sdmsa.wq", "sdmsa.off_pw_w", "fc_out.w"]
 
     def run(x, dw1_w, fc1_w, ln2_g, wq, off_pw_w, fc_out_w):
-        pp = replace(p, dw1_w=dw1_w, fc1_w=fc1_w, ln2_g=ln2_g, fc_out_w=fc_out_w,
-                     attn=replace(p.attn, wq=wq, off_pw_w=off_pw_w))
+        pp = replace(p, dw1=replace(p.dw1, w=dw1_w), fc1=replace(p.fc1, w=fc1_w),
+                     ln2=replace(p.ln2, g=ln2_g), fc_out=replace(p.fc_out, w=fc_out_w),
+                     sdmsa=replace(p.sdmsa, wq=wq, off_pw_w=off_pw_w))
         out, _ = sdapc_block(x, pp, lay)
         return out
 
@@ -166,8 +179,8 @@ def test_conv_embed_geometry():
 
 def test_conv_embed_channel_plan():
     p = init_conv_embed(3, 8, Stream(12))
-    assert [w.shape[0] for w in p.ws] == [4, 4, 8, 8]
-    assert p.ws[0].shape == (4, 3, 3, 3)
+    assert [c.w.shape[0] for c in p.conv] == [4, 4, 8, 8]
+    assert p.conv[0].w.shape == (4, 3, 3, 3)
     assert len(p.named_tensors()) == 16
 
 

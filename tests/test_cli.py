@@ -311,6 +311,25 @@ def test_nonfinite_checkpoint_tensor_is_named_and_exits_3(cmd, name, value,
     assert f"{name} has non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["infer", "eval", "explain"])
+def test_checkpoint_with_an_integer_weight_exits_2(cmd, tmp_path, capsys):
+    """A weight stored with SDT1's uint8 code is a data error naming the
+    tensor, and nothing is written."""
+    d = _micro_files(tmp_path)
+    named = load_checkpoint(d / "model.sdck")
+    named["head.b"] = np.array([3, 250], np.uint8)
+    save_checkpoint(d / "u8.sdck", named)
+    out = d / "out"
+    img = ["--image", str(d / "data" / "img_00000.sdt")]
+    tail = {"infer": [*img, "--crop", "32", "--step", "32", "--out", str(out)],
+            "eval": ["--data", str(d / "data"), "--crop", "32", "--step", "32",
+                     "--out", str(out)],
+            "explain": [*img, "--block", "enc1", "--out", str(out)]}[cmd]
+    assert main([cmd, "--ckpt", str(d / "u8.sdck"), *tail]) == 2
+    assert "head.b: dtype uint8 is not a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conv_only_count_ignores_window_sizes(tmp_path, capsys):
     outs = []
     for windows in ([3, 3, 3, 3], MICRO["window_sizes"]):

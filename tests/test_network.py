@@ -1,11 +1,14 @@
 import contextlib
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdah.network import (
     BLOCK_IDS,
+    CONFIG_KEY,
     LAYER_IDS,
     ModelConfig,
     build_model,
@@ -17,9 +20,9 @@ from sdah.network import (
     save_model,
     stage_layout,
 )
-from sdah.io import checkpoint_bytes
+from sdah.io import checkpoint_bytes, load_checkpoint
 from sdah.rng import Stream
-from sdah.tensor import NumericsError, Tensor, add, no_grad, tsum
+from sdah.tensor import NumericsError, Tensor, add, default_dtype, no_grad, tsum
 from sdah.training import TrainConfig, TrainingAborted, synth_dataset, train
 
 from oracles import bumped_logits
@@ -95,8 +98,8 @@ def test_build_is_deterministic():
 def test_different_seeds_differ():
     a = build_model(micro_config(seed=0))
     b = build_model(micro_config(seed=1))
-    assert not np.array_equal(a.blocks["enc1"].dw1_w.data,
-                              b.blocks["enc1"].dw1_w.data)
+    assert not np.array_equal(a.blocks["enc1"].dw1.w.data,
+                              b.blocks["enc1"].dw1.w.data)
 
 
 def test_named_parameters_order_is_stable():
@@ -387,6 +390,57 @@ def test_set_parameters_rejects_mismatches(tmp_path):
     bad["head.b"] = np.zeros(99)
     with pytest.raises(ValueError):
         m.set_parameters(bad)
+
+
+def test_set_parameters_rejects_an_integer_array_and_keeps_the_model():
+    """SDT1's uint8 code is for masks and the config: a weight stored with
+    it is refused by name, not cast, and no tensor changes."""
+    m = build_model(micro_config(seed=0))
+    before = {k: (t.data, t.data.copy()) for k, t in m.named_parameters().items()}
+    named = {k: t.data.copy()
+             for k, t in build_model(micro_config(seed=1)).named_parameters().items()}
+    named["head.b"] = np.array([3, 250], np.uint8)
+    with pytest.raises(ValueError, match="^head.b: dtype uint8 is not a float$"):
+        m.set_parameters(named)
+    for k, t in m.named_parameters().items():
+        assert t.data is before[k][0]
+        np.testing.assert_array_equal(t.data, before[k][1], err_msg=k)
+
+
+def test_float64_checkpoint_loads_as_float32(tmp_path):
+    """A float64 model's own checkpoint stores float64 weights; they load
+    cast to the float32 tensors."""
+    with default_dtype(np.float64):
+        m = build_model(micro_config(seed=3))
+    save_model(tmp_path / "m.sdck", m)
+    assert load_checkpoint(tmp_path / "m.sdck")["head.w"].dtype == np.float64
+    loaded, _ = load_model(tmp_path / "m.sdck")
+    for k, t in loaded.named_parameters().items():
+        assert t.data.dtype == np.float32, k
+        np.testing.assert_array_equal(t.data, m.named_parameters()[k].data.astype(np.float32))
+
+
+def test_checkpoint_entries_are_the_field_paths_of_its_model():
+    """The committed checkpoint's entries, `meta.*` aside, are in name and
+    order `named_parameters()` of the model its config builds."""
+    named = load_checkpoint(Path(__file__).resolve().parents[1] / "perfbench" / "micro_desk.sdck")
+    cfg = ModelConfig.from_dict(json.loads(bytes(named[CONFIG_KEY]).decode()))
+    entries = [k for k in named if not k.startswith("meta.")]
+    assert entries == list(build_model(cfg).named_parameters())
+
+
+@pytest.mark.parametrize("variant,absent", [
+    (dict(deform_flags="NNNN"), ".sdmsa.off_"),
+    (dict(deform_flags="NNNN", branch_mode="conv_only"), ".sdmsa."),
+    (dict(branch_mode="sdmsa_only", fusion="sum"), ".dw2."),
+])
+def test_an_absent_group_only_drops_its_names(variant, absent):
+    """A variant's names are the DDDD/dual model's in the same order, less
+    the groups the variant has no weights for."""
+    dual = list(build_model(micro_config()).named_parameters())
+    names = list(build_model(micro_config(**variant)).named_parameters())
+    assert names == [n for n in dual if absent not in n]
+    assert len(names) < len(dual)
 
 
 def test_set_parameters_is_all_or_nothing():

@@ -85,8 +85,8 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
     first = run("1")
     assert sorted(first) == sorted(
         [f"micro_{variant}.{what}" for variant in ("DDDD", "NNNN", "DNDN_sum", "DDDD_clamp")
-         for what in ("grads", "logits", "loss", "traces", "train4_params")]
-        + [f"default_224.{what}" for what in ("grads", "logits", "loss")]
+         for what in ("ckpt", "grads", "logits", "loss", "traces", "train4_params")]
+        + [f"default_224.{what}" for what in ("ckpt", "grads", "logits", "loss")]
         + [f"explain_enc1.{name}" for name in
            ("attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv")]
         + ["eval.csv", "infer.mask.sdt", "infer.preview.pgm"])

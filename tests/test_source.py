@@ -233,3 +233,31 @@ def test_unset_option_is_reported():
                ast.parse("g(*xs)\n")]
     assert _unset_options(defs, callers) == ["m.f(c)", "m.f(e)"]
     assert _unset_options(defs, [ast.parse("f(*xs, **kw)\n")]) == []
+
+
+def _definitions(tree: ast.Module, name: str) -> list[str]:
+    """Each function or method called `name`, as `Class.name(args)` inside a
+    class body and `name(args)` elsewhere."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body}
+    return [f"{owner[id(f)] + '.' if id(f) in owner else ''}{name}"
+            f"({', '.join(a.arg for a in f.args.args)})"
+            for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == name]
+
+
+def test_only_params_names_tensors():
+    """Checkpoint names are field paths, walked in one place; a hand-written
+    `named_tensors` table would restate a dataclass field by field."""
+    found = {p.name: _definitions(ast.parse(p.read_text(), str(p)), "named_tensors")
+             for p in LINTED}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "tensor.py": ["Params.named_tensors(self)"]}
+
+
+def test_named_tensors_definition_is_reported():
+    tree = ast.parse("class A:\n    def named_tensors(self, x):\n        pass\n\n"
+                     "def named_tensors():\n    pass\n\n"
+                     "def f():\n    def named_tensors(y):\n        pass\n")
+    assert sorted(_definitions(tree, "named_tensors")) == [
+        "A.named_tensors(self, x)", "named_tensors()", "named_tensors(y)"]

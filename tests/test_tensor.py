@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sdah.gradcheck import grad_check
 from sdah.tensor import (
     GradError,
     NumericsError,
+    Params,
     Tensor,
     _erf,
     add,
@@ -41,6 +43,34 @@ from sdah.training import TrainConfig, combined_loss
 
 def _rand(shape, seed=0, dtype=np.float64):
     return np.random.default_rng(seed).uniform(-2, 2, size=shape).astype(dtype)
+
+
+# -- parameter containers ----------------------------------------------------
+
+@dataclass
+class _Leaf(Params):
+    w: Tensor
+    b: Tensor | None
+
+
+@dataclass
+class _Toy(Params):
+    scale: float
+    first: Tensor
+    items: list
+    inner: _Leaf
+    gone: Tensor | None
+
+
+def test_params_name_tensors_by_field_path():
+    """Field order; a nested `Params` as a dotted prefix; list items numbered
+    after their field; None and a float setting skipped."""
+    t = [Tensor(np.full(1, i)) for i in range(6)]
+    toy = _Toy(0.5, t[0], [_Leaf(t[1], t[2]), _Leaf(t[3], None)], _Leaf(t[4], t[5]), None)
+    named = toy.named_tensors()
+    assert list(named) == ["first", "items0.w", "items0.b", "items1.w", "inner.w", "inner.b"]
+    assert all(a is b for a, b in zip(named.values(), t))
+    assert list(toy.inner.named_tensors()) == ["w", "b"]
 
 
 # -- construction and dtype policy --------------------------------------------
