@@ -261,7 +261,7 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
     s = gamma_off * ws / 2.  ref broadcasts to the points and lo, hi are
     the clip's bounds.  The convs run through `conv2d` without recording.
     GELU's output and the 1x1 conv's are checked even inside
-    `tensor._unchecked()`, since tanh and the clip would hide an inf.
+    `tensor._checked_once`, since tanh and the clip would hide an inf.
     The node's parents are q and the four offset weights; its `prep`
     carries the gradient down the chain once (clip mask, times s, tanh',
     the 1x1 conv's input gradient, GELU') and each VJP reads its step.
@@ -414,7 +414,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
 
     q, k, v (B, n_w, n_h, P, d); bias broadcasts to the (B, n_w, n_h, P, P)
     scores, which are scaled, biased and softmaxed in place.  The biased
-    scores get the one finite check, kept even inside `tensor._unchecked()`,
+    scores get the one finite check, kept even inside `tensor._checked_once`,
     so a -inf score raises like a NaN or +inf one, and finite scores always
     give finite probabilities.  The softmax's row max is one elementwise
     maximum over a contiguous keys-leading copy of the scores, which is

@@ -21,18 +21,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .gradcheck import GradCheckError
-from .io import FormatError, load_image, save_sdt1, to_u8, write_pgm
-from .inference import SlidingConfig, predict_mask
+from .attention import (SdmsaParams, WindowLayout, _attend, _deform_points, reference_points,
+                        sdmsa, window_merge, window_partition)
+from .convops import conv2d, deconv2d
+from .gradcheck import GradCheckError, grad_check
+from .io import FormatError, load_image, load_sdt1, save_sdt1, to_u8, write_pgm
+from .inference import SlidingConfig, predict_mask, sliding_predict, tile_positions
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
-from .tensor import GradError, NumericsError, _keep_heap
+from .rng import Stream
+from .tensor import GradError, NumericsError, Tensor, _keep_heap, gelu, matmul, softmax
 from .training import (
     CKPT_NAME,
     CURVE_NAME,
     TrainConfig,
     TrainingAborted,
     check_dataset,
+    combined_loss,
     load_dataset,
+    lr_at,
     save_dataset,
     synth_dataset,
     train,
@@ -188,12 +194,6 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _selfcheck_grads():
-    from .attention import SdmsaParams, WindowLayout, _attend, _deform_points, reference_points
-    from .gradcheck import grad_check
-    from .rng import Stream
-    from .tensor import gelu, matmul, softmax
-    from .training import TrainConfig, combined_loss
-
     s = Stream(7)
     a = s.uniform((4, 4), -1, 1)
     b = s.uniform((4, 4), -1, 1)
@@ -223,10 +223,6 @@ def _selfcheck_grads():
 
 
 def _selfcheck_windows():
-    from .attention import WindowLayout, window_merge, window_partition
-    from .rng import Stream
-    from .tensor import Tensor
-
     s = Stream(11)
     for shift in (0, 2):
         lay = WindowLayout(8, 8, 4, shift)
@@ -247,10 +243,6 @@ def _selfcheck_windows():
 
 
 def _selfcheck_zero_offset():
-    from .attention import SdmsaParams, WindowLayout, sdmsa
-    from .rng import Stream
-    from .tensor import Tensor
-
     s = Stream(13)
     params = SdmsaParams.init(8, 2, 4, s, deform=True)
     for t in (params.off_dw_w, params.off_dw_b, params.off_pw_w, params.off_pw_b):
@@ -266,10 +258,6 @@ def _selfcheck_zero_offset():
 
 
 def _selfcheck_adjoint():
-    from .convops import conv2d, deconv2d
-    from .rng import Stream
-    from .tensor import Tensor
-
     # <conv(x, w), g> == <x, deconv(g, w)> with the shared weight array
     s = Stream(17)
     x = Tensor(s.uniform((1, 3, 8, 8), -1, 1))
@@ -294,8 +282,6 @@ def _selfcheck_adjoint():
 
 
 def _selfcheck_tiles():
-    from .inference import sliding_predict, tile_positions
-
     if tile_positions(64, 32, 16) != [0, 16, 32]:
         raise AssertionError("tile enumeration changed")
     logits = np.array([0.2, -0.7])
@@ -316,8 +302,6 @@ def _selfcheck_tiles():
 
 
 def _selfcheck_lr():
-    from .training import TrainConfig, lr_at
-
     cfg = TrainConfig(base_lr=2e-4, decay_start_step=50_000, decay_every=10_000)
     got = (lr_at(0, cfg), lr_at(50_000, cfg), lr_at(69_999, cfg))
     if got != (2e-4, 1e-4, 5e-5):
@@ -338,12 +322,10 @@ def _selfcheck_metrics():
 def _selfcheck_formats():
     import tempfile
 
-    from .io import load_sdt1 as _l, save_sdt1 as _s
-
     with tempfile.TemporaryDirectory() as d:
         arr = np.arange(12, dtype=np.float32).reshape(3, 4)
-        _s(Path(d) / "t.sdt", arr)
-        if not np.array_equal(_l(Path(d) / "t.sdt"), arr):
+        save_sdt1(Path(d) / "t.sdt", arr)
+        if not np.array_equal(load_sdt1(Path(d) / "t.sdt"), arr):
             raise AssertionError("SDT1 round trip")
 
 

@@ -17,6 +17,7 @@ from .attention import SdmsaTrace
 from .io import save_sdt1, to_u8, write_pgm, write_ppm
 from .network import BLOCK_IDS, Model, forward
 from .sampling import bilinear_corners, bilinear_resize, bilinear_scatter
+from .tensor import NumericsError, _checked_once
 
 
 def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
@@ -99,28 +100,44 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     `image` is a (B, C, H, W) batch.  A None `roi_mask` becomes the pixels
     this forward argmax-predicts as the target class in image 0.  Returns
     (info, weights, cam): the forward's ForwardInfo, the (B, C, 1, 1)
-    channel weights, and the (H, W) map as seg_grad_cam describes it.
+    channel weights, and the (H, W) map as seg_grad_cam describes it.  The
+    pass runs through `tensor._checked_once`, which checks the logits, the
+    block's gradient and the weights' once; their .grad stay as found.
     """
     if block not in BLOCK_IDS:
         raise ValueError(f"unknown block {block!r}")
-    logits, info = forward(model, image)
-    k = logits.shape[1]
-    if not 0 <= target_class < k:
-        raise ValueError(f"class {target_class} outside [0, {k})")
-    if roi_mask is None:
-        roi_mask = np.argmax(logits.data[0], axis=0) == target_class
-    roi = np.asarray(roi_mask).astype(bool)
-    if roi.shape != logits.shape[-2:]:
-        raise ValueError("roi shape does not match the image")
-    if not roi.any():
-        raise ValueError("empty roi")
-    # d(score)/d(logits) for score = the target class's logits summed over the ROI
-    seed = np.zeros(logits.shape, logits.dtype)
-    seed[:, target_class] = roi
     params = model.named_parameters().values()
+
+    def run():
+        for t in params:
+            t.grad = None
+        logits, info = forward(model, image)
+        if not np.isfinite(logits.data).all():  # nested, forward checked nothing
+            raise NumericsError("the logits have non-finite values")
+        k = logits.shape[1]
+        if not 0 <= target_class < k:
+            raise ValueError(f"class {target_class} outside [0, {k})")
+        roi = roi_mask
+        if roi is None:
+            roi = np.argmax(logits.data[0], axis=0) == target_class
+        roi = np.asarray(roi).astype(bool)
+        if roi.shape != logits.shape[-2:]:
+            raise ValueError("roi shape does not match the image")
+        if not roi.any():
+            raise ValueError("empty roi")
+        # d(score)/d(logits) for score = the target class's logits summed over the ROI
+        seed = np.zeros(logits.shape, logits.dtype)
+        seed[:, target_class] = roi
+        logits.backward(seed)
+        return info, roi
+
+    def finite(out):
+        grads = [out[0].outputs[block].grad, *(t.grad for t in params)]
+        return all(g is None or np.isfinite(g).all() for g in grads)
+
     saved = [t.grad for t in params]
     try:
-        logits.backward(seed)
+        info, roi = _checked_once(run, finite)
     finally:  # the weights' .grad stay as the caller left them
         for t, g in zip(params, saved):
             t.grad = g

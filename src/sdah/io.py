@@ -67,20 +67,14 @@ def _sdt1_view(buf, offset: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(buf, dtype, count, pos).reshape(dims), end
 
 
-def sdt1_from_bytes(buf: bytes) -> tuple[np.ndarray, int]:
-    """Decode the tensor at the start of `buf`; returns (a copy of its
-    array, offset past the blob)."""
-    arr, end = _sdt1_view(buf, 0)
-    return arr.copy(), end
-
-
 def save_sdt1(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(sdt1_bytes(arr))
 
 
 def load_sdt1(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    arr, end = sdt1_from_bytes(buf)
+    """The file's array, a writable view into one buffer holding the file."""
+    buf = bytearray(Path(path).read_bytes())
+    arr, end = _sdt1_view(buf, 0)
     if end != len(buf):
         raise FormatError("trailing bytes after SDT1 payload")
     return arr

@@ -28,7 +28,7 @@ from . import blocks as B
 from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
-from .tensor import NumericsError, Tensor, _as_tensor, _collect_tensors, _scope, _unchecked
+from .tensor import NumericsError, Tensor, _as_tensor, _checked_once, _collect_tensors, _scope
 
 BLOCK_IDS = ("enc1", "enc2", "enc3", "bottleneck", "dec3", "dec2", "dec1")
 STAGE_OF_BLOCK = {
@@ -284,12 +284,10 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     attached to the graph, so its .grad fills in on backward).  A
     non-finite pixel raises NumericsError naming the input image.
 
-    The layers run without per-op finite checks and with numpy's float
-    warnings off, and the logits are checked once.  If they are not finite,
-    or a check that stays on raised, the forward runs again with every
-    check on and the caller's warning settings; being deterministic, it
-    then raises the first failing op's NumericsError, prefixed by its layer
-    id (`enc2: layer_norm produced non-finite values`).
+    The layers run through `tensor._checked_once`: without per-op finite
+    checks, with the logits checked once, and again with every check on to
+    name the first failing op (`enc2: layer_norm produced non-finite
+    values`) when they are not finite.
     """
     x = _as_tensor(image)
     if not np.isfinite(x.data).all():
@@ -298,14 +296,8 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     if x.ndim != 4 or x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     layouts = block_layouts(model, x.shape[2], x.shape[3])
-    try:
-        with _unchecked(), np.errstate(all="ignore"):
-            logits, info = _run_layers(model.layers, x, layouts)
-        if np.isfinite(logits.data).all():
-            return logits, info
-    except NumericsError:
-        pass
-    return _run_layers(model.layers, x, layouts)
+    return _checked_once(lambda: _run_layers(model.layers, x, layouts),
+                         lambda out: np.isfinite(out[0].data).all())
 
 
 def _run_layers(layers: dict, x: Tensor, layouts: dict) -> tuple[Tensor, ForwardInfo]:

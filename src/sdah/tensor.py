@@ -17,15 +17,15 @@ primitive checks `requires_grad` itself.  Ops whose VJPs share work pass a
 Every primitive checks its float outputs for NaN/Inf, and `backward` each
 gradient it pushes, and raises `NumericsError` instead of propagating them.
 These per-op checks are on by default, so a primitive called on its own
-always checks.  Inside `_unchecked()` they are off: `network.forward` runs
-that way and checks only its logits, and `train()` checks only the gathered
-gradient vector; on a failure either re-runs the work with the checks on to
-name the op.  A few checks stay on regardless, wherever a later op can turn
-a non-finite value back into a finite one (layer_norm's variance, the
-attention scores, the offset net's GELU and 1x1 conv outputs before tanh):
-there a check of the result would miss the failure.  Inside `_scope(name)`
-every error starts with that layer id, and each graph node keeps the id it
-was made under, so backward errors read `enc2: conv2d backward produced ...`.
+always checks.  `_checked_once(run, finite)` runs `network.forward`, a
+training step or a Grad-CAM pass without them and checks the result once,
+then on a failure runs it again with every check on to name the op.  A few
+checks stay on regardless, wherever a later op can turn a non-finite value
+back into a finite one (layer_norm's variance, the attention scores, the
+offset net's GELU and 1x1 conv outputs before tanh): there a check of the
+result would miss the failure.  Inside `_scope(name)` every error starts
+with that layer id, and each graph node keeps the id it was made under, so
+backward errors read `enc2: conv2d backward produced ...`.
 """
 
 from __future__ import annotations
@@ -77,17 +77,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = old
-
-
-@contextmanager
-def _unchecked():
-    """Skip the per-op finite checks; the caller checks the result once."""
-    global _checks
-    old, _checks = _checks, False
-    try:
-        yield
-    finally:
-        _checks = old
 
 
 @contextmanager
@@ -143,6 +132,29 @@ def _check_finite(arr: np.ndarray, op: str, scope: str | None = None) -> None:
     if arr.dtype.type in _FLOAT_DTYPES and not np.isfinite(arr).all():
         where = _layer if scope is None else scope
         raise NumericsError(f"{where + ': ' if where else ''}{op} produced non-finite values")
+
+
+def _checked_once(run, finite):
+    """`run()` with the per-op checks and numpy's float warnings off, when
+    `finite(result)` holds.  Otherwise, or when a kept check raised, `run()`
+    again with every check on and the caller's warnings: being
+    deterministic, it raises the first failing op's NumericsError, prefixed
+    by its layer id, or returns for the caller to judge.  Nested in another
+    call's unchecked run it just calls `run()`: the outermost call checks."""
+    global _checks
+    if not _checks:
+        return run()
+    _checks = False
+    try:
+        with np.errstate(all="ignore"):
+            out = run()
+        if finite(out):
+            return out
+    except NumericsError:
+        pass
+    finally:
+        _checks = True
+    return run()
 
 
 _SPENT = object()  # sentinel replacing a context once its backward ran
@@ -367,7 +379,7 @@ def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=Non
 
     Each VJP maps the output gradient, or `prep(grad)` when `prep` is given,
     to its parent's gradient; backward runs only those whose parent needs one.
-    `out` is checked for NaN/Inf unless inside `_unchecked()`.
+    `out` is checked for NaN/Inf unless inside `_checked_once`'s unchecked run.
     """
     if len(vjps) != len(parents):
         raise TypeError(f"{op}: {len(vjps)} VJPs for {len(parents)} parents")
@@ -687,7 +699,7 @@ def layer_norm(a, gamma, beta) -> Tensor:
     xc = a.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     # an overflowed variance would make inv 0 and the output a finite beta,
-    # so this check stays on inside `_unchecked()`
+    # so this check stays on inside `_checked_once`'s unchecked run
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv

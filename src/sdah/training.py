@@ -22,7 +22,7 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, _pack, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import NumericsError, Tensor, _as_tensor, _keep_heap, _make, _unchecked
+from .tensor import NumericsError, Tensor, _as_tensor, _checked_once, _keep_heap, _make
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
@@ -270,15 +270,14 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     curve CSV and final checkpoint (defaults: out_dir/loss.csv and
     out_dir/checkpoint.sdck).
 
-    A dataset `check_dataset` rejects raises its ValueError before the
-    first step, and no file is written.  A non-finite value raises
-    TrainingAborted naming the step, the layer and the op: the forward
-    checks its logits once (see `network.forward`), and the backward runs
-    without per-op checks or numpy float warnings, so one check of the
-    gathered gradient vector covers it; when that check fails, the step's
-    forward, loss and backward run again with every check on to name the
-    op.  A finite gradient that overflows Adam's second moment aborts the
-    step too (see `adam_step`).  The process keeps freed heap
+    A dataset `check_dataset` rejects raises its ValueError, and an output
+    path that cannot hold its directories an OSError, before the first
+    step.  A non-finite value raises TrainingAborted naming the step, the
+    layer and the op: each step's forward, loss and backward run through
+    `tensor._checked_once`, so one check of the loss and the gradient
+    vector covers them, and a failure replays the step with every check on
+    to name the op.  A finite gradient that overflows Adam's second moment
+    aborts the step too (see `adam_step`).  The process keeps freed heap
     memory from here on (`tensor._keep_heap`: glibc's mmap and trim
     thresholds, both set since either alone faults more), so each step
     reuses the last step's pages instead of faulting fresh ones in; RSS
@@ -288,10 +287,10 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     if out_dir is None and (ckpt_path is None or curve_path is None):
         raise ValueError("need out_dir or explicit ckpt_path and curve_path")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt_path = ckpt_path or out / CKPT_NAME
-        curve_path = curve_path or out / CURVE_NAME
+        ckpt_path = ckpt_path or Path(out_dir) / CKPT_NAME
+        curve_path = curve_path or Path(out_dir) / CURVE_NAME
+    Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
+    Path(curve_path).parent.mkdir(parents=True, exist_ok=True)
     # one parameter vector: each tensor's data becomes a contiguous view
     # into it, so Adam's in-place update of the vector updates the model
     params = list(model.named_parameters().values())
@@ -306,19 +305,17 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
         idx = batch_indices(cfg.seed, step, cfg.batch_size, len(data))
         images = np.stack([data[i].image.data for i in idx])
         labels = np.stack([data[i].label.data for i in idx])
-        try:
-            logits, _ = forward(model, Tensor(images))
-            loss, dl, cl = combined_loss(logits, labels, cfg)
+
+        def grads():  # the step's loss terms and gathered gradient vector
+            loss, dl, cl = combined_loss(forward(model, Tensor(images))[0], labels, cfg)
             for p in params:
                 p.zero_grad()
-            with _unchecked(), np.errstate(all="ignore"):
-                loss.backward()
-            g = np.concatenate([p.grad for p in params], axis=None)
-            if not np.isfinite(g).all():  # the step again, checked, names the op
-                for p in params:
-                    p.zero_grad()
-                logits, _ = forward(model, Tensor(images))
-                combined_loss(logits, labels, cfg)[0].backward()
+            loss.backward()
+            return loss, dl, cl, np.concatenate([p.grad for p in params], axis=None)
+
+        try:
+            loss, dl, cl, g = _checked_once(grads, _step_finite)
+            if not _step_finite((loss, dl, cl, g)):  # the checked replay returned
                 raise NumericsError("the gradient vector has non-finite values")
             lr = lr_at(step, cfg)
             if step % LOG_EVERY == 0 or step == cfg.max_steps - 1:
@@ -336,14 +333,17 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
         except NumericsError as e:
             raise TrainingAborted(f"non-finite value at step {step}: {e}") from e
 
-    Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(curve_path).parent.mkdir(parents=True, exist_ok=True)
     _write_curve(curve_path, rows)
     save_model(ckpt_path, model, extra={
         "step": np.float64(cfg.max_steps),
         "train_seconds": np.float64(time.monotonic() - t0),
     })
     return rows
+
+
+def _step_finite(step) -> bool:
+    """Whether a training step's loss and gradient vector are finite."""
+    return bool(np.isfinite(step[0].data).all() and np.isfinite(step[3]).all())
 
 
 def _write_curve(path, rows) -> None:

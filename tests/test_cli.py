@@ -196,6 +196,16 @@ def test_train_on_more_classes_than_the_head_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_into_a_path_under_a_file_exits_2_before_the_first_step(workdir, capsys):
+    (workdir / "afile").write_text("")
+    capsys.readouterr()
+    assert main(["train", "--data", str(workdir / "data"), "--config",
+                 str(workdir / "cfg.json"), "--out", str(workdir / "afile" / "run")]) == 2
+    out, err = capsys.readouterr()
+    assert not [line for line in out.splitlines() if line.startswith("step")]
+    assert err.startswith("error: ") and "Not a directory" in err
+
+
 def test_train_whose_adam_moment_overflows_exits_3(workdir, capsys):
     cfg = {"model": MICRO, "train": {"batch_size": 2, "max_steps": 3, "lambda_ce": 1e30}}
     (workdir / "big.json").write_text(json.dumps(cfg))

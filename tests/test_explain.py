@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sdah.attention
+import sdah.tensor
 from sdah.attention import SdmsaTrace, WindowLayout
 from sdah.explain import (
     _cam_pass,
@@ -13,7 +15,8 @@ from sdah.explain import (
 import sdah.explain
 from sdah.network import build_model, forward, micro_config
 from sdah.rng import Stream
-from sdah.tensor import Tensor
+from sdah.sampling import bilinear_resize
+from sdah.tensor import NumericsError, Tensor, add
 
 from oracles import bumped_logits, points_csv_per_point
 
@@ -269,6 +272,88 @@ def test_gradcam_leaves_weight_grads_as_it_found_them(preset, tmp_path):
                 assert t.grad is None, name
             else:
                 np.testing.assert_array_equal(t.grad, before[name], err_msg=name)
+
+
+def _check_finite_calls(monkeypatch, fn) -> int:
+    """How many finite checks `fn()` makes, the ones kept on included."""
+    calls, check = [], sdah.tensor._check_finite
+
+    def counting(*args):
+        calls.append(args[1])
+        check(*args)
+
+    with monkeypatch.context() as mp:
+        for module in (sdah.tensor, sdah.attention):
+            mp.setattr(module, "_check_finite", counting)
+        fn()
+    return len(calls)
+
+
+def test_a_healthy_gradcam_pass_checks_no_more_than_a_forward(monkeypatch):
+    """The backward is checked once, like the forward, not per op; the map's
+    resize is a primitive of its own."""
+    m, roi = _micro_model(), np.ones((32, 32), dtype=bool)
+    cam = _check_finite_calls(monkeypatch, lambda: seg_grad_cam(m, _image(), 1, "dec1", roi))
+    alone = (_check_finite_calls(monkeypatch, lambda: forward(m, _image()))
+             + _check_finite_calls(monkeypatch,
+                                   lambda: bilinear_resize(np.ones((1, 8, 8)), 32, 32)))
+    assert cam <= alone
+
+
+@pytest.mark.parametrize("lid", ["enc1", "dec2"])
+def test_gradcam_names_a_weight_poisoned_after_the_forward(lid, monkeypatch):
+    """NaN only while the backward runs: the one check of the gradients
+    fails, and the checked pass names the op; the .grad stay as found."""
+    m = _micro_model()
+    params = m.named_parameters()
+    w, clean = params[f"{lid}.dw1.w"], params[f"{lid}.dw1.w"].data.flat[0]
+    for i, t in enumerate(params.values()):
+        t.grad = np.full(t.shape, float(i), t.data.dtype)
+    before = {name: t.grad.copy() for name, t in params.items()}
+
+    def forward_then_poison(model, image):
+        w.data.flat[0] = clean
+        out = forward(model, image)
+        w.data.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(sdah.explain, "forward", forward_then_poison)
+    with pytest.raises(NumericsError,
+                       match=f"^{lid}: conv2d backward produced non-finite values$"):
+        seg_grad_cam(m, _image(), 1, "dec1", np.ones((32, 32), dtype=bool))
+    for name, t in params.items():
+        np.testing.assert_array_equal(t.grad, before[name], err_msg=name)
+
+
+def test_gradcam_names_a_nan_head_bias_before_reading_the_roi():
+    """A NaN head bias makes every class-0 logit NaN, and NaN argmaxes to
+    class 0; no kept check follows the head.  The forward's op is named,
+    not an empty ROI for class 1."""
+    m = _micro_model()
+    m.named_parameters()["head.b"].data[0] = np.nan
+    with pytest.raises(NumericsError, match="^head: deconv2d produced non-finite values$"):
+        _cam_pass(m, _image(), 1, "dec1", None)
+
+
+def test_gradcam_starts_from_no_grad_and_runs_once(monkeypatch):
+    """The caller's NaN .grad neither fail the pass's check (no second
+    forward) nor change the map, and they are back in place after it."""
+    m, roi = _micro_model(), np.ones((32, 32), dtype=bool)
+    want = seg_grad_cam(m, _image(), 1, "dec1", roi)
+    params = m.named_parameters()
+    for t in params.values():
+        t.grad = np.full(t.shape, np.nan, t.data.dtype)
+    calls = []
+    monkeypatch.setattr(sdah.explain, "forward", lambda *a: calls.append(1) or forward(*a))
+    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi), want)
+    assert calls == [1] and all(np.isnan(t.grad).all() for t in params.values())
+
+
+def test_an_empty_roi_leaves_the_checks_on_and_no_layer_named():
+    with pytest.raises(ValueError, match="empty roi"):
+        seg_grad_cam(_micro_model(), _image(), 1, "dec1", np.zeros((32, 32), dtype=bool))
+    with pytest.raises(NumericsError, match="^add produced non-finite values$"):
+        add(Tensor(np.array([np.inf], np.float32)), 1.0)
 
 
 @pytest.mark.parametrize("block,ch,hw", [("dec1", 8, 8), ("dec2", 16, 4)])

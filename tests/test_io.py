@@ -12,8 +12,8 @@ from sdah.io import (
     load_sdt1,
     save_checkpoint,
     save_sdt1,
+    _sdt1_view,
     sdt1_bytes,
-    sdt1_from_bytes,
     to_u8,
     write_pgm,
     write_ppm,
@@ -63,7 +63,7 @@ def test_sdt1_bad_magic(tmp_path):
 def test_sdt1_truncated_payload():
     good = sdt1_bytes(np.ones((4, 4), dtype=np.float32))
     with pytest.raises(FormatError):
-        sdt1_from_bytes(good[:-8])
+        _sdt1_view(good[:-8], 0)
 
 
 def test_checkpoint_every_truncation_raises_format_error(tmp_path):
@@ -204,7 +204,7 @@ def test_to_u8_scaling():
                   hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
                   elements=st.floats(-1e6, 1e6, width=32)))
 def test_sdt1_bytes_round_trip_property(arr):
-    back, end = sdt1_from_bytes(sdt1_bytes(arr))
+    back, end = _sdt1_view(sdt1_bytes(arr), 0)
     assert end == len(sdt1_bytes(arr))
     np.testing.assert_array_equal(back, arr)
     assert back.dtype == arr.dtype

@@ -192,7 +192,7 @@ def test_nan_weight_names_its_layer_and_the_op_a_checked_run_names(lid, recordin
     m = build_model(micro_config())
     _conv_weight(m, lid).data.flat[0] = np.nan
     with monkeypatch.context() as mp:
-        mp.setattr("sdah.network._unchecked", contextlib.nullcontext)
+        mp.setattr("sdah.network._checked_once", lambda run, finite: run())
         with recording(), pytest.raises(NumericsError) as checked:
             forward(m, _img(2))
     with recording(), pytest.raises(NumericsError) as deferred:

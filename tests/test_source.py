@@ -261,3 +261,53 @@ def test_named_tensors_definition_is_reported():
                      "def f():\n    def named_tensors(y):\n        pass\n")
     assert sorted(_definitions(tree, "named_tensors")) == [
         "A.named_tensors(self, x)", "named_tensors()", "named_tensors(y)"]
+
+
+def _check_policy_sites(tree: ast.Module) -> list[str]:
+    """Each place that turns the per-op finite checks or numpy's float
+    warnings off, by the innermost function around it (`<module>` outside
+    any): a store to `_checks`, a function named `_unchecked`, and a `with
+    np.errstate(all="ignore")`."""
+    out = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "_unchecked":
+                out.add(f"def _unchecked in {where}")
+            where = node.name
+        if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+                and getattr(node, "id", getattr(node, "attr", None)) == "_checks"):
+            out.add(f"_checks = in {where}")
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for e in (item.context_expr for item in node.items):
+                if (isinstance(e, ast.Call) and getattr(e.func, "attr", None) == "errstate"
+                        and any(k.arg == "all" and getattr(k.value, "value", None) == "ignore"
+                                for k in e.keywords)):
+                    out.add(f"errstate(all='ignore') in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(out)
+
+
+def test_one_owner_turns_the_checks_off():
+    """`tensor._checked_once` alone turns the per-op checks off, numpy's
+    float warnings with them, and replays to name the op; `cli.main`
+    silences the warnings for a whole command."""
+    found = {p.name: _check_policy_sites(ast.parse(p.read_text(), str(p))) for p in LINTED}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "cli.py": ["errstate(all='ignore') in main"],
+        "tensor.py": ["_checks = in <module>", "_checks = in _checked_once",
+                      "errstate(all='ignore') in _checked_once"]}
+
+
+def test_check_policy_site_is_reported():
+    tree = ast.parse("_checks = True\n\n@contextmanager\ndef _unchecked():\n"
+                     "    global _checks\n    old, _checks = _checks, False\n\n"
+                     "def f():\n    with _unchecked(), np.errstate(all='ignore'):\n"
+                     "        T._checks = False\n"
+                     "    with np.errstate(over='ignore'):\n        pass\n")
+    assert _check_policy_sites(tree) == [
+        "_checks = in <module>", "_checks = in _unchecked", "_checks = in f",
+        "def _unchecked in <module>", "errstate(all='ignore') in f"]

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sdah.tensor as T
 from sdah.convops import conv2d
 from sdah.gradcheck import grad_check
 from sdah.tensor import (
@@ -455,6 +456,73 @@ def test_primitive_output_is_checked_once(monkeypatch):
     monkeypatch.setattr(T, "_check_finite", counting)
     out = add(a, b)
     assert out.requires_grad and calls == ["add"]
+
+
+# -- check once, replay checked ---------------------------------------------------
+
+def test_checked_once_runs_a_healthy_run_once_with_the_checks_off():
+    seen = []
+
+    def run():
+        seen.append((T._checks, np.geterr()["over"]))
+        return 1.0
+
+    assert T._checked_once(run, lambda out: out == 1.0) == 1.0
+    assert seen == [(False, "ignore")] and T._checks
+
+
+@pytest.mark.parametrize("fault", ["result not finite", "kept check raised"])
+def test_checked_once_runs_a_failed_run_again_with_every_check_on(fault):
+    """The second call runs with the per-op checks and the caller's warning
+    settings; a result it returns goes back to the caller."""
+    seen = []
+
+    def run():
+        seen.append((T._checks, np.geterr()["over"]))
+        if len(seen) == 1 and fault == "kept check raised":
+            raise NumericsError("enc1: layer_norm produced non-finite values")
+        return len(seen)
+
+    assert T._checked_once(run, lambda n: n > 1) == 2
+    assert seen == [(False, "ignore"), (True, np.geterr()["over"])] and T._checks
+
+
+def test_checked_once_raises_the_checked_runs_error():
+    def run():  # an inf that only the per-op check of `add` sees
+        add(Tensor(np.array([np.inf], np.float32)), 1.0)
+        return np.array([np.inf])
+
+    with pytest.raises(NumericsError, match="^add produced non-finite values$"):
+        T._checked_once(run, lambda out: np.isfinite(out).all())
+    assert T._checks
+
+
+def test_checked_once_lets_other_errors_through_with_the_checks_on():
+    calls = []
+
+    def run():
+        calls.append(T._checks)
+        raise ValueError("empty roi")
+
+    with pytest.raises(ValueError, match="empty roi"):
+        T._checked_once(run, lambda out: True)
+    assert calls == [False] and T._checks
+
+
+def test_a_nested_checked_once_runs_once_and_checks_nothing():
+    """Inside another call's unchecked run the outer call owns the check."""
+    runs, checked = [], []
+
+    def inner():
+        runs.append(T._checks)
+        return np.array([np.nan])
+
+    def judge(out):
+        checked.append(out)
+        return False
+
+    out = T._checked_once(lambda: T._checked_once(inner, judge), lambda out: True)
+    assert np.isnan(out).all() and runs == [False] and checked == []
 
 
 # -- properties ----------------------------------------------------------------

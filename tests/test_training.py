@@ -256,6 +256,18 @@ def test_train_aborts_when_adams_second_moment_overflows(tmp_path):
     assert not (tmp_path / "checkpoint.sdck").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_aborts_on_a_loss_that_overflows_with_finite_gradients(tmp_path):
+    """lambda_ce = 1e39 is inf in float32, so the loss is inf while its
+    gradients (lambda_ce / pixels) stay finite: the step's one check covers
+    the loss too, and the checked replay names the loss node."""
+    with pytest.raises(TrainingAborted, match="^non-finite value at step 0: "
+                                              "combined_loss produced non-finite values$"):
+        train(build_model(micro_config()), synth_dataset(4, 32, 32, 2, seed=4),
+              TrainConfig(batch_size=2, max_steps=3, seed=0, lambda_ce=1e39),
+              out_dir=tmp_path)
+
+
 # -- batching -------------------------------------------------------------------
 
 def test_batch_indices_pure_and_in_range():
@@ -487,6 +499,21 @@ def test_train_rejects_a_class_count_the_head_does_not_output(tmp_path):
     with pytest.raises(ValueError, match="3 classes.*outputs 2"):
         train(model, data, TrainConfig(batch_size=2, max_steps=2), out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+def test_train_fails_on_an_output_path_under_a_file_before_the_first_step(tmp_path,
+                                                                            monkeypatch):
+    """The output directories are made before the loop, so a path that
+    cannot hold them loses no training."""
+    afile, drawn = tmp_path / "afile", []
+    afile.write_text("")
+    monkeypatch.setattr("sdah.training.batch_indices",
+                        lambda *args: drawn.append(args) or batch_indices(*args))
+    with pytest.raises(OSError):
+        train(build_model(micro_config()), synth_dataset(4, 32, 32, 2, seed=4),
+              TrainConfig(batch_size=2, max_steps=2),
+              ckpt_path=afile / "x.sdck", curve_path=afile / "x.csv")
+    assert drawn == []
 
 
 def test_train_steps_reuse_freed_heap_pages(tmp_path, glibc):
