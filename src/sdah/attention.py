@@ -45,6 +45,7 @@ from .tensor import (
     _gelu,
     _gelu_slope,
     _make,
+    _roll2,
     _unbroadcast,
     linear,
     matmul,
@@ -96,7 +97,7 @@ def _to_windows(a: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:
     """(B, C, H, W) -> (B, n_windows, heads, P, C/heads) after the cyclic
     shift: windows and patches row-major, channel c = head * C/heads + j."""
     if layout.shift:
-        a = np.roll(a, (-layout.shift, -layout.shift), (2, 3))
+        a = _roll2(a, -layout.shift, -layout.shift)
     b, c = a.shape[:2]
     ws, ny, nx = layout.ws, layout.h // layout.ws, layout.w // layout.ws
     t = a.reshape(b, heads, c // heads, ny, ws, nx, ws).transpose(0, 3, 5, 1, 4, 6, 2)
@@ -109,7 +110,7 @@ def _from_windows(a: np.ndarray, layout: WindowLayout) -> np.ndarray:
     ws, ny, nx = layout.ws, layout.h // layout.ws, layout.w // layout.ws
     t = a.reshape(b, ny, nx, heads, ws, ws, d).transpose(0, 3, 6, 1, 4, 2, 5)
     x = t.reshape(b, heads * d, layout.h, layout.w)
-    return np.roll(x, (layout.shift, layout.shift), (2, 3)) if layout.shift else x
+    return _roll2(x, layout.shift, layout.shift) if layout.shift else x
 
 
 def window_partition(x, layout: WindowLayout, heads: int = 1) -> Tensor:
@@ -285,7 +286,7 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
     off = th * scale
     pts = off + ref.astype(off.dtype)
     inside = (pts > lo) & (pts < hi)
-    pts = np.clip(pts, lo, hi)
+    pts = pts.clip(lo, hi)
 
     def prep(g):  # (1x1 conv output gradient, depthwise conv output gradient)
         g = g * inside * scale * (1.0 - th * th)
@@ -336,12 +337,21 @@ def _hat(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
     return h
 
 
-def _slope(e: np.ndarray, i0, i1, inside) -> np.ndarray:
-    """Sum over the last (query) axis of e at i1 minus e at i0, where the
-    displacement is strictly inside the table: the per-axis derivative."""
+def _slope(e: np.ndarray, i0, inside) -> np.ndarray:
+    """Sum over the last (query) axis of e at i0, where the displacement is
+    strictly inside the table (there i1 = i0 + 1): with e the gradient times
+    the table's forward differences (`_steps`), the per-axis derivative."""
     pos = _hat_positions(i0.shape, e.shape[-1], False)
-    e = e.reshape(-1)
-    return ((np.take(e, pos + i1) - np.take(e, pos + i0)) * inside).sum(axis=-1)
+    return (e.reshape(-1).take(pos + i0) * inside).sum(axis=-1)
+
+
+def _steps(m: np.ndarray) -> np.ndarray:
+    """Forward differences m[..., c + 1] - m[..., c] along the last axis, 0
+    at its end, as a new contiguous array: the zero is read only where the
+    displacement is clamped, and keeps every i0 a valid index."""
+    d = np.zeros(m.shape, m.dtype)
+    np.subtract(m[..., 1:], m[..., :-1], out=d[..., :-1])
+    return d
 
 
 def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
@@ -360,11 +370,12 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
     per row), the bias is bias[(ry, rx), j] = sum_c (Hy T)[j, ry, c]
     Hx[j, rx, c]: one matmul with the table, then P small (ws, t) x (t, ws)
     products.  Backward keeps the forward's Hy and Hx (the latter as its
-    transpose) and the per-axis (floor, upper, fraction, inside) arrays;
-    the table gradient is Hy^T (G Hx) and each key coordinate's gradient is
-    its axis' table slope summed over the ws query rows (or columns): zero
-    where the displacement is not strictly inside (0, t-1), the right
-    derivative at integer displacements.
+    transpose) and the per-axis floors and inside masks; the table
+    gradient is Hy^T (G Hx) and each key coordinate's gradient is its
+    axis' table slope summed over the ws query rows (or columns): (G Hx)
+    times the table's forward differences along y, or (G^T Hy) times those
+    along x, read at the floor; zero where the displacement is not strictly
+    inside (0, t-1), the right derivative at integer displacements.
     """
     keys = _as_tensor(keys, like=table)
     tab = table.data
@@ -391,19 +402,19 @@ def _relative_bias(table: Tensor, keys, origins: np.ndarray) -> Tensor:
         # (.., (ry, rx), j) -> (.., j, ry, rx), and its rows times Hx
         g = np.ascontiguousarray(
             g.reshape(b, nw, nh, ws, ws, p).transpose(0, 1, 2, 5, 3, 4))
-        return g, g @ np.ascontiguousarray(np.swapaxes(hxt, -1, -2))  # (.., j, ry, t)
+        return g, g @ np.ascontiguousarray(hxt.swapaxes(-1, -2))  # (.., j, ry, t)
 
     def dt(s):
         g_rows = s[1]
-        return (np.swapaxes(hy.reshape(b * nw, nh, p * ws, t), -1, -2)
+        return (hy.reshape(b * nw, nh, p * ws, t).swapaxes(-1, -2)
                 @ g_rows.reshape(b * nw, nh, p * ws, t)).sum(axis=0)
 
     def dk(s):
         g, g_rows = s
-        g_cols = np.swapaxes(g, -1, -2) @ hy     # (.., j, rx, t)
+        g_cols = g.swapaxes(-1, -2) @ hy         # (.., j, rx, t)
         return np.stack([
-            _slope(rows(g_rows, np.swapaxes(tab, -1, -2)), y0, y1, my),
-            _slope(rows(g_cols, tab), x0, x1, mx),
+            _slope(rows(g_rows, _steps(tab.swapaxes(-1, -2))), y0, my),
+            _slope(rows(g_cols, _steps(tab)), x0, mx),
         ], axis=-1)
 
     return _make("relative_bias", out, (table, keys), dt, dk, prep=prep)
@@ -424,26 +435,31 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
     probabilities are the one array the backward keeps; its `prep` computes
     dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.  Each
     step runs in the order of the six-node chain this replaces, so values
-    and gradients equal the chain's bit for bit.
+    and gradients equal the chain's bit for bit, with one caveat: kᵀ for
+    the scores and vᵀ for dP are contiguous copies (numpy's batched matmul
+    is up to 2.2x slower on the strided views at window shapes), and
+    OpenBLAS's plain and transposed kernels agree at the head widths the
+    shipped configs use (d <= 16, float32) but can round the last bit
+    apart at d = 32 in float32 and d >= 16 in float64.
     """
     scale = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    probs = np.matmul(q.data, np.ascontiguousarray(k.data.swapaxes(-1, -2)))
     probs *= scale
     probs += bias.data
     _check_finite(probs, "attend")
-    probs -= np.maximum.reduce(np.moveaxis(probs, -1, 0).copy(), axis=0)[..., None]
+    probs -= np.maximum.reduce(probs.transpose(4, 0, 1, 2, 3).copy(), axis=0)[..., None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
     def prep(g):  # (g, dS, scale * dS), the last a copy: the bias VJP may return dS
-        dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        dp = np.matmul(g, np.ascontiguousarray(v.data.swapaxes(-1, -2)))
         ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
         return g, ds, ds * scale
 
     out = _make("attend", np.matmul(probs, v.data), (q, k, v, bias),
                 lambda s: np.matmul(s[2], k.data),
-                lambda s: np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), s[2]), -1, -2),
-                lambda s: np.matmul(np.swapaxes(probs, -1, -2), s[0]),
+                lambda s: np.matmul(q.data.swapaxes(-1, -2), s[2]).swapaxes(-1, -2),
+                lambda s: np.matmul(probs.swapaxes(-1, -2), s[0]),
                 lambda s: _unbroadcast(s[1], bias.shape), prep=prep)
     return out, probs
 
@@ -477,7 +493,7 @@ def sdmsa(x, params: SdmsaParams, layout: WindowLayout) -> tuple[Tensor, SdmsaTr
             lo = org.reshape(1, nw, 1, 1, 2)
             hi = lo + (ws - 1)
         pts, offs = _deform_points(q, params, ws, ref.reshape(1, nw, 1, p, 2), lo, hi)
-        xs = roll(x, (-layout.shift, -layout.shift), (2, 3)) if layout.shift else x
+        xs = roll(x, (-layout.shift, -layout.shift)) if layout.shift else x
         kv_in = bilinear_sample_batch(xs, pts)     # (B, n_w, n_h, P, d)
         bias = _relative_bias(params.bias_table, pts, org)
         defp = pts.data

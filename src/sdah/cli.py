@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,11 @@ import numpy as np
 from .attention import (SdmsaParams, WindowLayout, _attend, _deform_points, reference_points,
                         sdmsa, window_merge, window_partition)
 from .convops import conv2d, deconv2d
+from .explain import export_bundle
 from .gradcheck import GradCheckError, grad_check
 from .io import FormatError, load_image, load_sdt1, save_sdt1, to_u8, write_pgm
 from .inference import SlidingConfig, predict_mask, sliding_predict, tile_positions
+from .metrics import dsc, evaluate_pairs, hd95, write_eval_csv
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
 from .rng import Stream
 from .tensor import GradError, NumericsError, Tensor, _keep_heap, gelu, matmul, softmax
@@ -115,7 +118,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _make_parents(*paths) -> None:
+    """Create each given output path's parent directories before any work,
+    so a parent that is a regular file exits 2 with nothing written."""
+    for path in paths:
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_infer(args) -> int:
+    _make_parents(args.out, args.preview)
     model, _ = load_model(args.ckpt)
     mask = predict_mask(model, load_image(args.image), _sliding(args))
     save_sdt1(args.out, mask)
@@ -126,8 +138,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .metrics import evaluate_pairs, write_eval_csv
-
+    _make_parents(args.out)
     model, _ = load_model(args.ckpt)
     data = load_dataset(args.data)
     cfg = _sliding(args)
@@ -147,8 +158,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from .explain import export_bundle
-
     model, _ = load_model(args.ckpt)
     paths = export_bundle(model, load_image(args.image)[None], args.block,
                           args.cls, args.out, stride=args.stride)
@@ -309,8 +318,6 @@ def _selfcheck_lr():
 
 
 def _selfcheck_metrics():
-    from .metrics import dsc, hd95
-
     a = np.zeros((8, 8), bool)
     b = np.zeros((8, 8), bool)
     a[0, 0] = True
@@ -320,8 +327,6 @@ def _selfcheck_metrics():
 
 
 def _selfcheck_formats():
-    import tempfile
-
     with tempfile.TemporaryDirectory() as d:
         arr = np.arange(12, dtype=np.float32).reshape(3, 4)
         save_sdt1(Path(d) / "t.sdt", arr)

@@ -143,7 +143,7 @@ def _banded_backward_w(x: np.ndarray, dy: np.ndarray, k: int, p: int, b: int) ->
     c = x.shape[1]
     rows = np.ascontiguousarray(_rows(x, k, p, b).transpose(1, 0, 2, 3, 4, 5))
     dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(c, -1, b)
-    dbt = np.swapaxes(dyc, -1, -2) @ rows.reshape(c, dyc.shape[1], -1)  # (C, b, k*L)
+    dbt = dyc.swapaxes(-1, -2) @ rows.reshape(c, dyc.shape[1], -1)  # (C, b, k*L)
     return _diagonals(dbt, k, transposed=True).sum(axis=-1).reshape(c, 1, k, k)
 
 
@@ -176,7 +176,7 @@ def _conv_backward_x(dy, w, s, p, g, in_hw):
     ho, wo = dy.shape[2], dy.shape[3]
     wm = w.reshape(g, cout // g, cg * k * k)
     dyr = dy.reshape(n, g, cout // g, ho * wo)
-    dcols = np.matmul(np.swapaxes(wm, -1, -2), dyr)  # (N,g,cg*k*k,L)
+    dcols = np.matmul(wm.swapaxes(-1, -2), dyr)  # (N,g,cg*k*k,L)
     dcols = dcols.reshape(n, g * cg, k, k, ho, wo)
     return _col2im(dcols, in_hw, k, s, p)
 
@@ -190,7 +190,7 @@ def _conv_backward_w(x, dy, k, s, p, g):
         return _banded_backward_w(x, dy, k, p, _band_width(wo, k))
     cols = _im2col(_pad(x, p), k, s, ho, wo).reshape(n, g, cg * k * k, ho * wo)
     dyr = dy.reshape(n, g, cout // g, ho * wo)
-    dw = np.matmul(dyr, np.swapaxes(cols, -1, -2)).sum(axis=0)  # (g,cout/g,cg*k*k)
+    dw = np.matmul(dyr, cols.swapaxes(-1, -2)).sum(axis=0)  # (g,cout/g,cg*k*k)
     return dw.reshape(cout, cg, k, k)
 
 

@@ -24,7 +24,7 @@ def axis_corners(v: np.ndarray, n: int):
     at n - 1) and the fractional part, so the blend is (1 - f) at i0 plus f
     at i1, and i1 == i0 only where f == 0.
     """
-    c = np.clip(v, 0.0, n - 1.0)
+    c = v.clip(0.0, n - 1.0)
     i0 = np.floor(c)
     f = c - i0
     i0 = i0.astype(np.int64)
@@ -81,13 +81,17 @@ def bilinear_sample_batch(f, points) -> Tensor:
     if cg * lead[-2] != c:
         raise ValueError(f"{lead[-2]} point groups do not divide {c} channels")
 
+    to_g = list(range(len(lead) + 1))  # (B, ..., G, P, k): the group axis to 1
+    to_g.insert(1, to_g.pop(-3))
+    from_g = np.argsort(to_g)
+
     def to_batch(a):  # (B, ..., G, P, k) -> (B*G, M*P, k)
-        a = np.moveaxis(a.reshape(lead + a.shape[-1:]), -3, 1)
+        a = a.reshape(lead + a.shape[-1:]).transpose(to_g)
         return a.reshape(bg, -1, a.shape[-1])
 
     def from_batch(a):  # (B*G, M*P, k) -> (B, ..., G, P, k), or (B, P, k)
         a = a.reshape((b, lead[-2]) + lead[1:-2] + lead[-1:] + a.shape[-1:])
-        return np.moveaxis(a, 1, -3).reshape(points.shape[:-1] + a.shape[-1:])
+        return a.transpose(from_g).reshape(points.shape[:-1] + a.shape[-1:])
 
     pts = to_batch(points.data)
     idx, wts, fy, fx = bilinear_corners(pts[..., 0], pts[..., 1], h, w)
@@ -97,7 +101,7 @@ def bilinear_sample_batch(f, points) -> Tensor:
     # out (B*G, C/G, M*P); the backward builds the flat indices it scatters at
     rows = f.data.reshape(bg, cg, h * w).transpose(0, 2, 1).reshape(bg * h * w, cg)
     base = np.arange(bg).reshape(bg, 1) * (h * w)
-    v00, v01, v10, v11 = (np.take(rows, base + i, axis=0).transpose(0, 2, 1).copy()
+    v00, v01, v10, v11 = (rows.take(base + i, axis=0).transpose(0, 2, 1).copy()
                           for i in idx)
     w00, w01, w10, w11 = (ww[:, None, :] for ww in wts)
     out = from_batch((w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).transpose(0, 2, 1))

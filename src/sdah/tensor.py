@@ -284,21 +284,22 @@ class Tensor:
             node._ctx = _SPENT
 
     def _topo(self) -> list["Tensor"]:
-        # iterative DFS: graphs are deep enough that recursion would be fragile
+        # iterative DFS: graphs are deep enough that recursion would be
+        # fragile; tensors hash by identity, so `seen` holds them directly
         order, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             ctx = node._ctx
             if ctx is not None and ctx is not _SPENT:
                 for p in ctx.parents:
-                    if p.requires_grad and id(p) not in seen:
+                    if p.requires_grad and p not in seen:
                         stack.append((p, False))
         return order
 
@@ -469,25 +470,28 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     return _make("matmul", np.matmul(a.data, b.data), (a, b),
-                 lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                 lambda g: _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)),
                                         a.data.shape),
-                 lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                 lambda g: _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g),
                                         b.data.shape))
 
 
 def linear(x, w, b=None) -> Tensor:
     """Channel mix along axis 1: (N, C_in, ...) by w (C_in, C_out) plus an
-    optional bias (C_out,) -> (N, C_out, ...), one product per image."""
+    optional bias (C_out,) -> (N, C_out, ...), one product per image.  The
+    weight gradient is the one `np.dot` over (image, position) pairs that
+    `np.tensordot(x3, g3, ((0, 2), (0, 2)))` makes, without its wrapper."""
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
     if w.ndim != 2 or x.ndim < 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"linear: input {x.shape} does not match weight {w.shape}")
-    n, cout = x.shape[0], w.shape[1]
-    x3 = x.data.reshape(n, w.shape[0], -1)
+    (cin, cout), n = w.shape, x.shape[0]
+    x3 = x.data.reshape(n, cin, -1)
     out = np.matmul(w.data.T, x3)
     parents = (x, w) if b is None else (x, w, _as_tensor(b, like=x))
     vjps = (lambda g3: np.matmul(w.data, g3).reshape(x.data.shape),
-            lambda g3: np.tensordot(x3, g3, axes=((0, 2), (0, 2))))
+            lambda g3: np.dot(x3.transpose(1, 0, 2).reshape(cin, -1),
+                              g3.transpose(0, 2, 1).reshape(-1, cout)))
     if b is not None:
         out += parents[2].data[:, None]
         vjps += (lambda g3: g3.sum(axis=(0, 2)),)
@@ -520,13 +524,26 @@ def swap_last(a) -> Tensor:
     return transpose(a, axes)
 
 
-def roll(a, shifts, axes) -> Tensor:
+def _roll2(a: np.ndarray, sy: int, sx: int) -> np.ndarray:
+    """np.roll(a, (sy, sx), (-2, -1)) as four block copies, without
+    np.roll's axis normalisation and index products."""
+    h, w = a.shape[-2:]
+    sy, sx = sy % max(h, 1), sx % max(w, 1)
+    out = np.empty_like(a)
+    out[..., sy:, sx:] = a[..., :h - sy, :w - sx]
+    out[..., sy:, :sx] = a[..., :h - sy, w - sx:]
+    out[..., :sy, sx:] = a[..., h - sy:, :w - sx]
+    out[..., :sy, :sx] = a[..., h - sy:, w - sx:]
+    return out
+
+
+def roll(a, shifts) -> Tensor:
+    """Cyclic shift of the last two axes by shifts = (sy, sx)."""
     a = _as_tensor(a)
-    shifts = tuple(shifts)
-    axes = tuple(axes)
-    back = tuple(-s for s in shifts)
-    return _make("roll", np.roll(a.data, shifts, axis=axes), (a,),
-                 lambda g: np.roll(g, back, axis=axes))
+    if a.ndim < 2:
+        raise ValueError(f"roll needs at least 2 dims, got {a.shape}")
+    sy, sx = shifts
+    return _make("roll", _roll2(a.data, sy, sx), (a,), lambda g: _roll2(g, -sy, -sx))
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -626,12 +643,12 @@ def _erf(z):
     """erf in z's float dtype: odd, 0 at 0 and exactly +-1 from |z| = 4.9 on;
     within 6.5 ulp of the true erf over every float32 in [-6, 6], and within
     7e-10 in float64."""
-    a = np.clip(z, -_ERF_CLAMP, _ERF_CLAMP)
+    a = z.clip(-_ERF_CLAMP, _ERF_CLAMP)
     s = a * a
     p = _horner(_ERF_P, s)
     p *= a
     p /= _horner(_ERF_Q, s)
-    return np.clip(p, -1.0, 1.0)
+    return p.clip(-1.0, 1.0)
 
 
 def gelu(a) -> Tensor:
@@ -695,9 +712,9 @@ def layer_norm(a, gamma, beta) -> Tensor:
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
 
-    mu = a.data.mean(axis=1, keepdims=True)
+    mu = _channel_mean(a.data)
     xc = a.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = _channel_mean(xc * xc)
     # an overflowed variance would make inv 0 and the output a finite beta,
     # so this check stays on inside `_checked_once`'s unchecked run
     _check_finite(var, "layer_norm")
@@ -708,9 +725,18 @@ def layer_norm(a, gamma, beta) -> Tensor:
 
     def dx(g):
         dxhat = g * gb
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        m1 = _channel_mean(dxhat)
+        m2 = _channel_mean(dxhat * xhat)
         return inv * (dxhat - m1 - xhat * m2)
 
     return _make("layer_norm", out, (a, gamma, beta), dx,
                  lambda g: (g * xhat).sum(axis=rest), lambda g: g.sum(axis=rest))
+
+
+def _channel_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True) bit for bit without its Python wrapper:
+    the same sum divided in place by the channel count (numpy divides a
+    float32 sum in float64, which rounds to the same float32 quotient)."""
+    m = np.add.reduce(a, axis=1, keepdims=True)
+    m /= a.shape[1]
+    return m

@@ -5,7 +5,8 @@ block-output bump the Grad-CAM tests take finite differences with, the
 per-tensor Adam loop the trainer's one-vector update replaces, and the
 per-call index builds (the relative bias's hat and slope positions, the
 sampler's `take_along_axis` corner reads) that cached positions and flat
-gathers replace, and the per-point `csv.writer` loop that the one-pass
+gathers replace, the two-corner key slope that the difference tables
+replace, and the per-point `csv.writer` loop that the one-pass
 points table replaces."""
 
 import csv
@@ -203,11 +204,20 @@ def hat_scatter(i0, i1, f, t: int, transposed: bool = False) -> np.ndarray:
     return h
 
 
-def slope_arange(e: np.ndarray, i0, i1, inside) -> np.ndarray:
+def slope_arange(e: np.ndarray, i0, inside) -> np.ndarray:
     """`attention._slope` with its positions built on every call.
 
-    Sum over the last (query) axis of e at i1 minus e at i0, where the
-    displacement is strictly inside the table: the per-axis derivative."""
+    Sum over the last (query) axis of e at i0, where the displacement is
+    strictly inside the table."""
+    pos = np.arange(i0.size).reshape(i0.shape) * e.shape[-1]
+    return (np.take(e.reshape(-1), pos + i0) * inside).sum(axis=-1)
+
+
+def slope_two_take(e: np.ndarray, i0, i1, inside) -> np.ndarray:
+    """The per-axis key derivative from the gradient times the table itself,
+    the reference for `attention._slope` over the table's forward
+    differences: sum over the last (query) axis of e at i1 minus e at i0,
+    where the displacement is strictly inside the table."""
     pos = np.arange(i0.size).reshape(i0.shape) * e.shape[-1]
     e = e.reshape(-1)
     return ((np.take(e, pos + i1) - np.take(e, pos + i0)) * inside).sum(axis=-1)

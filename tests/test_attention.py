@@ -14,6 +14,7 @@ from sdah.attention import (
     _hat_positions,
     _relative_bias,
     _slope,
+    _steps,
     WindowLayout,
     reference_points,
     sdmsa,
@@ -27,7 +28,7 @@ from sdah.sampling import axis_corners
 from sdah.tensor import NumericsError, Tensor, default_dtype, matmul, reshape, transpose
 
 from oracles import (attend_chain, compute_offsets, deform_points_chain, hat_scatter,
-                     interpolated_bias, plain_twin, slope_arange)
+                     interpolated_bias, plain_twin, slope_arange, slope_two_take)
 
 
 def _params(c, nh, ws, seed=0, deform=True, **kw):
@@ -463,9 +464,44 @@ def test_hat_and_slope_equal_their_per_call_position_builds(shape, t, dtype):
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
     e = rng.normal(size=shape + (t,)).astype(dtype)
-    got, want = _slope(e, i0, i1, inside), slope_arange(e, i0, i1, inside)
+    got, want = _slope(e, i0, inside), slope_arange(e, i0, inside)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape,t", [((1, 4, 2, 49, 7), 13), ((3, 1, 4, 16, 4), 7),
+                                     ((2, 2, 1, 4, 2), 3), ((2, 1, 1, 4, 2), 1)])
+def test_slope_through_difference_tables_equals_the_two_corner_slope(shape, t):
+    """In float64, the gradient times the table's forward differences read
+    at the floor equals the gradient times the table read at both corners
+    and subtracted, to 1e-12, at clamped, integer and fractional
+    displacements; where every displacement of a row is clamped the slope
+    is exactly 0, and a one-entry table (t = 1) has no slope at all."""
+    rng = np.random.default_rng(t + 1)
+    d = rng.uniform(-2.0, t + 1.0, size=shape)
+    d.flat[::5] = np.round(d.flat[::5])             # integer displacements
+    d[0, 0] = np.where(rng.random(shape[2:]) < 0.5, -1.5, t + 0.5)  # clamped rows
+    i0, i1, _ = axis_corners(d, t)
+    inside = (d > 0.0) & (d < t - 1.0)
+    assert inside.any() or t == 1
+    g = rng.normal(size=shape + (t,))
+    table = rng.normal(size=(t, t))
+    got = _slope(g @ _steps(table), i0, inside)
+    want = slope_two_take(g @ table, i0, i1, inside)
+    assert got.shape == want.shape == shape[:-1]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert (got[0, 0] == 0.0).all()
+    if t == 1:
+        assert (got == 0.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_steps_are_forward_differences_with_a_zero_end(dtype):
+    m = np.arange(24, dtype=dtype).reshape(2, 3, 4) ** 2
+    d = _steps(m.swapaxes(-1, -2))
+    assert d.dtype == dtype and d.flags.c_contiguous and d.shape == (2, 4, 3)
+    np.testing.assert_array_equal(d[..., :-1], np.diff(m.swapaxes(-1, -2), axis=-1))
+    assert (d[..., -1] == 0).all()
 
 
 def test_hat_positions_are_cached_read_only():

@@ -206,6 +206,47 @@ def test_train_into_a_path_under_a_file_exits_2_before_the_first_step(workdir, c
     assert err.startswith("error: ") and "Not a directory" in err
 
 
+
+def _image_file(d: Path) -> Path:
+    img = d / "img.sdt"
+    save_sdt1(img, load_dataset(d / "data")[0].image.data.astype(np.float32))
+    return img
+
+
+def test_infer_and_eval_make_missing_output_directories(tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    mask, preview = d / "a" / "b" / "m.sdt", d / "c" / "d" / "p.pgm"
+    assert main(["infer", "--ckpt", str(d / "model.sdck"), "--image", str(_image_file(d)),
+                 "--crop", "32", "--step", "32", "--out", str(mask),
+                 "--preview", str(preview)]) == 0
+    assert load_sdt1(mask).shape == (32, 32)
+    assert preview.read_bytes().startswith(b"P5\n32 32\n255\n")
+    csv_path = d / "e" / "f" / "e.csv"
+    assert _eval(d / "model.sdck", d / "data", csv_path) == 0
+    assert csv_path.read_text().startswith("case,class,dsc,hd95")
+
+
+@pytest.mark.parametrize("cmd,blocked", [("infer", "--out"), ("infer", "--preview"),
+                                         ("eval", "--out")])
+def test_infer_and_eval_under_a_file_exit_2_and_write_nothing(cmd, blocked, tmp_path,
+                                                              capsys):
+    d = _micro_files(tmp_path)
+    img = _image_file(d)
+    (d / "afile").write_text("")
+    outs = {"--out": str(d / ("m.sdt" if cmd == "infer" else "e.csv"))}
+    if cmd == "infer":
+        outs["--preview"] = str(d / "p.pgm")
+    outs[blocked] = str(d / "afile" / "x")
+    inputs = ["--image", str(img)] if cmd == "infer" else ["--data", str(d / "data")]
+    before = sorted(d.rglob("*"))
+    capsys.readouterr()
+    assert main([cmd, "--ckpt", str(d / "model.sdck"), *inputs, "--crop", "32",
+                 "--step", "32", *(a for kv in outs.items() for a in kv)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "afile" in err
+    assert out == "" and sorted(d.rglob("*")) == before
+
+
 def test_train_whose_adam_moment_overflows_exits_3(workdir, capsys):
     cfg = {"model": MICRO, "train": {"batch_size": 2, "max_steps": 3, "lambda_ce": 1e30}}
     (workdir / "big.json").write_text(json.dumps(cfg))

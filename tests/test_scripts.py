@@ -94,6 +94,19 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
     assert run("2") == first
 
 
+
+def test_call_counts_reports_the_same_calls_per_step_run_to_run():
+    def run():
+        r = subprocess.run([sys.executable, str(SCRIPTS / "call_counts.py")],
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout)
+
+    first = run()
+    assert sorted(first) == ["default_224", "micro"]
+    assert all(n > 1000 for n in first.values())
+    assert run() == first
+
 def test_band_widths_reports_each_candidate_and_the_rule_pick():
     r = subprocess.run([sys.executable, str(SCRIPTS / "band_widths.py"),
                         "--only", "explain.32", "--repeat", "2"],

@@ -290,7 +290,7 @@ def test_grad_check_binary_and_unary(op, shapes):
         (lambda t: reshape(t, (6, 2)), (3, 4)),
         (lambda t: transpose(t, (1, 0, 2)), (2, 3, 4)),
         (lambda t: swap_last(t), (2, 3, 4)),
-        (lambda t: roll(t, (1, -2), (0, 1)), (4, 5)),
+        (lambda t: roll(t, (1, -2)), (4, 5)),
         (lambda t: narrow(t, 1, 1, 3), (2, 5)),
         (lambda t: broadcast_to(t, (4, 3, 5)), (3, 5)),
         (lambda t: clip(t, -0.5, 0.5), (4, 4)),
@@ -538,7 +538,7 @@ def test_softmax_simplex_property(x):
 @given(st.integers(0, 20), st.integers(1, 5), st.integers(1, 5))
 def test_roll_round_trip(shift, h, w):
     x = Tensor(_rand((h, w), 50))
-    back = roll(roll(x, (shift,), (0,)), (-shift,), (0,))
+    back = roll(roll(x, (shift, 0)), (-shift, 0))
     np.testing.assert_array_equal(back.data, x.data)
 
 
@@ -547,3 +547,53 @@ def test_roll_round_trip(shift, h, w):
 def test_add_broadcast_matches_numpy(a, b):
     got = add(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
     np.testing.assert_allclose(got, a + b, atol=1e-12)
+
+
+# -- numpy calls without their Python wrappers: the same bits -------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 2, 7, 5), (3, 1, 1), (5, 9)])
+@pytest.mark.parametrize("sy,sx", [(0, 0), (2, 2), (-2, -2), (3, -1), (-7, 11), (0, 4)])
+def test_roll2_equals_np_roll(dtype, shape, sy, sx):
+    a = _rand(shape, seed=sum(shape), dtype=dtype)
+    want = np.roll(a, (sy, sx), axis=(-2, -1))
+    got = T._roll2(a, sy, sx)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    view = a.swapaxes(-1, -2)          # a strided operand keeps its values too
+    np.testing.assert_array_equal(T._roll2(view, sy, sx),
+                                  np.roll(view, (sy, sx), axis=(-2, -1)))
+
+
+def test_roll_needs_two_axes():
+    with pytest.raises(ValueError, match="at least 2 dims"):
+        roll(Tensor(np.zeros(3)), (1, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (8, 16, 4, 4), (1, 7, 3), (4, 96), (3, 1, 2)])
+def test_channel_mean_equals_ndarray_mean(dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    a = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)).astype(dtype)
+    got = T._channel_mean(a)
+    want = a.mean(axis=1, keepdims=True)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    strided = a.swapaxes(0, -1)
+    np.testing.assert_array_equal(T._channel_mean(strided), strided.mean(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,cout", [((8, 16, 8, 8), 32), ((1, 32, 56, 56), 32),
+                                          ((3, 5, 7), 4), ((2, 6), 3)])
+def test_linear_weight_gradient_equals_tensordot(dtype, x_shape, cout):
+    x = Tensor(_rand(x_shape, seed=1, dtype=dtype), dtype=dtype)
+    w = Tensor(_rand((x_shape[1], cout), seed=2, dtype=dtype), requires_grad=True, dtype=dtype)
+    out = linear(x, w)
+    g = _rand(out.shape, seed=3, dtype=dtype)
+    out.backward(g)
+    n = x_shape[0]
+    want = np.tensordot(x.data.reshape(n, x_shape[1], -1), g.reshape(n, cout, -1),
+                        axes=((0, 2), (0, 2)))
+    assert w.grad.dtype == dtype
+    np.testing.assert_array_equal(w.grad, want)
