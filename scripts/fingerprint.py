@@ -11,9 +11,9 @@ backward.  For each of these five configs it also hashes the file
 `save_model` writes for the freshly built model (`<config>.ckpt`), so a
 renamed, reordered or redrawn checkpoint entry moves an entry; these
 depend on the random stream alone, not on BLAS.  On
-perfbench/micro_desk.sdck it hashes the five `sdah explain --block enc1`
-artifacts and the `sdah infer` mask and preview of a synthetic 128x128
-image, and the `sdah eval` CSV of two such cases.
+perfbench/micro_desk.sdck it hashes the `sdah explain` artifacts of every
+block (five for an attention block) and the `sdah infer` mask and preview
+of a synthetic 128x128 image, and the `sdah eval` CSV of two such cases.
 Two trees give the same entry exactly when that output is the same bit for
 bit, so running the script on a change and on its parent shows what moved:
 
@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sdah.cli import main as sdah_main
 from sdah.io import save_sdt1
-from sdah.network import ModelConfig, build_model, forward, micro_config, save_model
+from sdah.network import BLOCK_IDS, ModelConfig, build_model, forward, micro_config, save_model
 from sdah.tensor import Tensor
 from sdah.training import TrainConfig, combined_loss, save_dataset, synth_dataset, train
 
@@ -50,7 +50,7 @@ CONFIGS = {
 BATCH, SIZE, TRAIN_STEPS = 8, 32, 4
 DEFAULT_SIZE, DEFAULT_CLASSES = 224, 3
 CHECKPOINT = ROOT / "perfbench" / "micro_desk.sdck"
-CLI_SIZE, EXPLAIN_BLOCK = 128, "enc1"
+CLI_SIZE = 128
 SLIDING = ["--crop", "32", "--step", "16"]
 
 
@@ -83,20 +83,21 @@ def ckpt_sha(model) -> str:
 
 
 def cli_artifacts(tmp: Path) -> dict:
-    """sha256 of each file `sdah explain` writes for one block, of the
+    """sha256 of each file `sdah explain` writes for each block, of the
     `sdah infer` mask and preview, and of the `sdah eval` CSV."""
     image = synth_dataset(1, CLI_SIZE, CLI_SIZE, 2, seed=2)[0].image.data
     save_sdt1(tmp / "image.sdt", image)
     save_dataset(tmp / "data", synth_dataset(2, CLI_SIZE, CLI_SIZE, 2, seed=3))
     ckpt = ["--ckpt", str(CHECKPOINT)]
-    run_sdah("explain", *ckpt, "--image", str(tmp / "image.sdt"),
-             "--block", EXPLAIN_BLOCK, "--out", str(tmp / "explain"))
+    for block in BLOCK_IDS:
+        run_sdah("explain", *ckpt, "--image", str(tmp / "image.sdt"),
+                 "--block", block, "--out", str(tmp / "explain"))
     run_sdah("infer", *ckpt, "--image", str(tmp / "image.sdt"), *SLIDING,
              "--out", str(tmp / "mask.sdt"), "--preview", str(tmp / "preview.pgm"))
     run_sdah("eval", *ckpt, "--data", str(tmp / "data"), *SLIDING,
              "--out", str(tmp / "eval.csv"))
-    out = {f"explain_{EXPLAIN_BLOCK}.{p.name}": file_sha(p)
-           for p in sorted((tmp / "explain" / EXPLAIN_BLOCK).iterdir())}
+    out = {f"explain_{block}.{p.name}": file_sha(p)
+           for block in BLOCK_IDS for p in sorted((tmp / "explain" / block).iterdir())}
     out["infer.mask.sdt"] = file_sha(tmp / "mask.sdt")
     out["infer.preview.pgm"] = file_sha(tmp / "preview.pgm")
     out["eval.csv"] = file_sha(tmp / "eval.csv")

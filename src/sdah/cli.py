@@ -158,6 +158,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    _make_parents(args.out)
+    if Path(args.out).exists() and not Path(args.out).is_dir():  # holds out/<block>/
+        raise NotADirectoryError(f"{args.out}: Not a directory")
     model, _ = load_model(args.ckpt)
     paths = export_bundle(model, load_image(args.image)[None], args.block,
                           args.cls, args.out, stride=args.stride)

@@ -101,16 +101,18 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     this forward argmax-predicts as the target class in image 0.  Returns
     (info, weights, cam): the forward's ForwardInfo, the (B, C, 1, 1)
     channel weights, and the (H, W) map as seg_grad_cam describes it.  The
-    pass runs through `tensor._checked_once`, which checks the logits, the
-    block's gradient and the weights' once; their .grad stay as found.
+    backward computes only the block's gradient: the block output is cut
+    from its inputs and the weights are frozen while it runs, so no weight
+    VJP runs, the weights' .grad stay as found and each weight requires a
+    gradient again however the pass ends.  The pass runs through
+    `tensor._checked_once`, which checks the logits and the block's
+    gradient once.
     """
     if block not in BLOCK_IDS:
         raise ValueError(f"unknown block {block!r}")
     params = model.named_parameters().values()
 
     def run():
-        for t in params:
-            t.grad = None
         logits, info = forward(model, image)
         if not np.isfinite(logits.data).all():  # nested, forward checked nothing
             raise NumericsError("the logits have non-finite values")
@@ -128,22 +130,18 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
         # d(score)/d(logits) for score = the target class's logits summed over the ROI
         seed = np.zeros(logits.shape, logits.dtype)
         seed[:, target_class] = roi
-        logits.backward(seed)
+        info.outputs[block]._ctx = None   # the backward stops at the block
+        for t in params:                  # every parameter is built requiring one
+            t.requires_grad = False
+        try:
+            logits.backward(seed)
+        finally:
+            for t in params:
+                t.requires_grad = True
         return info, roi
 
-    def finite(out):
-        grads = [out[0].outputs[block].grad, *(t.grad for t in params)]
-        return all(g is None or np.isfinite(g).all() for g in grads)
-
-    saved = [t.grad for t in params]
-    try:
-        info, roi = _checked_once(run, finite)
-    finally:  # the weights' .grad stay as the caller left them
-        for t, g in zip(params, saved):
-            t.grad = g
+    info, roi = _checked_once(run, lambda out: np.isfinite(out[0].outputs[block].grad).all())
     feat = info.outputs[block]        # (B, C, h, w)
-    if feat.grad is None:
-        raise RuntimeError(f"no gradient reached block {block}")
     weights = feat.grad.mean(axis=(2, 3), keepdims=True)
     cam = np.maximum((weights * feat.data).sum(axis=1), 0.0)  # (B, h, w)
     cam = bilinear_resize(cam.astype(np.float64), *roi.shape)[0]
@@ -168,7 +166,8 @@ def export_bundle(model: Model, image, block: str, target_class: int,
     block under out_dir/<block>/; returns the artifact paths.
 
     The ROI defaults to the pixels argmax-predicted as the target class.
-    The traces and the Grad-CAM come from the same single forward pass.
+    The traces and the Grad-CAM come from the same single forward pass,
+    and its one backward computes only the block's gradient (`_cam_pass`).
     """
     info, _, cam = _cam_pass(model, image, target_class, block, roi_mask)
     trace = info.traces[block]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -268,7 +267,8 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
           curve_path=None) -> list[dict]:
     """Run the optimization; returns the logged rows and writes the loss
     curve CSV and final checkpoint (defaults: out_dir/loss.csv and
-    out_dir/checkpoint.sdck).
+    out_dir/checkpoint.sdck).  The checkpoint's one meta entry is `step`,
+    so identical runs write identical bytes.
 
     A dataset `check_dataset` rejects raises its ValueError, and an output
     path that cannot hold its directories an OSError, before the first
@@ -299,7 +299,6 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
         p.data = view
     state = AdamState(np.zeros_like(w), np.zeros_like(w))
     rows: list[dict] = []
-    t0 = time.monotonic()
 
     for step in range(start_step, cfg.max_steps):
         idx = batch_indices(cfg.seed, step, cfg.batch_size, len(data))
@@ -334,10 +333,7 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
             raise TrainingAborted(f"non-finite value at step {step}: {e}") from e
 
     _write_curve(curve_path, rows)
-    save_model(ckpt_path, model, extra={
-        "step": np.float64(cfg.max_steps),
-        "train_seconds": np.float64(time.monotonic() - t0),
-    })
+    save_model(ckpt_path, model, extra={"step": np.float64(cfg.max_steps)})
     return rows
 
 

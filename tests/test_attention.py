@@ -686,8 +686,24 @@ def test_attend_matches_the_op_chain(dtype, bias_shape):
     """The fused node equals the six-node chain bit for bit: output,
     probabilities and the gradients of q, k, v and a full-shape
     (deformable path) or broadcast (plain path) bias."""
+    _assert_attend_matches_the_op_chain(dtype, bias_shape, (2, 3, 2, 16, 4))
+
+
+@pytest.mark.parametrize("bias", ["full", "broadcast"])
+@pytest.mark.parametrize("p", [4, 16, 49])
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_attend_matches_the_op_chain_at_the_shipped_head_widths(d, p, bias):
+    """Bit for bit in float32 at every head width d and window size P the
+    micro and default configs use (float64 can round the last bit apart
+    at d = 16, as `_attend` says)."""
+    lead = (2, 3, 2) if bias == "full" else (1, 1, 2)
+    _assert_attend_matches_the_op_chain(np.float32, (*lead, p, p), (2, 3, 2, p, d))
+
+
+def _assert_attend_matches_the_op_chain(dtype, bias_shape, shape):
     with default_dtype(dtype):
-        fused, chain = _qkvb(dtype, bias_shape), _qkvb(dtype, bias_shape)
+        fused = _qkvb(dtype, bias_shape, shape=shape)
+        chain = _qkvb(dtype, bias_shape, shape=shape)
         out, probs = _attend(*fused)
         ref_out, ref_probs = attend_chain(*chain)
         g = Stream(41).normal(out.shape).astype(dtype)

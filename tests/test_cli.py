@@ -247,6 +247,36 @@ def test_infer_and_eval_under_a_file_exit_2_and_write_nothing(cmd, blocked, tmp_
     assert out == "" and sorted(d.rglob("*")) == before
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_explain_into_or_under_a_file_exits_2_before_loading(out, tmp_path, capsys,
+                                                             monkeypatch):
+    d = _micro_files(tmp_path)
+    img = _image_file(d)
+    (d / "afile").write_text("")
+    loads = []
+    monkeypatch.setattr("sdah.cli.load_model", lambda *a: loads.append(a))
+    capsys.readouterr()
+    assert main(["explain", "--ckpt", str(d / "model.sdck"), "--image", str(img),
+                 "--block", "enc1", "--out", str(d / out)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "afile" in err
+    assert out == "" and loads == []
+
+
+def test_explain_makes_a_missing_nested_output_directory(tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    out = d / "a" / "b"
+    assert main(["explain", "--ckpt", str(d / "model.sdck"), "--image",
+                 str(_image_file(d)), "--block", "dec1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "dec1").iterdir()) == [
+        "attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv"]
+
+
+def test_two_train_runs_write_identical_checkpoint_bytes(workdir, capsys):
+    a, b = _train(workdir, workdir / "a"), _train(workdir, workdir / "b")
+    assert (a / "checkpoint.sdck").read_bytes() == (b / "checkpoint.sdck").read_bytes()
+
+
 def test_train_whose_adam_moment_overflows_exits_3(workdir, capsys):
     cfg = {"model": MICRO, "train": {"batch_size": 2, "max_steps": 3, "lambda_ce": 1e30}}
     (workdir / "big.json").write_text(json.dumps(cfg))

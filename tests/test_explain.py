@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sdah.attention
+import sdah.convops
 import sdah.tensor
 from sdah.attention import SdmsaTrace, WindowLayout
 from sdah.explain import (
@@ -13,7 +14,7 @@ from sdah.explain import (
     seg_grad_cam,
 )
 import sdah.explain
-from sdah.network import build_model, forward, micro_config
+from sdah.network import BLOCK_IDS, build_model, forward, micro_config
 from sdah.rng import Stream
 from sdah.sampling import bilinear_resize
 from sdah.tensor import NumericsError, Tensor, add
@@ -253,25 +254,88 @@ def test_gradcam_roi_errors_name_the_fault(shape, fill, message):
         seg_grad_cam(_micro_model(), _image(), 1, "dec1", roi)
 
 
+def _poison_after_the_forward(monkeypatch, w):
+    """NaN in `w` only while the backward runs: each forward sees the clean
+    value again, and undoing the patch puts back the unpoisoned array."""
+    clean = w.data.flat[0]
+    monkeypatch.setattr(w, "data", w.data.copy())
+
+    def forward_then_poison(model, image):
+        w.data.flat[0] = clean
+        out = forward(model, image)
+        w.data.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(sdah.explain, "forward", forward_then_poison)
+
+
+def _raise_in_the_first_vjp(monkeypatch):
+    def boom(self, g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sdah.tensor._VJPs, "__call__", boom)
+
+
 @pytest.mark.parametrize("preset", [False, True])
-def test_gradcam_leaves_weight_grads_as_it_found_them(preset, tmp_path):
-    """Neither seg_grad_cam nor export_bundle leaves its backward's
-    gradients on the weights: no .grad stays None, a preset .grad keeps
-    its values, and a second call changes nothing either."""
+def test_gradcam_leaves_weight_grads_as_it_found_them(preset, tmp_path, monkeypatch):
+    """However a seg_grad_cam or export_bundle call ends, each weight's .grad
+    is as found (None stays None, a preset one keeps its values) and it
+    requires a gradient again: after a success, an empty ROI, a bad class,
+    a NumericsError from the checked replay and an error inside backward."""
     m = _micro_model()
     params = m.named_parameters()
     for i, t in enumerate(params.values()):
         t.grad = np.full(t.shape, float(i), t.data.dtype) if preset else None
     before = {name: None if t.grad is None else t.grad.copy() for name, t in params.items()}
     roi = np.ones((32, 32), dtype=bool)
-    for _ in range(2):
-        seg_grad_cam(m, _image(), 1, "dec1", roi)
-        export_bundle(m, _image(), "enc1", 1, tmp_path, roi_mask=roi)
+    endings = [
+        (None, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", roi)),
+        (None, lambda mp: export_bundle(m, _image(), "enc1", 1, tmp_path, roi_mask=roi)),
+        (None, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", roi)),  # a second call
+        (ValueError, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", ~roi)),
+        (ValueError, lambda mp: export_bundle(m, _image(), "enc1", 9, tmp_path)),
+        (NumericsError, lambda mp: (_poison_after_the_forward(mp, params["dec1.dw1.w"]),
+                                    seg_grad_cam(m, _image(), 1, "dec2", roi))),
+        (RuntimeError, lambda mp: (_raise_in_the_first_vjp(mp),
+                                   export_bundle(m, _image(), "dec2", 1, tmp_path))),
+    ]
+    for error, call in endings:
+        with monkeypatch.context() as mp:
+            if error is None:
+                call(mp)
+            else:
+                with pytest.raises(error):
+                    call(mp)
         for name, t in params.items():
+            assert t.requires_grad, name
             if before[name] is None:
                 assert t.grad is None, name
             else:
                 np.testing.assert_array_equal(t.grad, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("block", BLOCK_IDS)
+def test_a_gradcam_pass_runs_no_weight_vjp(block, monkeypatch):
+    """The weights are frozen for the backward, so no conv weight gradient
+    is computed, where a training backward computes one per conv."""
+    calls = []
+    for module in (sdah.convops, sdah.attention):
+        weight_vjp = module._conv_backward_w
+        monkeypatch.setattr(module, "_conv_backward_w",
+                            lambda *a, _f=weight_vjp: calls.append(1) or _f(*a))
+    m = _micro_model()
+    seg_grad_cam(m, _image(), 1, block, np.ones((32, 32), dtype=bool))
+    assert calls == []
+    logits = forward(m, _image())[0]
+    logits.backward(np.ones(logits.shape, logits.dtype))
+    assert calls
+
+
+def test_a_gradcam_backward_stops_at_the_block():
+    """Cut at dec1, the last block, the backward reaches no other block's
+    output, where a full backward reaches all of them."""
+    info = _cam_pass(_micro_model(), _image(), 1, "dec1", np.ones((32, 32), dtype=bool))[0]
+    assert [b for b in BLOCK_IDS if info.outputs[b].grad is not None] == ["dec1"]
 
 
 def _check_finite_calls(monkeypatch, fn) -> int:
@@ -300,29 +364,33 @@ def test_a_healthy_gradcam_pass_checks_no_more_than_a_forward(monkeypatch):
     assert cam <= alone
 
 
-@pytest.mark.parametrize("lid", ["enc1", "dec2"])
-def test_gradcam_names_a_weight_poisoned_after_the_forward(lid, monkeypatch):
-    """NaN only while the backward runs: the one check of the gradients
-    fails, and the checked pass names the op; the .grad stay as found."""
+@pytest.mark.parametrize("block,lid", [("enc1", "dec2"), ("dec2", "dec1")],
+                         ids=["enc1", "dec2"])
+def test_gradcam_names_a_weight_poisoned_after_the_forward(block, lid, monkeypatch):
+    """NaN only while the backward runs, in a weight on the path from the
+    logits to the block: the one check of the block's gradient fails, and
+    the checked pass names the op; the .grad stay as found."""
     m = _micro_model()
     params = m.named_parameters()
-    w, clean = params[f"{lid}.dw1.w"], params[f"{lid}.dw1.w"].data.flat[0]
     for i, t in enumerate(params.values()):
         t.grad = np.full(t.shape, float(i), t.data.dtype)
     before = {name: t.grad.copy() for name, t in params.items()}
-
-    def forward_then_poison(model, image):
-        w.data.flat[0] = clean
-        out = forward(model, image)
-        w.data.flat[0] = np.nan
-        return out
-
-    monkeypatch.setattr(sdah.explain, "forward", forward_then_poison)
+    _poison_after_the_forward(monkeypatch, params[f"{lid}.dw1.w"])
     with pytest.raises(NumericsError,
                        match=f"^{lid}: conv2d backward produced non-finite values$"):
-        seg_grad_cam(m, _image(), 1, "dec1", np.ones((32, 32), dtype=bool))
+        seg_grad_cam(m, _image(), 1, block, np.ones((32, 32), dtype=bool))
     for name, t in params.items():
         np.testing.assert_array_equal(t.grad, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("lid", ["enc1", "dec2"])
+def test_gradcam_reads_no_gradient_upstream_of_the_block(lid, monkeypatch):
+    """A weight poisoned after the forward, upstream of the block, feeds no
+    gradient the map reads: the pass neither fails nor moves the map."""
+    m, roi = _micro_model(), np.ones((32, 32), dtype=bool)
+    want = seg_grad_cam(m, _image(), 1, "dec1", roi)
+    _poison_after_the_forward(monkeypatch, m.named_parameters()[f"{lid}.dw1.w"])
+    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi), want)
 
 
 def test_gradcam_names_a_nan_head_bias_before_reading_the_roi():

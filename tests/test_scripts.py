@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from sdah.network import BLOCK_IDS
 from sdah.tensor import _ERF_P, _ERF_Q
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -87,7 +88,7 @@ def test_fingerprint_is_the_same_run_to_run_and_at_two_blas_threads():
         [f"micro_{variant}.{what}" for variant in ("DDDD", "NNNN", "DNDN_sum", "DDDD_clamp")
          for what in ("ckpt", "grads", "logits", "loss", "traces", "train4_params")]
         + [f"default_224.{what}" for what in ("ckpt", "grads", "logits", "loss")]
-        + [f"explain_enc1.{name}" for name in
+        + [f"explain_{block}.{name}" for block in BLOCK_IDS for name in
            ("attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv")]
         + ["eval.csv", "infer.mask.sdt", "infer.preview.pgm"])
     assert run("1") == first
