@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tensor as T
 from .convops import _conv_backward_w, _conv_backward_x, conv2d
 from .rng import Stream
 from .sampling import axis_corners, bilinear_sample_batch
@@ -90,7 +91,11 @@ def _uniform(stream: Stream, shape, fan_in: int) -> Tensor:
 
 
 def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape, T._default_dtype), requires_grad=True)
+
+
+def _ones(shape) -> Tensor:
+    return Tensor(np.ones(shape, T._default_dtype), requires_grad=True)
 
 
 def _to_windows(a: np.ndarray, layout: WindowLayout, heads: int) -> np.ndarray:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _uniform, _zeros, sdmsa
+from .attention import SdmsaParams, SdmsaTrace, WindowLayout, _ones, _uniform, _zeros, sdmsa
 from .convops import conv2d, deconv2d
 from .rng import Stream
 from .tensor import Params, Tensor, _as_tensor, concat, gelu, layer_norm, linear
@@ -31,10 +29,6 @@ DW_KERNEL = 7
 
 BRANCH_MODES = ("dual", "sdmsa_only", "conv_only")
 FUSION_MODES = ("concat", "sum")
-
-
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
 
 
 @dataclass

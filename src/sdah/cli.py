@@ -18,6 +18,7 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +338,10 @@ def _selfcheck_formats():
             raise AssertionError("SDT1 round trip")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The `sdah` argument parser, built once per process: `parse_args`
+    keeps nothing on it, so each call gets a fresh namespace of defaults."""
     p = _Parser(prog="sdah", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

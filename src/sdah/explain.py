@@ -101,12 +101,12 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
     this forward argmax-predicts as the target class in image 0.  Returns
     (info, weights, cam): the forward's ForwardInfo, the (B, C, 1, 1)
     channel weights, and the (H, W) map as seg_grad_cam describes it.  The
-    backward computes only the block's gradient: the block output is cut
-    from its inputs and the weights are frozen while it runs, so no weight
-    VJP runs, the weights' .grad stay as found and each weight requires a
-    gradient again however the pass ends.  The pass runs through
-    `tensor._checked_once`, which checks the logits and the block's
-    gradient once.
+    backward computes only the block's gradient: the outputs of the block
+    and of every block before it in BLOCK_IDS are cut from their inputs and
+    the weights are frozen while it runs, so no weight VJP runs, the
+    weights' .grad stay as found and each weight requires a gradient again
+    however the pass ends.  The pass runs through `tensor._checked_once`,
+    which checks the logits and the block's gradient once.
     """
     if block not in BLOCK_IDS:
         raise ValueError(f"unknown block {block!r}")
@@ -130,7 +130,10 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
         # d(score)/d(logits) for score = the target class's logits summed over the ROI
         seed = np.zeros(logits.shape, logits.dtype)
         seed[:, target_class] = roi
-        info.outputs[block]._ctx = None   # the backward stops at the block
+        # the backward stops at the block, and at the blocks before it, which
+        # the decoder's skip inputs would otherwise walk into
+        for b in BLOCK_IDS[:BLOCK_IDS.index(block) + 1]:
+            info.outputs[b]._ctx = None
         for t in params:                  # every parameter is built requiring one
             t.requires_grad = False
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,17 @@ class FormatError(ValueError):
     """Malformed or unsupported file contents."""
 
 
-def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple:
-    """struct.unpack_from that reports a short buffer as a FormatError."""
-    if pos + struct.calcsize(fmt) > len(buf):
-        raise FormatError(f"{what} truncated")
-    return struct.unpack_from(fmt, buf, pos)
+# the fields after each magic, compiled once: SDT1's dtype code and ndim,
+# SDCK's tensor count, and an SDCK entry's name length
+_SDT1_HEAD = struct.Struct("<BBxx")
+_SDCK_COUNT = struct.Struct("<I")
+_NAME_LEN = struct.Struct("<H")
+
+
+@lru_cache(maxsize=None)
+def _dims(ndim: int) -> struct.Struct:
+    """SDT1's `ndim` u32 dims, compiled once per rank."""
+    return struct.Struct(f"<{ndim}I")
 
 
 def sdt1_bytes(arr: np.ndarray) -> bytes:
@@ -42,27 +49,30 @@ def sdt1_bytes(arr: np.ndarray) -> bytes:
         raise FormatError(f"SDT1 cannot store dtype {arr.dtype}")
     if arr.ndim > 255:
         raise FormatError("SDT1 supports at most 255 dims")
-    head = SDT1_MAGIC + struct.pack(
-        "<BBxx", _CODE_OF_DTYPE[dt], arr.ndim
-    ) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+    head = (SDT1_MAGIC + _SDT1_HEAD.pack(_CODE_OF_DTYPE[dt], arr.ndim)
+            + _dims(arr.ndim).pack(*arr.shape))
     return head + arr.astype(dt, copy=False).tobytes()
 
 
 def _sdt1_view(buf, offset: int) -> tuple[np.ndarray, int]:
     """One SDT1 blob as a view into `buf` (writable when `buf` is) and the
     offset past it; magic, dtype code and every bound are checked first."""
-    if buf[offset:offset + 4] != SDT1_MAGIC:
+    size = len(buf)
+    if not buf.startswith(SDT1_MAGIC, offset):
         raise FormatError("bad SDT1 magic")
-    code, ndim = _unpack("<BBxx", buf, offset + 4, "SDT1 header")
+    if offset + 8 > size:
+        raise FormatError("SDT1 header truncated")
+    code, ndim = _SDT1_HEAD.unpack_from(buf, offset + 4)
     if code not in _DTYPE_OF_CODE:
         raise FormatError(f"unknown SDT1 dtype code {code}")
-    pos = offset + 8
-    dims = _unpack(f"<{ndim}I", buf, pos, "SDT1 dims")
-    pos += 4 * ndim
+    pos = offset + 8 + 4 * ndim
+    if pos > size:
+        raise FormatError("SDT1 dims truncated")
+    dims = _dims(ndim).unpack_from(buf, offset + 8)
     dtype = _DTYPE_OF_CODE[code]
     count = math.prod(dims)
     end = pos + count * dtype.itemsize
-    if end > len(buf):
+    if end > size:
         raise FormatError("SDT1 payload truncated")
     return np.frombuffer(buf, dtype, count, pos).reshape(dims), end
 
@@ -90,12 +100,12 @@ def load_image(path) -> np.ndarray:
 
 
 def checkpoint_bytes(named: dict[str, np.ndarray]) -> bytes:
-    parts = [SDCK_MAGIC, struct.pack("<I", len(named))]
+    parts = [SDCK_MAGIC, _SDCK_COUNT.pack(len(named))]
     for name, arr in named.items():
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name!r}")
-        parts.append(struct.pack("<H", len(nb)))
+        parts.append(_NAME_LEN.pack(len(nb)))
         parts.append(nb)
         parts.append(sdt1_bytes(arr))
     return b"".join(parts)
@@ -109,20 +119,27 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """The named arrays in entry order, each a writable view into one buffer
     holding the file: no array is copied, and no two overlap."""
     buf = bytearray(Path(path).read_bytes())
-    if buf[:4] != SDCK_MAGIC:
+    size = len(buf)
+    if not buf.startswith(SDCK_MAGIC):
         raise FormatError("bad SDCK magic")
-    (count,) = _unpack("<I", buf, 4, "SDCK tensor count")
+    if size < 8:
+        raise FormatError("SDCK tensor count truncated")
+    (count,) = _SDCK_COUNT.unpack_from(buf, 4)
     pos = 8
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = _unpack("<H", buf, pos, "SDCK name length")
-        pos += 2
-        name = _unpack(f"<{nlen}s", buf, pos, "SDCK tensor name")[0].decode("utf-8")
-        arr, pos = _sdt1_view(buf, pos + nlen)
+        if pos + 2 > size:
+            raise FormatError("SDCK name length truncated")
+        (nlen,) = _NAME_LEN.unpack_from(buf, pos)
+        pos += 2 + nlen
+        if pos > size:
+            raise FormatError("SDCK tensor name truncated")
+        name = buf[pos - nlen:pos].decode("utf-8")
+        arr, pos = _sdt1_view(buf, pos)
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}")
         out[name] = arr
-    if pos != len(buf):
+    if pos != size:
         raise FormatError("trailing bytes after last checkpoint entry")
     return out
 

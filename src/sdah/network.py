@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import blocks as B
+from . import tensor as T
 from .attention import WindowLayout
 from .io import load_checkpoint, save_checkpoint
 from .rng import Stream
@@ -166,7 +167,7 @@ class Model:
 
     def set_parameters(self, named: dict[str, np.ndarray]) -> None:
         """Replace every tensor, or none: names, shapes and float dtypes are
-        checked, the arrays are copied into one new vector (`_pack`, which
+        checked as the arrays are copied into one new vector (`_pack`, which
         casts them to the tensors' dtype), and that vector is checked for
         finite values before the first assignment."""
         mine = self.named_parameters()
@@ -177,16 +178,8 @@ class Model:
                 f"parameter names differ: missing {sorted(missing)[:4]}, "
                 f"unexpected {sorted(extra)[:4]}"
             )
-        arrays = [np.asarray(named[name]) for name in mine]
-        for (name, t), arr in zip(mine.items(), arrays):
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"{name}: shape {arr.shape} != expected {t.data.shape}"
-                )
-            if arr.dtype.kind != "f":
-                raise ValueError(f"{name}: dtype {arr.dtype} is not a float")
-        w, views = _pack(arrays, [t.data.dtype for t in mine.values()])
-        if not np.isfinite(w).all():
+        w, views = _pack(mine, [named[name] for name in mine])
+        if not np.logical_and.reduce(np.isfinite(w), axis=None):
             for name, view in zip(mine, views):
                 if not np.isfinite(view).all():
                     raise NumericsError(f"{name} has non-finite values")
@@ -199,27 +192,37 @@ class Model:
         return forward(self, x)[0]
 
 
-def _pack(arrays: list, dtypes: list) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One new vector holding `arrays` back to back, each cast as it is
-    copied in, and each array's contiguous view into it, of its shape.  The
-    vector's dtype is the common type of `dtypes`, the tensors' own."""
-    w = np.empty(sum(a.size for a in arrays), np.result_type(*dtypes))
+def _pack(tensors: dict[str, Tensor], arrays: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One new vector holding `arrays`, one per named tensor and in its
+    order, back to back, and each array's contiguous view into it.  The
+    vector's dtype is the tensors' common one, and each array is cast as it
+    is copied in.  Raises ValueError naming the tensor when an array does
+    not have its tensor's shape or is not a float array."""
+    w = np.empty(sum(t.data.size for t in tensors.values()),
+                 np.result_type(*[t.data.dtype for t in tensors.values()]))
     views, pos = [], 0
-    for a in arrays:
-        view = w[pos:pos + a.size].reshape(a.shape)
+    for (name, t), a in zip(tensors.items(), arrays):
+        a = np.asarray(a)
+        if a.shape != t.data.shape:
+            raise ValueError(f"{name}: shape {a.shape} != expected {t.data.shape}")
+        if a.dtype.kind != "f":
+            raise ValueError(f"{name}: dtype {a.dtype} is not a float")
+        end = pos + a.size
+        view = w[pos:end].reshape(a.shape)
         view[...] = a
         views.append(view)
-        pos += a.size
+        pos = end
     return w, views
 
 
 class _Zeros:
     """Stands in for the `Stream` when a checkpoint supplies every weight:
-    each draw is zeros of its shape, so no random number is made."""
+    each draw is zeros of its shape in the tensors' dtype, so no random
+    number is made and no draw is cast."""
 
     @staticmethod
     def uniform(shape, lo: float, hi: float) -> np.ndarray:
-        return np.zeros(shape)
+        return np.zeros(shape, T._default_dtype)
 
 
 def build_model(config: ModelConfig, *, _stream=None) -> Model:

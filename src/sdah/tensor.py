@@ -128,8 +128,10 @@ def _keep_heap() -> bool:
 
 def _check_finite(arr: np.ndarray, op: str, scope: str | None = None) -> None:
     """Raise NumericsError when a float `arr` holds NaN or Inf, naming `op`
-    and the layer `scope` (by default the current one)."""
-    if arr.dtype.type in _FLOAT_DTYPES and not np.isfinite(arr).all():
+    and the layer `scope` (by default the current one).  The reduction is
+    `np.isfinite(arr).all()` without `ndarray.all`'s Python wrapper."""
+    if (arr.dtype.type in _FLOAT_DTYPES
+            and not np.logical_and.reduce(np.isfinite(arr), axis=None)):
         where = _layer if scope is None else scope
         raise NumericsError(f"{where + ': ' if where else ''}{op} produced non-finite values")
 
@@ -202,7 +204,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype != np.uint8 and arr.dtype.type is not _default_dtype:
+        elif arr.dtype.type is not _default_dtype and arr.dtype != np.uint8:
             # floats follow the session default; pass dtype= to opt out
             arr = arr.astype(_default_dtype)
         self.data = arr
@@ -386,10 +388,12 @@ def _make(op: str, out: np.ndarray, parents: tuple[Tensor, ...], *vjps, prep=Non
         raise TypeError(f"{op}: {len(vjps)} VJPs for {len(parents)} parents")
     if _checks:
         _check_finite(out, op)
-    out = np.asarray(out)
-    result = Tensor(out, dtype=out.dtype)  # no requires_grad: no init check
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        result.requires_grad = True
+    # the four slots set directly: `out` keeps its dtype, so `Tensor()`'s
+    # cast and init check would do nothing
+    result = Tensor.__new__(Tensor)
+    result.data, result.grad, result._ctx = np.asarray(out), None, None
+    result.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    if result.requires_grad:
         result._ctx = _Ctx(op, parents, _VJPs(parents, vjps, prep), _layer)
     return result
 

@@ -293,8 +293,9 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     Path(curve_path).parent.mkdir(parents=True, exist_ok=True)
     # one parameter vector: each tensor's data becomes a contiguous view
     # into it, so Adam's in-place update of the vector updates the model
-    params = list(model.named_parameters().values())
-    w, views = _pack([p.data for p in params], [p.data.dtype for p in params])
+    named = model.named_parameters()
+    params = list(named.values())
+    w, views = _pack(named, [p.data for p in params])
     for p, view in zip(params, views):
         p.data = view
     state = AdamState(np.zeros_like(w), np.zeros_like(w))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdah.cli import main
+from sdah.cli import build_parser, main
+from sdah.inference import SlidingConfig
 from sdah.io import load_checkpoint, load_sdt1, save_checkpoint, save_sdt1
 from sdah.network import CONFIG_KEY, build_model, count_params, micro_config, save_model
 from sdah.training import load_dataset
@@ -320,6 +321,37 @@ def test_selfcheck_sees_per_tile_forwards(monkeypatch, capsys):
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_working(tmp_path, capsys):
+    d = _micro_files(tmp_path)
+    infer = ["infer", "--ckpt", str(d / "model.sdck"), "--image",
+             str(d / "data" / "img_00000.sdt"), "--crop", "32", "--step", "32"]
+    assert main(infer) == 1                       # missing --out
+    assert main([*infer, "--out", str(d / "mask.sdt")]) == 0
+    assert load_sdt1(d / "mask.sdt").shape == (32, 32)
+
+
+def test_no_value_leaks_from_one_call_into_the_next(tmp_path, monkeypatch, capsys):
+    """The shared parser hands each call fresh defaults: an infer without
+    --crop after one with --crop 64 tiles at SlidingConfig's crop."""
+    d = _micro_files(tmp_path)
+    seen = []
+
+    def spy(model, image, cfg):
+        seen.append(cfg)
+        return np.zeros(image.shape[-2:], np.uint8)
+
+    monkeypatch.setattr("sdah.cli.predict_mask", spy)
+    infer = ["infer", "--ckpt", str(d / "model.sdck"),
+             "--image", str(d / "data" / "img_00000.sdt"), "--out", str(d / "mask.sdt")]
+    assert main([*infer, "--crop", "64", "--step", "32", "--sigma-ratio", "0.25"]) == 0
+    assert main(infer) == 0
+    assert seen == [SlidingConfig(crop=64, step=32, sigma_ratio=0.25), SlidingConfig()]
 
 
 def test_largest_seed_is_accepted(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from sdah.explain import (
     seg_grad_cam,
 )
 import sdah.explain
-from sdah.network import BLOCK_IDS, build_model, forward, micro_config
+from sdah.network import BLOCK_IDS, build_model, forward, load_model, micro_config
 from sdah.rng import Stream
 from sdah.sampling import bilinear_resize
 from sdah.tensor import NumericsError, Tensor, add
@@ -336,6 +338,37 @@ def test_a_gradcam_backward_stops_at_the_block():
     output, where a full backward reaches all of them."""
     info = _cam_pass(_micro_model(), _image(), 1, "dec1", np.ones((32, 32), dtype=bool))[0]
     assert [b for b in BLOCK_IDS if info.outputs[b].grad is not None] == ["dec1"]
+
+
+# VJPs one Grad-CAM pass ran on the desk checkpoint at 128x128 while the
+# backward was cut at the requested block alone
+_VJPS_CUT_AT_THE_BLOCK_ALONE = {"enc1": 187, "enc2": 196, "enc3": 197, "bottleneck": 196,
+                                "dec3": 135, "dec2": 72, "dec1": 1}
+
+
+def test_a_gradcam_backward_walks_into_no_earlier_block(monkeypatch):
+    """The blocks before the requested one are cut too, so the backward
+    does not reach them through the decoder's skip inputs: fewer VJPs for
+    every block with an earlier one on a skip, the same for enc1 (no block
+    before it) and dec1 (only the head after it)."""
+    vjps, call = [0], sdah.tensor._VJPs.__call__
+
+    def counting(self, g):
+        grads = call(self, g)
+        vjps[0] += sum(x is not None for x in grads)
+        return grads
+
+    monkeypatch.setattr(sdah.tensor._VJPs, "__call__", counting)
+    model, _ = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "micro_desk.sdck")
+    image = Stream(3).uniform((1, 1, 128, 128)).astype(np.float32)
+    ran = {}
+    for block in BLOCK_IDS:
+        vjps[0] = 0
+        seg_grad_cam(model, image, 1, block, None)
+        ran[block] = vjps[0]
+    before = _VJPS_CUT_AT_THE_BLOCK_ALONE
+    assert {b: ran[b] for b in ("enc1", "dec1")} == {b: before[b] for b in ("enc1", "dec1")}
+    assert all(ran[b] < before[b] for b in ("enc2", "enc3", "bottleneck", "dec3", "dec2")), ran
 
 
 def _check_finite_calls(monkeypatch, fn) -> int:

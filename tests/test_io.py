@@ -67,15 +67,24 @@ def test_sdt1_truncated_payload():
 
 
 def test_checkpoint_every_truncation_raises_format_error(tmp_path):
-    """Cuts inside the count, a name length, a name, an SDT1 header or its
-    dims all report FormatError, never struct.error."""
+    """A cut inside the magic, the count, a name length, a name, an SDT1
+    magic, header, dims or payload reports FormatError naming that field,
+    never struct.error."""
     blob = checkpoint_bytes({"a": np.arange(3, dtype=np.float32),
                              "bb": np.zeros((2, 2), dtype=np.uint8)})
-    p = tmp_path / "c.sdck"
-    for n in range(len(blob)):
-        p.write_bytes(blob[:n])
-        with pytest.raises(FormatError):
-            load_checkpoint(p)
+    fields = [("bad SDCK magic", 4), ("SDCK tensor count truncated", 4)]
+    for name, ndim, payload in (("a", 1, 12), ("bb", 2, 4)):
+        fields += [("SDCK name length truncated", 2), ("SDCK tensor name truncated", len(name)),
+                   ("bad SDT1 magic", 4), ("SDT1 header truncated", 4),
+                   ("SDT1 dims truncated", 4 * ndim), ("SDT1 payload truncated", payload)]
+    assert sum(size for _, size in fields) == len(blob)
+    p, start = tmp_path / "c.sdck", 0
+    for message, size in fields:
+        for n in range(start, start + size):
+            p.write_bytes(blob[:n])
+            with pytest.raises(FormatError, match=f"^{message}$"):
+                load_checkpoint(p)
+        start += size
 
 
 def test_sdt1_trailing_bytes(tmp_path):

@@ -104,7 +104,7 @@ def test_call_counts_reports_the_same_calls_per_step_run_to_run():
         return json.loads(r.stdout)
 
     first = run()
-    assert sorted(first) == ["default_224", "micro"]
+    assert sorted(first) == ["default_224", "infer", "micro"]
     assert all(n > 1000 for n in first.values())
     assert run() == first
 
