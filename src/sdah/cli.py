@@ -28,12 +28,12 @@ from .attention import (SdmsaParams, WindowLayout, _attend, _deform_points, refe
 from .convops import conv2d, deconv2d
 from .explain import export_bundle
 from .gradcheck import GradCheckError, grad_check
-from .io import FormatError, load_image, load_sdt1, save_sdt1, to_u8, write_pgm
+from .io import load_image, load_sdt1, save_sdt1, to_u8, write_pgm
 from .inference import SlidingConfig, predict_mask, sliding_predict, tile_positions
 from .metrics import dsc, evaluate_pairs, hd95, write_eval_csv
 from .network import ModelConfig, build_model, count_flops, count_params, load_model
 from .rng import Stream
-from .tensor import GradError, NumericsError, Tensor, _keep_heap, gelu, matmul, softmax
+from .tensor import GradError, Tensor, _keep_heap, gelu, matmul, softmax
 from .training import (
     CKPT_NAME,
     CURVE_NAME,
@@ -419,12 +419,11 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (NumericsError, GradError, TrainingAborted, GradCheckError,
-            ArithmeticError) as e:
+    except (GradError, TrainingAborted, GradCheckError, ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, FormatError, ValueError, KeyError, OSError,
-            MemoryError, RecursionError) as e:  # the last: JSON nested too deep
+    except (ValueError, KeyError, OSError, MemoryError,
+            RecursionError) as e:  # the last: JSON nested too deep
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from .attention import SdmsaTrace
 from .io import save_sdt1, to_u8, write_pgm, write_ppm
 from .network import BLOCK_IDS, Model, forward
 from .sampling import bilinear_corners, bilinear_resize, bilinear_scatter
-from .tensor import NumericsError, _checked_once
+from .tensor import NumericsError, _checked_once, _finite
 
 
 def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
@@ -94,27 +94,29 @@ def deformation_field(trace: SdmsaTrace) -> np.ndarray:
     return img
 
 
-def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
-    """The one forward and one backward behind every Grad-CAM output.
+def seg_grad_cam(model: Model, image, target_class: int, target_block: str, roi_mask):
+    """Grad-CAM for segmentation, from one forward and one backward.
 
-    `image` is a (B, C, H, W) batch.  A None `roi_mask` becomes the pixels
-    this forward argmax-predicts as the target class in image 0.  Returns
-    (info, weights, cam): the forward's ForwardInfo, the (B, C, 1, 1)
-    channel weights, and the (H, W) map as seg_grad_cam describes it.  The
-    backward computes only the block's gradient: the outputs of the block
-    and of every block before it in BLOCK_IDS are cut from their inputs and
-    the weights are frozen while it runs, so no weight VJP runs, the
-    weights' .grad stay as found and each weight requires a gradient again
-    however the pass ends.  The pass runs through `tensor._checked_once`,
+    Returns (info, weights, cam): the forward's ForwardInfo (each block's
+    trace and output), the (B, C, 1, 1) channel weights (the score's
+    gradient at the block's output, averaged over its pixels), and image
+    0's (H, W) map (the weighted feature sum, rectified, upsampled and
+    max-normalized).  `image` is a (B, C, H, W) batch; the score is the
+    target class's logits summed over `roi_mask` (if None, the pixels this
+    forward argmax-predicts as that class in image 0).  The backward
+    computes only the block's gradient: the outputs of the block and of
+    every block before it in BLOCK_IDS are cut from their inputs, and the
+    weights are frozen while it runs, each requiring a gradient again and
+    its .grad as found however it ends.  It runs through `_checked_once`,
     which checks the logits and the block's gradient once.
     """
-    if block not in BLOCK_IDS:
-        raise ValueError(f"unknown block {block!r}")
+    if target_block not in BLOCK_IDS:
+        raise ValueError(f"unknown block {target_block!r}")
     params = model.named_parameters().values()
 
     def run():
         logits, info = forward(model, image)
-        if not np.isfinite(logits.data).all():  # nested, forward checked nothing
+        if not _finite(logits.data):  # nested, forward checked nothing
             raise NumericsError("the logits have non-finite values")
         k = logits.shape[1]
         if not 0 <= target_class < k:
@@ -132,7 +134,7 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
         seed[:, target_class] = roi
         # the backward stops at the block, and at the blocks before it, which
         # the decoder's skip inputs would otherwise walk into
-        for b in BLOCK_IDS[:BLOCK_IDS.index(block) + 1]:
+        for b in BLOCK_IDS[:BLOCK_IDS.index(target_block) + 1]:
             info.outputs[b]._ctx = None
         for t in params:                  # every parameter is built requiring one
             t.requires_grad = False
@@ -143,24 +145,13 @@ def _cam_pass(model: Model, image, target_class: int, block: str, roi_mask):
                 t.requires_grad = True
         return info, roi
 
-    info, roi = _checked_once(run, lambda out: np.isfinite(out[0].outputs[block].grad).all())
-    feat = info.outputs[block]        # (B, C, h, w)
+    info, roi = _checked_once(run, lambda out: _finite(out[0].outputs[target_block].grad))
+    feat = info.outputs[target_block]  # (B, C, h, w)
     weights = feat.grad.mean(axis=(2, 3), keepdims=True)
     cam = np.maximum((weights * feat.data).sum(axis=1), 0.0)  # (B, h, w)
     cam = bilinear_resize(cam.astype(np.float64), *roi.shape)[0]
     peak = cam.max()
     return info, weights, (cam / peak if peak > 0 else cam)
-
-
-def seg_grad_cam(model: Model, image, target_class: int, target_block: str,
-                 roi_mask) -> np.ndarray:
-    """(H, W) non-negative attribution map, max-normalized.
-
-    Score is the sum of the target class's logits over the ROI; gradients
-    are taken at the target block's output, channel-averaged into weights,
-    and the weighted feature sum is rectified and upsampled.
-    """
-    return _cam_pass(model, image, target_class, target_block, roi_mask)[2]
 
 
 def export_bundle(model: Model, image, block: str, target_class: int,
@@ -170,9 +161,9 @@ def export_bundle(model: Model, image, block: str, target_class: int,
 
     The ROI defaults to the pixels argmax-predicted as the target class.
     The traces and the Grad-CAM come from the same single forward pass,
-    and its one backward computes only the block's gradient (`_cam_pass`).
+    and its one backward computes only the block's gradient (`seg_grad_cam`).
     """
-    info, _, cam = _cam_pass(model, image, target_class, block, roi_mask)
+    info, _, cam = seg_grad_cam(model, image, target_class, block, roi_mask)
     trace = info.traces[block]
     d = Path(out_dir) / block
     d.mkdir(parents=True, exist_ok=True)

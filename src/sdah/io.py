@@ -12,6 +12,7 @@ preserved so checkpoints are byte-stable for a fixed parameter registry.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from functools import lru_cache
 from pathlib import Path
@@ -77,13 +78,22 @@ def _sdt1_view(buf, offset: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(buf, dtype, count, pos).reshape(dims), end
 
 
+def _read(path) -> bytearray:
+    """The whole file, read straight into one new bytearray of its size."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        if (n := f.readinto(buf)) != len(buf):
+            raise FormatError(f"short read: {n} of {len(buf)} bytes")
+    return buf
+
+
 def save_sdt1(path, arr: np.ndarray) -> None:
     Path(path).write_bytes(sdt1_bytes(arr))
 
 
 def load_sdt1(path) -> np.ndarray:
     """The file's array, a writable view into one buffer holding the file."""
-    buf = bytearray(Path(path).read_bytes())
+    buf = _read(path)
     arr, end = _sdt1_view(buf, 0)
     if end != len(buf):
         raise FormatError("trailing bytes after SDT1 payload")
@@ -118,7 +128,7 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """The named arrays in entry order, each a writable view into one buffer
     holding the file: no array is copied, and no two overlap."""
-    buf = bytearray(Path(path).read_bytes())
+    buf = _read(path)
     size = len(buf)
     if not buf.startswith(SDCK_MAGIC):
         raise FormatError("bad SDCK magic")

@@ -179,9 +179,9 @@ class Model:
                 f"unexpected {sorted(extra)[:4]}"
             )
         w, views = _pack(mine, [named[name] for name in mine])
-        if not np.logical_and.reduce(np.isfinite(w), axis=None):
+        if not T._finite(w):
             for name, view in zip(mine, views):
-                if not np.isfinite(view).all():
+                if not T._finite(view):
                     raise NumericsError(f"{name} has non-finite values")
         for t, view in zip(mine.values(), views):
             t.data = view
@@ -293,14 +293,14 @@ def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     values`) when they are not finite.
     """
     x = _as_tensor(image)
-    if not np.isfinite(x.data).all():
+    if not T._finite(x.data):
         raise NumericsError("input image has non-finite values")
     in_channels = model.layers["stem"].conv[0].w.shape[1]
     if x.ndim != 4 or x.shape[1] != in_channels:
         raise ValueError(f"expected (B,{in_channels},H,W), got {x.shape}")
     layouts = block_layouts(model, x.shape[2], x.shape[3])
     return _checked_once(lambda: _run_layers(model.layers, x, layouts),
-                         lambda out: np.isfinite(out[0].data).all())
+                         lambda out: T._finite(out[0].data))
 
 
 def _run_layers(layers: dict, x: Tensor, layouts: dict) -> tuple[Tensor, ForwardInfo]:

@@ -15,12 +15,13 @@ primitive checks `requires_grad` itself.  Ops whose VJPs share work pass a
 `prep` that maps the output gradient once to what they all read.
 
 Every primitive checks its float outputs for NaN/Inf, and `backward` each
-gradient it pushes, and raises `NumericsError` instead of propagating them.
-These per-op checks are on by default, so a primitive called on its own
-always checks.  `_checked_once(run, finite)` runs `network.forward`, a
-training step or a Grad-CAM pass without them and checks the result once,
-then on a failure runs it again with every check on to name the op.  A few
-checks stay on regardless, wherever a later op can turn a non-finite value
+gradient it leaves on an operand after the cast and the sum (either can
+overflow), and raises `NumericsError` instead of propagating them.  These
+per-op checks are on by default, so a primitive called on its own always
+checks.  `_checked_once(run, finite)` runs `network.forward`, a training
+step or a Grad-CAM pass without them and checks the result once, then on
+a failure runs it again with every check on to name the op.  A few checks
+stay on regardless, wherever a later op can turn a non-finite value
 back into a finite one (layer_norm's variance, the attention scores, the
 offset net's GELU and 1x1 conv outputs before tanh): there a check of the
 result would miss the failure.  Inside `_scope(name)` every error starts
@@ -126,10 +127,14 @@ def _keep_heap() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_AT) == 1)
 
 
+def _finite(a) -> bool:
+    """`np.isfinite(a).all()` without `ndarray.all`'s Python wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def _check_finite(arr: np.ndarray, op: str, scope: str | None = None) -> None:
     """Raise NumericsError when a float `arr` holds NaN or Inf, naming `op`
-    and the layer `scope` (by default the current one).  The reduction is
-    `np.isfinite(arr).all()` without `ndarray.all`'s Python wrapper."""
+    and the layer `scope` (by default the current one)."""
     if (arr.dtype.type in _FLOAT_DTYPES
             and not np.logical_and.reduce(np.isfinite(arr), axis=None)):
         where = _layer if scope is None else scope
@@ -141,8 +146,9 @@ def _checked_once(run, finite):
     `finite(result)` holds.  Otherwise, or when a kept check raised, `run()`
     again with every check on and the caller's warnings: being
     deterministic, it raises the first failing op's NumericsError, prefixed
-    by its layer id, or returns for the caller to judge.  Nested in another
-    call's unchecked run it just calls `run()`: the outermost call checks."""
+    by its layer id: it checks every primitive output and gradient, so it
+    raises or returns finite values.  Nested in another call's unchecked
+    run it just calls `run()`: the outermost call checks."""
     global _checks
     if not _checks:
         return run()
@@ -278,11 +284,11 @@ class Tensor:
             for parent, g in zip(ctx.parents, grads):
                 if g is None:
                     continue
-                if check:
-                    _check_finite(g, f"{ctx.op} backward", ctx.scope)
                 if g.dtype != parent.data.dtype:
                     g = g.astype(parent.data.dtype)
                 parent.grad = g if parent.grad is None else parent.grad + g
+                if check:  # after the cast and the sum, either of which can overflow
+                    _check_finite(parent.grad, f"{ctx.op} backward", ctx.scope)
             node._ctx = _SPENT
 
     def _topo(self) -> list["Tensor"]:

@@ -21,7 +21,7 @@ import numpy as np
 from .io import FormatError, load_image, load_sdt1, save_sdt1
 from .network import Model, _pack, config_from_dict, forward, save_model
 from .rng import Stream, derive_seed
-from .tensor import NumericsError, Tensor, _as_tensor, _checked_once, _keep_heap, _make
+from .tensor import NumericsError, Tensor, _as_tensor, _checked_once, _finite, _keep_heap, _make
 
 _BATCH_KEY = 0xB47C  # sub-stream tag for per-step batch sampling
 
@@ -314,9 +314,7 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
             return loss, dl, cl, np.concatenate([p.grad for p in params], axis=None)
 
         try:
-            loss, dl, cl, g = _checked_once(grads, _step_finite)
-            if not _step_finite((loss, dl, cl, g)):  # the checked replay returned
-                raise NumericsError("the gradient vector has non-finite values")
+            loss, dl, cl, g = _checked_once(grads, lambda r: _finite(r[0].data) and _finite(r[3]))
             lr = lr_at(step, cfg)
             if step % LOG_EVERY == 0 or step == cfg.max_steps - 1:
                 row = {
@@ -336,11 +334,6 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     _write_curve(curve_path, rows)
     save_model(ckpt_path, model, extra={"step": np.float64(cfg.max_steps)})
     return rows
-
-
-def _step_finite(step) -> bool:
-    """Whether a training step's loss and gradient vector are finite."""
-    return bool(np.isfinite(step[0].data).all() and np.isfinite(step[3]).all())
 
 
 def _write_curve(path, rows) -> None:

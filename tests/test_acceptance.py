@@ -24,7 +24,7 @@ from sdah.attention import (
 )
 from sdah.blocks import init_sdapc, sdapc_block
 from sdah.convops import conv2d, deconv2d
-from sdah.explain import _cam_pass, export_bundle, points_csv_bytes
+from sdah.explain import export_bundle, points_csv_bytes, seg_grad_cam
 from sdah.gradcheck import grad_check
 from sdah.inference import SlidingConfig, gaussian_map, sliding_predict, tile_positions
 from sdah.metrics import dsc, hd95
@@ -459,7 +459,7 @@ def test_c10_explain_integrity(capsys, tmp_path):
         roi[8:24, 8:24] = True
         worst = 0.0
         for block, ch, hw in (("dec1", 8, 8), ("dec2", 16, 4)):
-            weights = _cam_pass(fd_model, image, 1, block, roi)[1][0, :, 0, 0]
+            weights = seg_grad_cam(fd_model, image, 1, block, roi)[1][0, :, 0, 0]
 
             def score(bump):
                 logits = bumped_logits(fd_model, image, block, bump)

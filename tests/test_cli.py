@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdah.explain
 from sdah.cli import build_parser, main
+from sdah.explain import seg_grad_cam
 from sdah.inference import SlidingConfig
 from sdah.io import load_checkpoint, load_sdt1, save_checkpoint, save_sdt1
 from sdah.network import CONFIG_KEY, build_model, count_params, micro_config, save_model
@@ -271,6 +273,15 @@ def test_explain_makes_a_missing_nested_output_directory(tmp_path, capsys):
                  str(_image_file(d)), "--block", "dec1", "--out", str(out)]) == 0
     assert sorted(p.name for p in (out / "dec1").iterdir()) == [
         "attn.pgm", "attn.sdt", "field.ppm", "gradcam.pgm", "points.csv"]
+
+
+def test_explain_runs_one_seg_grad_cam_pass(tmp_path, monkeypatch, capsys):
+    d, calls = _micro_files(tmp_path), []
+    monkeypatch.setattr(sdah.explain, "seg_grad_cam",
+                        lambda *args: calls.append(args[3]) or seg_grad_cam(*args))
+    assert main(["explain", "--ckpt", str(d / "model.sdck"), "--image",
+                 str(_image_file(d)), "--block", "enc2", "--out", str(d / "x")]) == 0
+    assert calls == ["enc2"]
 
 
 def test_two_train_runs_write_identical_checkpoint_bytes(workdir, capsys):

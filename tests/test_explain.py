@@ -8,7 +8,6 @@ import sdah.convops
 import sdah.tensor
 from sdah.attention import SdmsaTrace, WindowLayout
 from sdah.explain import (
-    _cam_pass,
     attention_heatmap,
     deformation_field,
     export_bundle,
@@ -226,7 +225,7 @@ def test_gradcam_shape_and_normalization():
     m = _micro_model()
     roi = np.zeros((32, 32), dtype=bool)
     roi[4:20, 4:20] = True
-    cam = seg_grad_cam(m, _image(), 1, "dec1", roi)
+    cam = seg_grad_cam(m, _image(), 1, "dec1", roi)[2]
     assert cam.shape == (32, 32)
     assert cam.min() >= 0.0
     assert cam.max() == pytest.approx(1.0)
@@ -336,7 +335,7 @@ def test_a_gradcam_pass_runs_no_weight_vjp(block, monkeypatch):
 def test_a_gradcam_backward_stops_at_the_block():
     """Cut at dec1, the last block, the backward reaches no other block's
     output, where a full backward reaches all of them."""
-    info = _cam_pass(_micro_model(), _image(), 1, "dec1", np.ones((32, 32), dtype=bool))[0]
+    info = seg_grad_cam(_micro_model(), _image(), 1, "dec1", np.ones((32, 32), dtype=bool))[0]
     assert [b for b in BLOCK_IDS if info.outputs[b].grad is not None] == ["dec1"]
 
 
@@ -421,9 +420,9 @@ def test_gradcam_reads_no_gradient_upstream_of_the_block(lid, monkeypatch):
     """A weight poisoned after the forward, upstream of the block, feeds no
     gradient the map reads: the pass neither fails nor moves the map."""
     m, roi = _micro_model(), np.ones((32, 32), dtype=bool)
-    want = seg_grad_cam(m, _image(), 1, "dec1", roi)
+    want = seg_grad_cam(m, _image(), 1, "dec1", roi)[2]
     _poison_after_the_forward(monkeypatch, m.named_parameters()[f"{lid}.dw1.w"])
-    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi), want)
+    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi)[2], want)
 
 
 def test_gradcam_names_a_nan_head_bias_before_reading_the_roi():
@@ -433,20 +432,20 @@ def test_gradcam_names_a_nan_head_bias_before_reading_the_roi():
     m = _micro_model()
     m.named_parameters()["head.b"].data[0] = np.nan
     with pytest.raises(NumericsError, match="^head: deconv2d produced non-finite values$"):
-        _cam_pass(m, _image(), 1, "dec1", None)
+        seg_grad_cam(m, _image(), 1, "dec1", None)
 
 
 def test_gradcam_starts_from_no_grad_and_runs_once(monkeypatch):
     """The caller's NaN .grad neither fail the pass's check (no second
     forward) nor change the map, and they are back in place after it."""
     m, roi = _micro_model(), np.ones((32, 32), dtype=bool)
-    want = seg_grad_cam(m, _image(), 1, "dec1", roi)
+    want = seg_grad_cam(m, _image(), 1, "dec1", roi)[2]
     params = m.named_parameters()
     for t in params.values():
         t.grad = np.full(t.shape, np.nan, t.data.dtype)
     calls = []
     monkeypatch.setattr(sdah.explain, "forward", lambda *a: calls.append(1) or forward(*a))
-    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi), want)
+    np.testing.assert_array_equal(seg_grad_cam(m, _image(), 1, "dec1", roi)[2], want)
     assert calls == [1] and all(np.isnan(t.grad).all() for t in params.values())
 
 
@@ -467,7 +466,7 @@ def test_cam_weights_match_finite_differences(block, ch, hw):
     img = _image()
     roi = np.zeros((32, 32), dtype=bool)
     roi[8:24, 8:24] = True
-    weights = _cam_pass(m, img, 1, block, roi)[1][0, :, 0, 0]
+    weights = seg_grad_cam(m, img, 1, block, roi)[1][0, :, 0, 0]
 
     def score(bump):
         return float(bumped_logits(m, img, block, bump).data[0, 1][roi].sum())
@@ -500,7 +499,10 @@ def test_export_bundle_is_byte_stable(tmp_path):
 
 
 def test_export_bundle_runs_one_forward_and_one_backward(tmp_path, monkeypatch):
-    calls = {"forward": 0, "backward": 0}
+    """One forward and one backward, in one call of the module's
+    `seg_grad_cam`: looked up by name, so a wrapper of it (a tracer's span)
+    sees the bundle's pass."""
+    calls = {"forward": 0, "backward": 0, "seg_grad_cam": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -510,9 +512,10 @@ def test_export_bundle_runs_one_forward_and_one_backward(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sdah.explain, "forward", counted("forward", forward))
     monkeypatch.setattr(Tensor, "backward", counted("backward", Tensor.backward))
+    monkeypatch.setattr(sdah.explain, "seg_grad_cam", counted("seg_grad_cam", seg_grad_cam))
     paths = export_bundle(_micro_model(), _image(), "enc1", 1, tmp_path)
     assert len(paths) == 5
-    assert calls == {"forward": 1, "backward": 1}
+    assert calls == {"forward": 1, "backward": 1, "seg_grad_cam": 1}
 
 
 def test_export_bundle_default_roi_is_the_class_argmax(tmp_path):

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sdah.io
 from sdah.io import (
     FormatError,
     checkpoint_bytes,
@@ -175,6 +178,21 @@ def test_loaded_arrays_are_writable_and_disjoint(tmp_path):
                 np.testing.assert_array_equal(back[other], want, err_msg=other)
         arr[...] = named[name]
     assert p.read_bytes() == checkpoint_bytes(named)
+
+
+@pytest.mark.parametrize("load,blob", [
+    (load_checkpoint, checkpoint_bytes({"w": np.ones(3, dtype=np.float32)})),
+    (load_sdt1, sdt1_bytes(np.ones(3, dtype=np.float32))),
+])
+def test_a_short_read_is_a_format_error(load, blob, tmp_path, monkeypatch):
+    """A file that yields fewer bytes than its size said (it shrank while
+    being read) is rejected, not parsed from a zero-padded buffer."""
+    p = tmp_path / "f.bin"
+    p.write_bytes(blob)
+    monkeypatch.setattr(sdah.io, "os", SimpleNamespace(
+        fstat=lambda fd: SimpleNamespace(st_size=len(blob) + 4)))
+    with pytest.raises(FormatError, match=f"^short read: {len(blob)} of {len(blob) + 4} bytes$"):
+        load(p)
 
 
 def test_pgm_header_and_payload(tmp_path):

@@ -443,6 +443,39 @@ def test_layer_norm_raises_on_an_overflowed_variance():
         layer_norm(row, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_names_a_sum_that_overflows():
+    """Each VJP output is finite; the sum left on `a` is not."""
+    a = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with pytest.raises(NumericsError, match="^add backward produced non-finite values$"):
+        add(a, a).backward(np.full(3, 3e38, np.float32))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_names_a_cast_that_overflows():
+    """A finite float64 VJP output overflows when cast into a float32 parent;
+    the error names the op and the layer it was made in."""
+    a = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with T._scope("enc2"):
+        y = mul(a, Tensor(np.full(3, 1e20), dtype=np.float64))
+    with pytest.raises(NumericsError, match="^enc2: mul backward produced non-finite values$"):
+        y.backward(np.full(3, 1e20))
+
+
+def test_backward_checks_each_gradient_it_pushes_once(monkeypatch):
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    y = tsum(mul(a, b))
+    calls, check = [], T._check_finite
+
+    def counting(arr, op, scope=None):
+        calls.append(op)
+        check(arr, op, scope)
+
+    monkeypatch.setattr(T, "_check_finite", counting)
+    y.backward()
+    assert calls == ["sum backward", "mul backward", "mul backward"]
+
+
 def test_primitive_output_is_checked_once(monkeypatch):
     import sdah.tensor as T
 
