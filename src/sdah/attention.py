@@ -4,26 +4,17 @@ Each head projects its window patches to queries, predicts a bounded 2-D
 offset per patch from those queries (depthwise 5x5 -> GELU -> grouped 1x1,
 then tanh), and gathers keys/values by bilinear sampling of the full
 (cyclically shifted) feature map at clip(reference + offset), one grouped
-read for all heads.  The offset net, its bound, the shift and the clip are
-one graph node (`_deform_points`); each layout's reference grid is built
-once and shared read-only.
+read for all heads.
 
 A continuous relative-position bias is read from a learned (2*ws-1)^2
 table per head at each key - query displacement, clamped to the table and
 bilinearly interpolated, so at zero offset the mechanism reduces exactly to
 plain shifted-window attention with the integer-indexed bias.
 
-The queries sit on each window's integer grid and the clamp acts on each
-axis alone, so the read is separable: per-axis interpolation weights (two
-nonzeros per query row or column and key), one matmul with the table and
-small per-key products, in one primitive with its own backward that both
-attention paths use.
-
-The window core, softmax(q kᵀ/√d + bias) v, is one fused node (`_attend`)
-that keeps only its probabilities for the backward.
-
 Maps are (B, C, H, W) and windows (B, n_windows, heads, P = ws*ws, d); one
 node each way (`window_partition`, `window_merge`), each the other's VJP.
+The sampling points of a deformable layer (`_deform_points`), the bias
+(`_relative_bias`) and the window core (`_attend`) are one graph node each.
 """
 
 from __future__ import annotations
@@ -269,10 +260,10 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
     GELU's output and the 1x1 conv's are checked even inside
     `tensor._checked_once`, since tanh and the clip would hide an inf.
     The node's parents are q and the four offset weights; its `prep`
-    carries the gradient down the chain once (clip mask, times s, tanh',
-    the 1x1 conv's input gradient, GELU') and each VJP reads its step.
-    Every step runs in the order of the eleven-node chain this replaces,
-    so points, offsets and gradients equal the chain's bit for bit.
+    carries the gradient down the net once (clip mask, times s, tanh', the
+    1x1 conv's input gradient, GELU') and each VJP reads its step.  Points,
+    offsets and gradients equal `deform_points_chain` in tests/oracles.py
+    bit for bit.
     """
     b, nw, nh, p, d = q.shape
     c, k = nh * d, OFFSET_KERNEL
@@ -314,7 +305,9 @@ def _deform_points(q: Tensor, params: SdmsaParams, ws: int, ref: np.ndarray,
 def _hat_positions(shape: tuple, t: int, transposed: bool) -> np.ndarray:
     """Flat position of each (..., ws) entry's row in a `_hat` of that shape
     (its first column when transposed): int64, read-only, built once per
-    (shape, t, transposed).  `_slope` reads the plain hat's positions."""
+    (shape, t, transposed).  `_slope` reads the plain hat's positions.
+    `_hat` and `_slope` equal `hat_scatter` and `slope_arange` in
+    tests/oracles.py bit for bit."""
     ws = shape[-1]
     q = np.arange(math.prod(shape)).reshape(shape)
     pos = (q - q % ws) * t + q % ws if transposed else q * t
@@ -430,22 +423,17 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor) -> tuple[Tensor, np.n
 
     q, k, v (B, n_w, n_h, P, d); bias broadcasts to the (B, n_w, n_h, P, P)
     scores, which are scaled, biased and softmaxed in place.  The biased
-    scores get the one finite check, kept even inside `tensor._checked_once`,
-    so a -inf score raises like a NaN or +inf one, and finite scores always
-    give finite probabilities.  The softmax's row max is one elementwise
-    maximum over a contiguous keys-leading copy of the scores, which is
-    faster than a reduction along the short last axis of a window's keys;
-    a max is exact in any order (a row's +0.0 and -0.0 shift every score
-    to the same exp), so the probabilities keep their bits.  The
-    probabilities are the one array the backward keeps; its `prep` computes
-    dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.  Each
-    step runs in the order of the six-node chain this replaces, so values
-    and gradients equal the chain's bit for bit, with one caveat: kᵀ for
-    the scores and vᵀ for dP are contiguous copies (numpy's batched matmul
-    is up to 2.2x slower on the strided views at window shapes), and
-    OpenBLAS's plain and transposed kernels agree at the head widths the
-    shipped configs use (d <= 16, float32) but can round the last bit
-    apart at d = 32 in float32 and d >= 16 in float64.
+    scores get the one finite check, kept on inside `tensor._checked_once`
+    because the softmax would turn a -inf score into a finite probability.
+    The probabilities are the one array the backward keeps; its `prep`
+    computes dS = P * (dP - rowsum(dP * P)) once for the q, k and bias VJPs.
+
+    Output, probabilities and gradients equal `attend_chain` in
+    tests/oracles.py bit for bit in float32 at the head widths the shipped
+    configs use (d <= 16).  kᵀ and vᵀ are multiplied as contiguous copies,
+    where OpenBLAS's plain and transposed kernels can round the last bit
+    apart: at d = 32 in float32 and d >= 16 in float64.  The row max is
+    exact in any order, so it is taken over a keys-leading copy.
     """
     scale = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
     probs = np.matmul(q.data, np.ascontiguousarray(k.data.swapaxes(-1, -2)))

@@ -401,10 +401,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one `sdah` command; returns its exit code.  Every command keeps
-    freed heap memory in the process (`tensor._keep_heap`: glibc's mmap and
-    trim thresholds, both set since either alone faults more), so repeated
-    tile forwards and steps reuse pages instead of faulting fresh ones in."""
+    """Run one `sdah` command; returns its exit code (0-4, see the module
+    docstring).  Every command keeps freed memory in the process
+    (`tensor._keep_heap`)."""
     _keep_heap()
     parser = build_parser()
     try:

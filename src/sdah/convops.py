@@ -1,31 +1,16 @@
 """2-D convolution and transposed convolution primitives.
 
 Cross-correlation semantics with zero padding, lowered to matmuls in one of
-two ways picked from the conv's geometry:
-
-- Banded rows, for a depthwise conv (groups == C_in == C_out) at stride 1
-  with k > 1.  The output width is cut into blocks of b columns
-  (`_band_width`, from geometry alone), and block row (y, m) holds the k
-  slices of b + k - 1 inputs that its outputs read, padded rows y..y+k-1 at
-  columns m*b..m*b+b+k-2, end to end.  So each output reads k*(b+k-1)
-  inputs, not the k*Wp of a whole padded row, and the map is copied about
-  k times, not k*k, into (N, C, ho*nb, k*(b+k-1)) rows.  Each channel's
-  kernel becomes one (k*(b+k-1), b) band holding w[c, 0, i, q] at
-  [i*(b+k-1) + j + q, j], shared by every block, and the conv is one
-  broadcast matmul, rows @ band, with one product per image and channel,
-  so a batch gives each image's result bit for bit.  The weight gradient
-  is the band's gradient, taken in a (C, N*ho*nb, .) layout so that one
-  matmul per channel sums the images and blocks, and folded back to
-  (k, k) by summing each of its k*k diagonals.
-- im2col, for every other conv (dense, grouped, strided, transposed, and
-  1x1): a (N, C, k, k, ho, wo) patch copy and one batched matmul per group.
+two ways picked from the conv's geometry alone: banded rows for a depthwise
+conv at stride 1 with k > 1 (`_banded_forward`), im2col for every other
+conv (dense, grouped, strided, transposed, and 1x1).  Either way a batch
+gives each image's result bit for bit, and every reduction order is fixed.
 
 The input gradient of a stride-1 conv is the same forward run on the output
 gradient with the flipped kernel, its input and output channels swapped
 within each group, at padding k-1-p (a crop of the output gradient when
 p > k-1), so a depthwise input gradient takes the banded path too.  Only
-strided convs use the col2im scatter, k*k ordered slice additions, so every
-reduction order is fixed.
+strided convs use the col2im scatter, k*k ordered slice additions.
 
 Geometry is strict by default: (H + 2p - k) must be divisible by the stride
 or the op raises.  `allow_floor=True` opts into floor semantics (trailing
@@ -62,9 +47,8 @@ def _pad(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _view(a: np.ndarray, shape, strides) -> np.ndarray:
-    """A strided view of contiguous `a` from its first element, built by the
-    ndarray constructor: it checks that the view fits in a's buffer and
-    costs about a sixth of numpy's stride-tricks helper."""
+    """A strided view of contiguous `a` from its first element; the ndarray
+    constructor checks that the view fits in a's buffer."""
     return np.ndarray(shape, a.dtype, buffer=a, strides=strides)
 
 
@@ -126,7 +110,14 @@ def _diagonals(m: np.ndarray, k: int, transposed: bool = False) -> np.ndarray:
 
 def _banded_forward(x: np.ndarray, w: np.ndarray, p: int, b: int) -> np.ndarray:
     """Stride-1 depthwise conv of (N,C,H,W) x by (C,1,k,k) w at padding p,
-    in blocks of b output columns (b divides the output width)."""
+    in blocks of b output columns (b divides the output width).
+
+    Block row (y, m) holds the k slices of b + k - 1 inputs its outputs
+    read (`_rows`), so each output reads k*(b+k-1) inputs, not a whole
+    padded row.  Each channel's kernel becomes one (k*(b+k-1), b) band
+    holding w[c, 0, i, q] at [i*(b+k-1) + j + q, j], shared by every block,
+    and the conv is one broadcast matmul, rows @ band, with one product per
+    image and channel."""
     k = w.shape[-1]
     rows = _rows(x, k, p, b)
     n, c, ho, nb, _, l = rows.shape
@@ -139,7 +130,8 @@ def _banded_forward(x: np.ndarray, w: np.ndarray, p: int, b: int) -> np.ndarray:
 def _banded_backward_w(x: np.ndarray, dy: np.ndarray, k: int, p: int, b: int) -> np.ndarray:
     """Weight gradient of `_banded_forward` for output gradient dy: the band's
     gradient, transposed, summed over images and blocks inside one matmul
-    per channel (dy^T rows in a (C, N*ho*nb, .) layout)."""
+    per channel (dy^T rows in a (C, N*ho*nb, .) layout), and folded back to
+    (k, k) by summing each of its k*k diagonals."""
     c = x.shape[1]
     rows = np.ascontiguousarray(_rows(x, k, p, b).transpose(1, 0, 2, 3, 4, 5))
     dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(c, -1, b)

@@ -53,7 +53,8 @@ def points_csv_bytes(trace: SdmsaTrace, block: str, stride: int = 1) -> bytes:
 
     Coordinates are in the shifted frame, exactly as used by the sampler,
     written with `repr` so they parse back to the same doubles; `stride`
-    keeps every stride-th point per window for legibility.
+    keeps every stride-th point per window for legibility.  The bytes equal
+    `points_csv_per_point` in tests/oracles.py.
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
@@ -107,8 +108,9 @@ def seg_grad_cam(model: Model, image, target_class: int, target_block: str, roi_
     computes only the block's gradient: the outputs of the block and of
     every block before it in BLOCK_IDS are cut from their inputs, and the
     weights are frozen while it runs, each requiring a gradient again and
-    its .grad as found however it ends.  It runs through `_checked_once`,
-    which checks the logits and the block's gradient once.
+    its .grad as found however it ends.  The pass runs through
+    `tensor._checked_once`, with the logits and the block's gradient as
+    its checks.
     """
     if target_block not in BLOCK_IDS:
         raise ValueError(f"unknown block {target_block!r}")
@@ -161,7 +163,8 @@ def export_bundle(model: Model, image, block: str, target_class: int,
 
     The ROI defaults to the pixels argmax-predicted as the target class.
     The traces and the Grad-CAM come from the same single forward pass,
-    and its one backward computes only the block's gradient (`seg_grad_cam`).
+    and its one backward computes only the block's gradient: one call of
+    the module's `seg_grad_cam`, so a wrapper set on it sees the pass.
     """
     info, _, cam = seg_grad_cam(model, image, target_class, block, roi_mask)
     trace = info.traces[block]

@@ -8,12 +8,7 @@ runs with the window capped at the map size (relative-position tables keep
 their configured extent, so checkpoints are resolution-independent).
 
 `forward` and the accounting read every width, kernel, head count and branch
-off the weights.  FLOPs: 2 * weight size * pixels per conv, deconv or FC
-layer (a conv at its output pixels, a deconv at its input pixels); attention
-adds 2 * pixels * patches * channels for each of scores and values, 5 per
-softmax element, 8 per sampled value per channel and 8 per bias read for each
-query-key pair and head (a plain layer makes one read every window shares).
-Elementwise work (activations, norms, residuals) is not counted.
+off the weights.
 """
 
 from __future__ import annotations
@@ -282,15 +277,13 @@ def block_layouts(model: Model, h: int, w: int) -> dict:
 def forward(model: Model, image) -> tuple[Tensor, ForwardInfo]:
     """(B, C_in, H, W) -> (B, K, H, W) logits.
 
-    The input geometry is checked before any layer runs.  The info object
+    The input geometry is checked before any layer runs, and a non-finite
+    pixel raises NumericsError naming the input image.  The info object
     keeps each block's attention trace and its output tensor (still
-    attached to the graph, so its .grad fills in on backward).  A
-    non-finite pixel raises NumericsError naming the input image.
-
-    The layers run through `tensor._checked_once`: without per-op finite
-    checks, with the logits checked once, and again with every check on to
-    name the first failing op (`enc2: layer_norm produced non-finite
-    values`) when they are not finite.
+    attached to the graph, so its .grad fills in on backward).  The layers
+    run through `tensor._checked_once` with the logits as its check, so a
+    non-finite value raises NumericsError naming the layer and op
+    (`enc2: layer_norm produced non-finite values`).
     """
     x = _as_tensor(image)
     if not T._finite(x.data):
@@ -361,7 +354,15 @@ def _block_flops(p: B.SdapcBlockParams, pos: int,
 
 
 def count_flops(model: Model, h: int, w: int) -> int:
-    """FLOPs of one single-image forward at input size (h, w)."""
+    """FLOPs of one single-image forward at input size (h, w).
+
+    2 * weight size * pixels per conv, deconv or FC layer (a conv at its
+    output pixels, a deconv at its input pixels); attention adds 2 * pixels
+    * patches * channels for each of scores and values, 5 per softmax
+    element, 8 per sampled value per channel and 8 per bias read for each
+    query-key pair and head (a plain layer makes one read every window
+    shares).  Elementwise work (activations, norms, residuals) is not
+    counted."""
     layouts = block_layouts(model, h, w)
     layers, total, s = model.layers, 0, 1
     for conv, stride in zip(layers["stem"].conv, B._STEM_STRIDES):

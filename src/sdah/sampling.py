@@ -4,10 +4,8 @@ Coordinates are clamped to [0, H-1] x [0, W-1] before the 4-neighbor blend
 (border mode), so sampling at integer in-range points reproduces pixel
 values exactly and out-of-range points read the nearest border pixel.
 Differentiable with respect to both the feature map and the points; the
-point gradient is zero wherever the clamp is active.  Each corner is read
-with one `np.take` of whole pixel rows (all of a group's channels) from a
-pixel-major copy of the map, and scattered back with one `np.bincount` at
-its flat (batch, channel, pixel) index.
+point gradient is zero wherever the clamp is active.  The feature-map
+gradient is a scatter-add in a fixed order, so it is deterministic.
 """
 
 from __future__ import annotations
@@ -65,6 +63,8 @@ def bilinear_sample_batch(f, points) -> Tensor:
     Channel group g, channels g*C/G to (g+1)*C/G - 1, is read at points[..., g, :, :];
     (B, P, 2) points are one group.  The groups go to the batch axis: (B*G, M*P)
     points on a (B*G, C/G, H*W) map, M the product of the middle axes.
+    Values and both gradients equal `bilinear_sample_take_along_axis` in
+    tests/oracles.py bit for bit.
     """
     f = _as_tensor(f)
     points = _as_tensor(points, like=f)

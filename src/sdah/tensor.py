@@ -1,32 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Tensors wrap row-major numpy arrays (float32 by default, float64 for gradient
-checking) and record every primitive application so that a single backward
-pass can accumulate gradients into all operands.  The recording is a DAG of
-per-tensor contexts; `backward` derives a topological order over it, pushes
-vector-Jacobian products from consumers to operands with `+=` accumulation,
-and then marks the contexts as spent so a repeated backward without a fresh
-forward raises.
+Tensors wrap row-major numpy arrays (float32 by default, float64 for
+gradient checking).  Each primitive records one graph node with `_make`,
+passing one vector-Jacobian product (VJP) per operand.  `backward` runs,
+from the root down in topological order, only the VJPs whose operand needs
+a gradient, accumulates them with `+=`, and marks the graph spent, so a
+repeated backward without a fresh forward raises GradError.
 
-A primitive records itself with `_make`, passing one vector-Jacobian product
-(VJP) per operand: a function from the output gradient to that operand's
-gradient.  The node runs only the VJPs whose operand needs a gradient, so no
-primitive checks `requires_grad` itself.  Ops whose VJPs share work pass a
-`prep` that maps the output gradient once to what they all read.
-
-Every primitive checks its float outputs for NaN/Inf, and `backward` each
-gradient it leaves on an operand after the cast and the sum (either can
-overflow), and raises `NumericsError` instead of propagating them.  These
-per-op checks are on by default, so a primitive called on its own always
-checks.  `_checked_once(run, finite)` runs `network.forward`, a training
-step or a Grad-CAM pass without them and checks the result once, then on
-a failure runs it again with every check on to name the op.  A few checks
-stay on regardless, wherever a later op can turn a non-finite value
-back into a finite one (layer_norm's variance, the attention scores, the
-offset net's GELU and 1x1 conv outputs before tanh): there a check of the
-result would miss the failure.  Inside `_scope(name)` every error starts
-with that layer id, and each graph node keeps the id it was made under, so
-backward errors read `enc2: conv2d backward produced ...`.
+Every primitive output, and every gradient `backward` leaves on an operand,
+is checked for NaN/Inf, raising `NumericsError` instead of propagating it.
+`_checked_once` runs a whole forward, training step or Grad-CAM pass with
+one check instead.  Inside `_scope(name)` every error starts with that layer
+id, and each node keeps the id it was made under, so backward errors read
+`enc2: conv2d backward produced ...`.
 """
 
 from __future__ import annotations
@@ -98,22 +84,15 @@ _HEAP_TRIM_AT = 1 << 30
 
 @lru_cache(maxsize=None)
 def _keep_heap() -> bool:
-    """Keep freed arrays' memory in the process (glibc only; idempotent).
+    """Keep freed arrays' memory in the process, so each training step or
+    tile forward reuses the last one's pages instead of faulting in fresh
+    zeroed ones; RSS then stays at its peak until exit.  Idempotent; returns
+    whether it took effect (glibc only: another libc is left as it is).
 
-    By default glibc maps arrays above its mmap threshold afresh and hands
-    the free top of the heap back to the kernel, so each training step or
-    tile forward faults its arrays in again as zeroed pages (about 2,800
-    faults per 224x224 step, most of them the relative-bias hats and row
-    products).  Here arrays below 32 MiB come from the heap, and the heap is
-    trimmed only once 1 GiB of its top is free.  Both are set because any
-    explicit mallopt switches off glibc's dynamic thresholds: the mmap
-    threshold alone leaves the heap trimmed after each step, the trim
-    threshold alone maps every array above the static 128 KiB afresh, and
-    either alone faults more than the default.  A large M_TOP_PAD works as
-    well, but it leaves the mmap threshold wherever the dynamic rule had put
-    it before the call; explicit values do not depend on that history.  RSS
-    then stays at its peak until exit.  Returns whether both were set; a
-    libc without `mallopt` is left as it is.
+    Arrays below 32 MiB come from the heap, and the heap is trimmed only
+    once 1 GiB of its top is free.  Both thresholds are set because an
+    explicit mallopt switches off glibc's dynamic ones, and either alone
+    leaves the process faulting more than glibc's default does.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -128,7 +107,7 @@ def _keep_heap() -> bool:
 
 
 def _finite(a) -> bool:
-    """`np.isfinite(a).all()` without `ndarray.all`'s Python wrapper."""
+    """Whether every element of `a` is finite: the one finite predicate."""
     return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
@@ -142,13 +121,19 @@ def _check_finite(arr: np.ndarray, op: str, scope: str | None = None) -> None:
 
 
 def _checked_once(run, finite):
-    """`run()` with the per-op checks and numpy's float warnings off, when
-    `finite(result)` holds.  Otherwise, or when a kept check raised, `run()`
-    again with every check on and the caller's warnings: being
-    deterministic, it raises the first failing op's NumericsError, prefixed
-    by its layer id: it checks every primitive output and gradient, so it
-    raises or returns finite values.  Nested in another call's unchecked
-    run it just calls `run()`: the outermost call checks."""
+    """Run `run()` with one check of its result instead of one per op, and
+    return the result.  The contract: it raises or returns finite values.
+
+    The first run has the per-op checks and numpy's float warnings off, and
+    its result stands when `finite(result)` holds.  Otherwise, or when a
+    check that stays on raised, `run()` runs again with every check on and
+    the caller's warnings.  Being deterministic, the replay raises the first
+    failing op's NumericsError, prefixed by its layer id, and since it checks
+    every primitive output and gradient, its result needs no further check.
+    A check stays on in the first run wherever a later op could turn a
+    non-finite value back into a finite one; each such site says so.
+    Nested inside another call's first run it just calls `run()`, so the
+    outermost call checks."""
     global _checks
     if not _checks:
         return run()
@@ -180,9 +165,9 @@ class _Ctx:
 
 class _VJPs:
     """A node's `bwd`: the VJPs of the parents that need a gradient, run on
-    `prep(grad_out)` when given; None for the rest.  One object per node
-    where a closure would take five: the graph's object count sets how often
-    the cyclic garbage collector runs."""
+    `prep(grad_out)` when given; None for the rest.  One object per node,
+    not a closure, because the graph's object count sets how often the
+    cyclic garbage collector runs."""
 
     __slots__ = ("parents", "vjps", "prep")
 
@@ -258,7 +243,10 @@ class Tensor:
 
         A scalar root needs no seed; non-scalar roots require an explicit
         `grad` of matching shape.  The graph is single use: call again only
-        after a fresh forward.
+        after a fresh forward.  With the per-op checks on, each gradient is
+        checked after its cast to the operand's dtype and its sum into the
+        operand's .grad (either can overflow); a .grad that was non-finite
+        before the sum is named as such, not blamed on the op.
         """
         if self._ctx is None:
             raise GradError("backward called on a tensor with no recorded graph")
@@ -286,9 +274,17 @@ class Tensor:
                     continue
                 if g.dtype != parent.data.dtype:
                     g = g.astype(parent.data.dtype)
-                parent.grad = g if parent.grad is None else parent.grad + g
+                old = parent.grad
+                parent.grad = g if old is None else old + g
                 if check:  # after the cast and the sum, either of which can overflow
-                    _check_finite(parent.grad, f"{ctx.op} backward", ctx.scope)
+                    try:
+                        _check_finite(parent.grad, f"{ctx.op} backward", ctx.scope)
+                    except NumericsError:
+                        if old is None or _finite(old):
+                            raise
+                        where = f"{ctx.scope}: " if ctx.scope else ""
+                        raise NumericsError(f"{where}{ctx.op} backward: the operand's .grad "
+                                            "already had non-finite values") from None
             node._ctx = _SPENT
 
     def _topo(self) -> list["Tensor"]:
@@ -489,8 +485,7 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b=None) -> Tensor:
     """Channel mix along axis 1: (N, C_in, ...) by w (C_in, C_out) plus an
     optional bias (C_out,) -> (N, C_out, ...), one product per image.  The
-    weight gradient is the one `np.dot` over (image, position) pairs that
-    `np.tensordot(x3, g3, ((0, 2), (0, 2)))` makes, without its wrapper."""
+    weight gradient is one `np.dot` over all (image, position) pairs."""
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
     if w.ndim != 2 or x.ndim < 2 or x.shape[1] != w.shape[0]:
@@ -535,8 +530,7 @@ def swap_last(a) -> Tensor:
 
 
 def _roll2(a: np.ndarray, sy: int, sx: int) -> np.ndarray:
-    """np.roll(a, (sy, sx), (-2, -1)) as four block copies, without
-    np.roll's axis normalisation and index products."""
+    """np.roll(a, (sy, sx), (-2, -1)), bit for bit, as four block copies."""
     h, w = a.shape[-2:]
     sy, sx = sy % max(h, 1), sx % max(w, 1)
     out = np.empty_like(a)
@@ -744,9 +738,9 @@ def layer_norm(a, gamma, beta) -> Tensor:
 
 
 def _channel_mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=1, keepdims=True) bit for bit without its Python wrapper:
-    the same sum divided in place by the channel count (numpy divides a
-    float32 sum in float64, which rounds to the same float32 quotient)."""
+    """a.mean(axis=1, keepdims=True), bit for bit: the same sum divided in
+    place by the channel count (numpy divides a float32 sum in float64,
+    which rounds to the same float32 quotient)."""
     m = np.add.reduce(a, axis=1, keepdims=True)
     m /= a.shape[1]
     return m

@@ -4,9 +4,10 @@ The loop is deterministic end to end: parameters come from the config seed,
 every batch's sample indices are a pure function of (seed, step), and the
 optimizer is plain Adam over one parameter vector: `train()` packs the
 model's tensors into it once, leaves each tensor's data a view into it, and
-updates it as a whole array.  Loading a checkpoint and continuing from its
-step therefore reproduces the next loss value bit-exactly; later losses
-drift, because the Adam moments are not checkpointed (see ROADMAP.md).
+updates it as a whole array.  A fixed seed gives the same run bit for bit.
+Loading a checkpoint and continuing from its step reproduces the next loss
+bit for bit; later losses drift, because the checkpoint holds no Adam
+moments.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def combined_loss(logits, label, cfg: TrainConfig) -> tuple[Tensor, Tensor, Tens
     sums over batch and pixels, eps = 1e-5:
       dice = mean over c = 1..K-1 of 1 - (2·Σ p_c·g_c + eps) / (Σ p_c + Σ g_c + eps)
       ce   = mean over pixels of log-sum-exp(logits) - logit of the true class
-    One max-shifted exp and its sum give both p and the log-sum-exp.
+    One max-shifted exp and its sum give both p and the log-sum-exp.  The
+    three values equal `loss_chain` in tests/oracles.py bit for bit; the
+    gradient differs from the chain's by rounding only.
     """
     lg = _as_tensor(logits)
     lab = np.asarray(label)
@@ -274,14 +277,11 @@ def train(model: Model, data: list, cfg: TrainConfig, out_dir=None,
     path that cannot hold its directories an OSError, before the first
     step.  A non-finite value raises TrainingAborted naming the step, the
     layer and the op: each step's forward, loss and backward run through
-    `tensor._checked_once`, so one check of the loss and the gradient
-    vector covers them, and a failure replays the step with every check on
-    to name the op.  A finite gradient that overflows Adam's second moment
-    aborts the step too (see `adam_step`).  The process keeps freed heap
-    memory from here on (`tensor._keep_heap`: glibc's mmap and trim
-    thresholds, both set since either alone faults more), so each step
-    reuses the last step's pages instead of faulting fresh ones in; RSS
-    stays at its peak until exit."""
+    `tensor._checked_once` with the loss and the gradient vector as its
+    check.  A finite gradient that overflows Adam's second moment aborts
+    the step too (see `adam_step`).  The process keeps freed memory from
+    here on (`tensor._keep_heap`).  The logged losses and the trained
+    weights equal `adam_per_tensor`'s loop in tests/oracles.py bit for bit."""
     _keep_heap()
     check_dataset(data, model.config.num_classes)
     if out_dir is None and (ckpt_path is None or curve_path is None):

@@ -1,13 +1,13 @@
-"""Slow per-window reference implementations the attention tests check
-the batched library paths against, the op chains the fused window core,
-the one-node sampling points and the one-node loss replace, the
-block-output bump the Grad-CAM tests take finite differences with, the
-per-tensor Adam loop the trainer's one-vector update replaces, and the
-per-call index builds (the relative bias's hat and slope positions, the
-sampler's `take_along_axis` corner reads) that cached positions and flat
-gathers replace, the two-corner key slope that the difference tables
-replace, and the per-point `csv.writer` loop that the one-pass
-points table replaces."""
+"""Reference implementations the library's fused and cached paths are
+tested against: slow per-window attention and bias reads, the op chains
+of the window core (`attend_chain`), the sampling points
+(`deform_points_chain`) and the loss (`loss_chain`), the per-tensor Adam
+loop (`adam_per_tensor`), per-call index builds of the relative bias
+(`hat_scatter`, `slope_arange`) and of the sampler
+(`bilinear_sample_take_along_axis`), the two-corner key slope
+(`slope_two_take`), the per-point `csv.writer` loop of the points table
+(`points_csv_per_point`), and the block-output bump the Grad-CAM finite
+differences use (`bumped_logits`)."""
 
 import csv
 import io
@@ -149,7 +149,7 @@ def adam_per_tensor(params: dict, grads: dict, state: dict, lr: float) -> None:
 
 def loss_chain(logits, label, lambda_dice: float, lambda_ce: float
                ) -> tuple[Tensor, Tensor, Tensor]:
-    """(loss, dice, ce) as the op chain `training.combined_loss` replaces:
+    """(loss, dice, ce) as the op chain `training.combined_loss` fuses:
     a softmax, then per foreground class a narrow, a product, two sums and
     the ratio arithmetic for dice, and CE as its own stabilized node."""
     lg = _as_tensor(logits)

@@ -476,6 +476,19 @@ def test_backward_checks_each_gradient_it_pushes_once(monkeypatch):
     assert calls == ["sum backward", "mul backward", "mul backward"]
 
 
+@pytest.mark.parametrize("stale", [np.nan, np.inf])
+def test_backward_names_an_operand_grad_that_was_already_non_finite(stale):
+    """A finite gradient added into a .grad the caller left non-finite
+    blames that .grad, not the op, and prefixes the op's layer."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    a.grad = np.full(3, stale)
+    with T._scope("enc1"):
+        y = tsum(a)
+    with pytest.raises(NumericsError, match=r"^enc1: sum backward: the operand's \.grad "
+                                            "already had non-finite values$"):
+        y.backward()
+
+
 def test_primitive_output_is_checked_once(monkeypatch):
     import sdah.tensor as T
 
