@@ -83,11 +83,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _sliding(args) -> SlidingConfig:
-    return SlidingConfig(crop=args.crop, step=args.step,
-                         sigma_ratio=args.sigma_ratio)
-
-
 def _cmd_synth(args) -> int:
     data = synth_dataset(args.n, args.size, args.size, args.classes, args.seed)
     save_dataset(args.out, data)
@@ -130,7 +125,7 @@ def _make_parents(*paths) -> None:
 def _cmd_infer(args) -> int:
     _make_parents(args.out, args.preview)
     model, _ = load_model(args.ckpt)
-    mask = predict_mask(model, load_image(args.image), _sliding(args))
+    mask = predict_mask(model, load_image(args.image), SlidingConfig(args.crop, args.step))
     save_sdt1(args.out, mask)
     if args.preview:
         write_pgm(args.preview, to_u8(mask))
@@ -142,7 +137,7 @@ def _cmd_eval(args) -> int:
     _make_parents(args.out)
     model, _ = load_model(args.ckpt)
     data = load_dataset(args.data)
-    cfg = _sliding(args)
+    cfg = SlidingConfig(args.crop, args.step)
     classes = model.config.num_classes
     check_dataset(data, classes)
     preds, gts = [], []
@@ -164,7 +159,7 @@ def _cmd_explain(args) -> int:
         raise NotADirectoryError(f"{args.out}: Not a directory")
     model, _ = load_model(args.ckpt)
     paths = export_bundle(model, load_image(args.image)[None], args.block,
-                          args.cls, args.out, stride=args.stride)
+                          args.cls, args.out)
     for k, v in paths.items():
         print(f"{k}: {v}")
     return 0
@@ -363,7 +358,6 @@ def build_parser() -> _Parser:
     def add_sliding(sp):
         sp.add_argument("--crop", type=int, default=SlidingConfig.crop)
         sp.add_argument("--step", type=int, default=SlidingConfig.step)
-        sp.add_argument("--sigma-ratio", type=float, default=SlidingConfig.sigma_ratio)
 
     s = sub.add_parser("infer", help="sliding-window inference on one image")
     s.add_argument("--ckpt", required=True)
@@ -385,8 +379,6 @@ def build_parser() -> _Parser:
     s.add_argument("--image", required=True)
     s.add_argument("--block", required=True)
     s.add_argument("--class", dest="cls", type=int, default=1)
-    s.add_argument("--stride", type=_positive_int, default=1,
-                   help="keep every stride-th deformation point row")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_explain)
 

@@ -47,23 +47,20 @@ def attention_heatmap(trace: SdmsaTrace) -> np.ndarray:
     return (acc - lo) / (hi - lo)
 
 
-def points_csv_bytes(trace: SdmsaTrace, block: str, stride: int = 1) -> bytes:
-    """The points table of image 0: one `block,window,head,ref_y,ref_x,
-    def_y,def_x` row per sample point, windows, then heads, then points.
+def points_csv_bytes(trace: SdmsaTrace, block: str) -> bytes:
+    """The points table of image 0: a `block,window,head,ref_y,ref_x,def_y,
+    def_x` row for every sample point, in window, head, point order.
 
     Coordinates are in the shifted frame, exactly as used by the sampler,
-    written with `repr` so they parse back to the same doubles; `stride`
-    keeps every stride-th point per window for legibility.  The bytes equal
-    `points_csv_per_point` in tests/oracles.py.
+    written with `repr` so they parse back to the same doubles.  The bytes
+    equal `points_csv_per_point` in tests/oracles.py.
     """
     if trace is None:
         raise ValueError("no attention trace for this block")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    defp = np.asarray(trace.deformed)[0, :, :, ::stride]      # (n_w, n_h, P', 2)
-    ref = np.asarray(trace.reference_points)[:, None, ::stride]
+    defp = np.asarray(trace.deformed)[0]                  # (n_w, n_h, P, 2)
+    ref = np.asarray(trace.reference_points)[:, None]
     xy = np.concatenate([np.broadcast_to(ref, defp.shape), defp], axis=-1)
-    wh = np.indices(defp.shape[:3])[:2].reshape(2, -1).T      # (window, head) per row
+    wh = np.indices(defp.shape[:3])[:2].reshape(2, -1).T  # (window, head) per row
     rows = "".join(f"{block},{w},{h},{ry!r},{rx!r},{dy!r},{dx!r}\n" for (w, h), (ry, rx, dy, dx)
                    in zip(wh.tolist(), xy.reshape(-1, 4).tolist()))
     return ("block,window,head,ref_y,ref_x,def_y,def_x\n" + rows).encode()
@@ -156,17 +153,16 @@ def seg_grad_cam(model: Model, image, target_class: int, target_block: str, roi_
     return info, weights, (cam / peak if peak > 0 else cam)
 
 
-def export_bundle(model: Model, image, block: str, target_class: int,
-                  out_dir, roi_mask=None, stride: int = 1) -> dict:
+def export_bundle(model: Model, image, block: str, target_class: int, out_dir) -> dict:
     """Write attn.pgm/attn.sdt/points.csv/field.ppm/gradcam.pgm for one
     block under out_dir/<block>/; returns the artifact paths.
 
-    The ROI defaults to the pixels argmax-predicted as the target class.
-    The traces and the Grad-CAM come from the same single forward pass,
-    and its one backward computes only the block's gradient: one call of
-    the module's `seg_grad_cam`, so a wrapper set on it sees the pass.
+    points.csv lists every sample point; the Grad-CAM's ROI is the pixels
+    argmax-predicted as the target class.  Traces and Grad-CAM share one
+    forward pass, whose one backward computes only the block's gradient:
+    one call of the module's `seg_grad_cam`, so a wrapper set on it sees it.
     """
-    info, _, cam = seg_grad_cam(model, image, target_class, block, roi_mask)
+    info, _, cam = seg_grad_cam(model, image, target_class, block, None)
     trace = info.traces[block]
     d = Path(out_dir) / block
     d.mkdir(parents=True, exist_ok=True)
@@ -176,7 +172,7 @@ def export_bundle(model: Model, image, block: str, target_class: int,
         heat = attention_heatmap(trace)
         save_sdt1(d / "attn.sdt", heat.astype(np.float32))
         write_pgm(d / "attn.pgm", to_u8(heat))
-        (d / "points.csv").write_bytes(points_csv_bytes(trace, block, stride))
+        (d / "points.csv").write_bytes(points_csv_bytes(trace, block))
         write_ppm(d / "field.ppm", deformation_field(trace))
         paths.update(
             attn_sdt=d / "attn.sdt", attn_pgm=d / "attn.pgm",

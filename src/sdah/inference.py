@@ -5,10 +5,10 @@ the far border so coverage is exact.  The model sees the tiles in raster
 order (y outer, x inner), stacked up to 224² pixels per forward:
 (N, C, crop, crop) -> (N, K, crop, crop).  Per-tile class probabilities are
 accumulated in the same order with a center-peaked separable Gaussian
-weight and the sum is normalized by the accumulated weight, so overlapping
-predictions blend smoothly and constant predictions pass through unchanged.
-Images smaller than the crop are zero-padded bottom-right for the forward
-pass only.
+weight, sigma = crop/8 (nnU-Net's importance weighting), and the sum is
+normalized by the accumulated weight, so overlapping predictions blend
+smoothly and constant predictions pass through unchanged.  Images smaller
+than the crop are zero-padded bottom-right for the forward pass only.
 """
 
 from __future__ import annotations
@@ -22,37 +22,28 @@ from .tensor import Tensor, _as_tensor, no_grad, softmax
 # Tile pixels per forward: crop 224 keeps one tile per forward (so the
 # default config's memory is that of one tile), crop 32 stacks 49 tiles.
 _TILE_PIXELS = 224 * 224
+SIGMA_RATIO = 1.0 / 8.0  # Gaussian sigma per crop pixel
 
 
 @dataclass
 class SlidingConfig:
+    """Tile size and stride: 0 < step <= crop, crop a multiple of 32."""
     crop: int = 224
     step: int = 112
-    sigma_ratio: float = 1.0 / 8.0
 
     def __post_init__(self):
         if not 0 < self.step <= self.crop:
             raise ValueError("need 0 < step <= crop")
         if self.crop % 32:
             raise ValueError("crop must be divisible by 32")
-        gaussian_map(self.crop, self.sigma_ratio)  # raises on a zero weight
 
 
-def gaussian_map(crop: int, sigma_ratio: float) -> np.ndarray:
-    """(crop, crop) separable Gaussian, sigma = crop * sigma_ratio,
-    centered between pixels for even crops, peak scaled to exactly 1.
-    Raises ValueError when some entry would be 0, leaving pixels with no
-    weight and a NaN blend."""
-    if not sigma_ratio > 0:  # also rejects NaN
-        raise ValueError("sigma_ratio must be positive")
-    sigma = crop * sigma_ratio
+def gaussian_map(crop: int) -> np.ndarray:
+    """(crop, crop) separable Gaussian, sigma = crop * SIGMA_RATIO, centered
+    between pixels for even crops, peak exactly 1.  Its least entry, the
+    corner, exceeds e^-16 at any crop: every tile pixel keeps a weight."""
     coords = np.arange(crop, dtype=np.float64) - (crop - 1) / 2.0
-    with np.errstate(over="ignore"):  # a tiny sigma squares to inf: weight 0
-        g = np.exp(-0.5 * (coords / sigma) ** 2)
-    # the map's least entry is its corner, the square of the profile's end
-    if not g[0] * g[0] > 0:
-        raise ValueError(f"sigma_ratio {sigma_ratio} underflows the "
-                         f"Gaussian weight of a {crop}-pixel crop to 0")
+    g = np.exp(-0.5 * (coords / (crop * SIGMA_RATIO)) ** 2)
     m = np.outer(g, g)
     return m / m.max()
 
@@ -89,7 +80,7 @@ def sliding_predict(model, image, cfg: SlidingConfig) -> np.ndarray:
     origins = [(y, x) for y in tile_positions(ph, crop, cfg.step)
                for x in tile_positions(pw, crop, cfg.step)]
     per_call = max(1, _TILE_PIXELS // crop ** 2)
-    gmap = gaussian_map(crop, cfg.sigma_ratio)
+    gmap = gaussian_map(crop)
     accum = None
     wsum = np.zeros((ph, pw), dtype=np.float64)
     with no_grad():

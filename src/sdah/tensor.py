@@ -245,8 +245,8 @@ class Tensor:
         `grad` of matching shape.  The graph is single use: call again only
         after a fresh forward.  With the per-op checks on, each gradient is
         checked after its cast to the operand's dtype and its sum into the
-        operand's .grad (either can overflow); a .grad that was non-finite
-        before the sum is named as such, not blamed on the op.
+        operand's .grad (either can overflow); a non-finite seed, and a .grad
+        that was non-finite before the sum (the root's too), is named as such.
         """
         if self._ctx is None:
             raise GradError("backward called on a tensor with no recorded graph")
@@ -262,8 +262,14 @@ class Tensor:
                 raise GradError("seed gradient shape mismatch")
 
         order = self._topo()
-        self.grad = grad if self.grad is None else self.grad + grad
+        old = self.grad
+        self.grad = grad if old is None else old + grad
         check = _checks
+        if check and not _finite(self.grad):
+            what = ("the root's .grad already had" if old is not None and not _finite(old)
+                    else "the seed gradient has" if not _finite(grad)
+                    else "the seed summed into the root's .grad has")
+            raise NumericsError(f"backward: {what} non-finite values")
         for node in reversed(order):
             ctx = node._ctx
             if ctx is None or ctx is _SPENT or node.grad is None:

@@ -283,9 +283,9 @@ def bilinear_sample_take_along_axis(f, points) -> Tensor:
                  prep=lambda g: np.ascontiguousarray(to_batch(g).transpose(0, 2, 1)))
 
 
-def points_csv_per_point(trace, block: str, stride: int = 1) -> bytes:
+def points_csv_per_point(trace, block: str) -> bytes:
     """`explain.points_csv_bytes` as one `csv.writer` row per sample point of
-    image 0, looped over windows, heads and every stride-th point."""
+    image 0, looped over windows, heads and points."""
     ref = np.asarray(trace.reference_points)
     defp = np.asarray(trace.deformed)[0]
     nw, nh, p = defp.shape[:3]
@@ -294,7 +294,7 @@ def points_csv_per_point(trace, block: str, stride: int = 1) -> bytes:
     w.writerow(["block", "window", "head", "ref_y", "ref_x", "def_y", "def_x"])
     for wi in range(nw):
         for hi in range(nh):
-            for pi in range(0, p, stride):
+            for pi in range(p):
                 ry, rx = ref[wi, pi]
                 dy, dx = defp[wi, hi, pi]
                 w.writerow([block, wi, hi, repr(float(ry)), repr(float(rx)),

@@ -26,7 +26,8 @@ from sdah.blocks import init_sdapc, sdapc_block
 from sdah.convops import conv2d, deconv2d
 from sdah.explain import export_bundle, points_csv_bytes, seg_grad_cam
 from sdah.gradcheck import grad_check
-from sdah.inference import SlidingConfig, gaussian_map, sliding_predict, tile_positions
+from sdah.inference import (SIGMA_RATIO, SlidingConfig, gaussian_map, sliding_predict,
+                            tile_positions)
 from sdah.metrics import dsc, hd95
 from sdah.network import (
     ModelConfig,
@@ -319,7 +320,7 @@ def test_c06_sliding_window(capsys):
             out = np.broadcast_to(logits[:, None, None], (tiles.shape[0], 2, 32, 32))
             return Tensor(out.astype(np.float32).copy())
 
-        cfg = SlidingConfig(crop=32, step=16, sigma_ratio=1 / 8)
+        cfg = SlidingConfig(crop=32, step=16)
         img = Stream(6).uniform((1, 64, 64)).astype(np.float32)
         probs = sliding_predict(model, img, cfg)
         assert sum(calls) == 9
@@ -333,9 +334,9 @@ def test_c06_sliding_window(capsys):
         coords = np.arange(32, dtype=np.float64) - 15.5
         g1 = np.exp(-0.5 * (coords / sigma) ** 2)
         want_map = np.outer(g1, g1)
-        np.testing.assert_allclose(gaussian_map(32, cfg.sigma_ratio),
-                                   want_map / want_map.max(), rtol=0, atol=0)
-        assert SlidingConfig().sigma_ratio == 1 / 8
+        np.testing.assert_allclose(gaussian_map(32), want_map / want_map.max(),
+                                   rtol=0, atol=0)
+        assert SIGMA_RATIO == 1 / 8
         detail["note"] = "9 tiles in 1 forward, constant within 1e-6, sigma=crop/8"
 
 

@@ -360,9 +360,9 @@ def test_no_value_leaks_from_one_call_into_the_next(tmp_path, monkeypatch, capsy
     monkeypatch.setattr("sdah.cli.predict_mask", spy)
     infer = ["infer", "--ckpt", str(d / "model.sdck"),
              "--image", str(d / "data" / "img_00000.sdt"), "--out", str(d / "mask.sdt")]
-    assert main([*infer, "--crop", "64", "--step", "32", "--sigma-ratio", "0.25"]) == 0
+    assert main([*infer, "--crop", "64", "--step", "32"]) == 0
     assert main(infer) == 0
-    assert seen == [SlidingConfig(crop=64, step=32, sigma_ratio=0.25), SlidingConfig()]
+    assert seen == [SlidingConfig(crop=64, step=32), SlidingConfig()]
 
 
 def test_largest_seed_is_accepted(tmp_path, capsys):
@@ -543,20 +543,23 @@ def test_deeply_nested_json_exits_2(target, tmp_path, capsys):
     (["synth", "--n", "-3", "--size", "32", "--out", "OUT"], 1, "--n"),
     (["synth", "--n", "3", "--size", "0", "--out", "OUT"], 1, "--size"),
     (["synth", "--n", "3", "--size", "32", "--seed", "-1", "--out", "OUT"], 2, "seed"),
+    # points.csv lists every point and sigma is crop/8: `--stride` and
+    # `--sigma-ratio` are gone, and passing either is a usage error (here
+    # and in the two eval/infer cases below)
     (["explain", "--ckpt", "CKPT", "--image", "IMG", "--block", "enc1",
-      "--stride", "-1", "--out", "OUT"], 1, "--stride"),
+      "--stride", "2", "--out", "OUT"], 1, "--stride"),
     (["explain", "--ckpt", "CKPT", "--image", "IMG", "--block", "enc1",
       "--stride", "0", "--out", "OUT"], 1, "--stride"),
     (["infer", "--ckpt", "CKPT", "--image", "IMG", "--crop", "32", "--step", "32",
-      "--sigma-ratio", "nan", "--out", "OUT"], 2, "sigma_ratio"),
+      "--sigma-ratio", "0.25", "--out", "OUT"], 1, "--sigma-ratio"),
     (["synth", "--n", "3", "--size", "32", "--seed", str(2**64), "--out", "OUT"],
      2, "seed"),
     (["count", "--config", "BIGSEED", "--size", "32"], 2, "seed"),
     (["eval", "--ckpt", "CKPT", "--data", "EMPTY", "--out", "OUT"], 2, "no samples"),
     (["infer", "--ckpt", "CKPT", "--image", "IMG", "--crop", "32", "--step", "16",
-      "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
+      "--sigma-ratio", "nan", "--out", "OUT"], 1, "--sigma-ratio"),
     (["eval", "--ckpt", "CKPT", "--data", "DATA", "--crop", "32", "--step", "16",
-      "--sigma-ratio", "0.01", "--out", "OUT"], 2, "sigma_ratio"),
+      "--sigma-ratio", "0.25", "--out", "OUT"], 1, "--sigma-ratio"),
     (["infer", "--ckpt", "CKPT", "--image", "EMPTYIMG", "--crop", "32", "--step", "32",
       "--out", "OUT"], 2, "non-empty"),
     (["explain", "--ckpt", "CKPT", "--image", "EMPTYIMG", "--block", "enc1",
@@ -576,26 +579,13 @@ def test_out_of_range_arguments(argv, code, word, tmp_path, capsys):
     assert not (d / "out").exists()
 
 
-def test_narrow_sigma_ratio_still_runs(tmp_path, capsys):
-    """0.02 keeps the corner weight of a 32-pixel crop above zero, so the
-    config accepts it and a 64x64 image tiled at step 16 gets its mask."""
-    d = _micro_files(tmp_path)
-    save_sdt1(d / "img.sdt", np.random.default_rng(0).uniform(
-        0, 1, (1, 64, 64)).astype(np.float32))
-    assert main(["infer", "--ckpt", str(d / "model.sdck"), "--image", str(d / "img.sdt"),
-                 "--crop", "32", "--step", "16", "--sigma-ratio", "0.02",
-                 "--out", str(d / "mask.sdt")]) == 0
-    assert load_sdt1(d / "mask.sdt").shape == (64, 64)
-    assert capsys.readouterr().err == ""
-
-
 def test_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
     """A crop too large to allocate ends in exit 2 and an `error:` line, not a
     traceback.  The failed allocation is simulated: a real one could succeed
     lazily on an overcommitting host and then fill its memory."""
     d = _micro_files(tmp_path)
 
-    def no_memory(crop, sigma_ratio):
+    def no_memory(crop):
         raise MemoryError(f"Unable to allocate the {crop}x{crop} weight map")
 
     monkeypatch.setattr("sdah.inference.gaussian_map", no_memory)

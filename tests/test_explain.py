@@ -15,6 +15,7 @@ from sdah.explain import (
     seg_grad_cam,
 )
 import sdah.explain
+from sdah.io import to_u8, write_pgm
 from sdah.network import BLOCK_IDS, build_model, forward, load_model, micro_config
 from sdah.rng import Stream
 from sdah.sampling import bilinear_resize
@@ -100,10 +101,10 @@ def test_heatmap_from_real_forward():
 
 # -- deformation tables ------------------------------------------------------------
 
-def _rows(trace, block, stride=1):
+def _rows(trace, block):
     """The points table's data rows, parsed back to (block, window, head,
     ref_y, ref_x, def_y, def_x) tuples."""
-    lines = points_csv_bytes(trace, block, stride).decode().splitlines()[1:]
+    lines = points_csv_bytes(trace, block).decode().splitlines()[1:]
     return [(f[0], int(f[1]), int(f[2]), *map(float, f[3:]))
             for f in (line.split(",") for line in lines)]
 
@@ -118,24 +119,14 @@ def test_rows_list_every_point_in_order():
     np.testing.assert_array_equal((dy, dx), tr.deformed[0, 1, 0, 2])
 
 
-def test_rows_stride_subsamples_per_window():
-    rows = _rows(_toy_trace(), "b", stride=2)
-    assert len(rows) == 4 * 2
-    assert all(r[1] in range(4) for r in rows)
-
-
-@pytest.mark.parametrize("stride", [0, -1])
-def test_points_csv_rejects_a_stride_below_one(stride):
-    with pytest.raises(ValueError, match="stride"):
-        points_csv_bytes(_toy_trace(), "b", stride)
-
-
-@pytest.mark.parametrize("stride", [1, 3])
-def test_points_csv_matches_the_per_point_loop(stride):
-    _, info = forward(_micro_model(), _image())
+@pytest.mark.parametrize("batch", [1, 3])
+def test_points_csv_matches_the_per_point_loop(batch):
+    """Every point of image 0, whatever the batch holds after it."""
+    image = np.concatenate([_image(seed) for seed in range(3, 3 + batch)])
+    _, info = forward(_micro_model(), image)
     for bid in ["enc1", "enc2", "bottleneck", "dec2", "dec1"]:
         tr = info.traces[bid]
-        assert points_csv_bytes(tr, bid, stride) == points_csv_per_point(tr, bid, stride), bid
+        assert points_csv_bytes(tr, bid) == points_csv_per_point(tr, bid), bid
 
 
 def test_points_csv_is_byte_stable_and_replayable():
@@ -291,7 +282,7 @@ def test_gradcam_leaves_weight_grads_as_it_found_them(preset, tmp_path, monkeypa
     roi = np.ones((32, 32), dtype=bool)
     endings = [
         (None, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", roi)),
-        (None, lambda mp: export_bundle(m, _image(), "enc1", 1, tmp_path, roi_mask=roi)),
+        (None, lambda mp: export_bundle(m, _image(), "enc1", 1, tmp_path)),
         (None, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", roi)),  # a second call
         (ValueError, lambda mp: seg_grad_cam(m, _image(), 1, "dec1", ~roi)),
         (ValueError, lambda mp: export_bundle(m, _image(), "enc1", 9, tmp_path)),
@@ -492,8 +483,8 @@ def test_export_bundle_writes_all_artifacts(tmp_path):
 
 def test_export_bundle_is_byte_stable(tmp_path):
     m = _micro_model()
-    a = export_bundle(m, _image(), "dec2", 1, tmp_path / "a", stride=2)
-    b = export_bundle(m, _image(), "dec2", 1, tmp_path / "b", stride=2)
+    a = export_bundle(m, _image(), "dec2", 1, tmp_path / "a")
+    b = export_bundle(m, _image(), "dec2", 1, tmp_path / "b")
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes(), key
 
@@ -525,9 +516,9 @@ def test_export_bundle_default_roi_is_the_class_argmax(tmp_path):
     for cls in range(3):
         assert (pred == cls).any()
         a = export_bundle(m, _image(), "dec1", cls, tmp_path / f"a{cls}")
-        b = export_bundle(m, _image(), "dec1", cls, tmp_path / f"b{cls}",
-                          roi_mask=pred == cls)
-        assert a["gradcam"].read_bytes() == b["gradcam"].read_bytes()
+        write_pgm(tmp_path / f"b{cls}.pgm",
+                  to_u8(seg_grad_cam(m, _image(), cls, "dec1", pred == cls)[2]))
+        assert a["gradcam"].read_bytes() == (tmp_path / f"b{cls}.pgm").read_bytes()
 
 
 def test_export_bundle_conv_only_has_gradcam_only(tmp_path):

@@ -1,10 +1,11 @@
-import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sdah.inference import (
+    SIGMA_RATIO,
     SlidingConfig,
     gaussian_map,
     predict_mask,
@@ -14,8 +15,8 @@ from sdah.inference import (
 from sdah.tensor import Tensor
 
 
-def _cfg(crop=32, step=16, sigma_ratio=1 / 8):
-    return SlidingConfig(crop=crop, step=step, sigma_ratio=sigma_ratio)
+def _cfg(crop=32, step=16):
+    return SlidingConfig(crop=crop, step=step)
 
 
 # -- config ---------------------------------------------------------------------
@@ -23,53 +24,23 @@ def _cfg(crop=32, step=16, sigma_ratio=1 / 8):
 def test_config_defaults():
     cfg = SlidingConfig()
     assert (cfg.crop, cfg.step) == (224, 112)
-    assert cfg.sigma_ratio == pytest.approx(0.125)
+    assert [f.name for f in fields(SlidingConfig)] == ["crop", "step"]
+    assert SIGMA_RATIO == 1 / 8
 
 
 @pytest.mark.parametrize("kw", [
     dict(crop=32, step=0), dict(crop=32, step=33),
-    dict(crop=33, step=16), dict(crop=32, step=16, sigma_ratio=0.0),
-    dict(crop=32, step=16, sigma_ratio=0.01),
+    dict(crop=33, step=16),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         SlidingConfig(**kw)
 
 
-def test_tiny_ratio_raises_its_value_error_with_warnings_as_errors():
-    # (x / sigma) ** 2 overflows at this ratio; the profile takes it as weight 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="underflows"):
-            SlidingConfig(crop=32, step=16, sigma_ratio=1e-300)
-
-
-@pytest.mark.parametrize("crop", [32, 64, 224])
-def test_config_rejects_exactly_the_ratios_whose_map_has_no_weight_somewhere(crop):
-    """A ratio is accepted iff `gaussian_map` builds its map, and every entry
-    of a built map is positive; a zero entry would leave pixels unweighted
-    and their blend NaN."""
-    # the corner underflows near ratio 0.018: sweep finely across it; at
-    # 1e-300 the peak underflows too
-    for r in np.concatenate([[1e-300], np.geomspace(1e-3, 0.1, 30),
-                             np.geomspace(0.017, 0.02, 200)]):
-        try:
-            m = gaussian_map(crop, r)
-        except ValueError:
-            m = None
-        try:
-            SlidingConfig(crop=crop, step=crop, sigma_ratio=float(r))
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == (m is not None), r
-        assert m is None or (m > 0).all(), r
-
-
 # -- gaussian map -----------------------------------------------------------------
 
 def test_gaussian_map_peak_and_symmetry():
-    g = gaussian_map(32, 1 / 8)
+    g = gaussian_map(32)
     assert g.shape == (32, 32)
     assert g.max() == 1.0
     np.testing.assert_array_equal(g, g.T)
@@ -77,19 +48,25 @@ def test_gaussian_map_peak_and_symmetry():
 
 
 def test_gaussian_map_values():
-    crop, ratio = 16, 0.25
-    sigma = crop * ratio
+    crop = 16
+    sigma = crop / 8
     g1 = np.exp(-0.5 * ((np.arange(crop) - (crop - 1) / 2) / sigma) ** 2)
     want = np.outer(g1, g1)
     want /= want.max()
-    np.testing.assert_allclose(gaussian_map(crop, ratio), want, rtol=0, atol=0)
+    np.testing.assert_allclose(gaussian_map(crop), want, rtol=0, atol=0)
 
 
-def test_gaussian_map_tightens_with_smaller_sigma():
-    wide = gaussian_map(32, 1.0)
-    tight = gaussian_map(32, 1 / 8)
-    assert tight[0, 0] < wide[0, 0]
-    assert tight[0, 0] > 0.0
+def test_gaussian_map_weights_every_pixel_at_every_crop():
+    """At sigma = crop/8 the corner, the least entry, is
+    exp(-16 (crop-1)² / crop²) > e^-16 before the peak is scaled to 1, so no
+    crop leaves a pixel unweighted and its blend NaN."""
+    for crop in range(32, 1025, 32):
+        g = gaussian_map(crop)
+        assert g.shape == (crop, crop)
+        assert g.max() == 1.0, crop
+        np.testing.assert_array_equal(g, g.T)
+        np.testing.assert_array_equal(g, g[::-1, ::-1])
+        assert g.min() >= np.exp(-16.0), crop
 
 
 # -- tiling -----------------------------------------------------------------------
@@ -145,18 +122,6 @@ def test_constant_logits_pass_through():
                                rtol=0, atol=1e-6)
 
 
-def test_narrowest_accepted_sigma_still_blends_every_pixel():
-    """At ratio 0.02 a 32-pixel tile's corner weight is about 1e-254: every
-    pixel keeps a positive weight, so a constant prediction passes through
-    with no NaN (at 0.01 the config refuses the ratio)."""
-    logits = np.array([0.3, -1.2])
-    image = np.zeros((1, 64, 64), dtype=np.float32)
-    probs = sliding_predict(_const_model(logits), image, _cfg(sigma_ratio=0.02))
-    e = np.exp(logits - logits.max())
-    np.testing.assert_allclose(probs, np.broadcast_to((e / e.sum())[:, None, None],
-                                                      probs.shape), rtol=0, atol=1e-6)
-
-
 def test_tile_count_64x64_crop32_step16():
     calls = []
     base = _const_model([0.0, 1.0])
@@ -190,7 +155,7 @@ def test_matches_independent_blend():
         d = tiles.data if isinstance(tiles, Tensor) else tiles
         return Tensor(np.stack([d[:, 0], d[:, 1] * 0.7 + 0.1], axis=1).astype(np.float32))
 
-    g = gaussian_map(32, cfg.sigma_ratio)
+    g = gaussian_map(32)
     accum = np.zeros((2, 64, 48))
     wsum = np.zeros((64, 48))
     for y in [0, 16, 32]:
@@ -274,7 +239,7 @@ def test_batched_network_matches_per_tile_oracle(h, w, crop, step, ys, xs):
     image = np.random.default_rng(4).uniform(size=(1, h, w)).astype(np.float32)
     cfg = _cfg(crop=crop, step=step)
 
-    g = gaussian_map(crop, cfg.sigma_ratio)
+    g = gaussian_map(crop)
     accum = np.zeros((2, h, w))
     wsum = np.zeros((h, w))
     for y in ys:

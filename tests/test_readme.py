@@ -1,5 +1,6 @@
 """README.md's Layout and examples against the package they describe."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -86,6 +87,16 @@ def test_readme_shows_every_command():
 def test_readme_command_parses(argv):
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_readme_cli_names_only_flags_the_parser_has():
+    """A flag named in the CLI section, in prose or in a command, belongs to
+    some `sdah` subcommand, so a removed flag cannot stay documented."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _section("CLI")))
+    assert "--crop" in named and sorted(named - flags) == []
 
 
 def test_readme_config_schema_loads_as_the_micro_config():

@@ -210,7 +210,6 @@ OPTIONS_WITHOUT_A_CALLER = {
     "metrics.evaluate_pairs(spacing)": "pixel spacing is a property of the data",
     "gradcheck.grad_check(seed)": "a testing tool, set by the tests",
     "gradcheck.grad_check(name)": "a testing tool, set by the tests",
-    "explain.export_bundle(roi_mask)": "the ROI that seg_grad_cam requires",
     "tensor.tmean(axis)": "tmean is kept for perfbench/tracing.py, which lists it",
     "tensor.tmean(keepdims)": "tmean is kept for perfbench/tracing.py, which lists it",
 }

@@ -489,6 +489,37 @@ def test_backward_names_an_operand_grad_that_was_already_non_finite(stale):
         y.backward()
 
 
+def test_backward_names_a_root_grad_that_was_already_non_finite():
+    """The seed added into a root .grad the caller left non-finite blames
+    that .grad, not the op that made the root."""
+    y = mul(Tensor(np.ones(3), requires_grad=True), 2.0)
+    y.grad = np.full(3, np.nan)
+    with pytest.raises(NumericsError, match=r"^backward: the root's \.grad already had "
+                                            "non-finite values$"):
+        y.backward(np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_names_a_seed_that_overflows_the_root_grad():
+    y = mul(Tensor(np.ones(3, np.float32), requires_grad=True), 2.0)
+    y.grad = np.full(3, 3e38, np.float32)
+    with pytest.raises(NumericsError, match=r"^backward: the seed summed into the root's "
+                                            r"\.grad has non-finite values$"):
+        y.backward(np.full(3, 3e38, np.float32))
+
+
+def test_backward_names_a_non_finite_seed(monkeypatch):
+    y = mul(Tensor(np.ones(3), requires_grad=True), 2.0)
+    with pytest.raises(NumericsError, match=r"^backward: the seed gradient has "
+                                            "non-finite values$"):
+        y.backward(np.array([1.0, np.nan, 1.0]))
+    # with the checks off nothing looks at the seed: the NaN reaches the leaf
+    monkeypatch.setattr(T, "_checks", False)
+    a = Tensor(np.ones(3), requires_grad=True)
+    mul(a, 2.0).backward(np.array([1.0, np.nan, 1.0]))
+    assert np.isnan(a.grad).tolist() == [False, True, False]
+
+
 def test_primitive_output_is_checked_once(monkeypatch):
     import sdah.tensor as T
 
